@@ -8,10 +8,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, DomainError, LossKind, Matrix, Rng, ShapeError, make_rng
+from .core import (ConfigError, DomainError, LossKind, Matrix, Rng, ShapeError, loss,
+                   make_rng)
 from .data import batch_part
-from .dnn import LayerStack, _pretrain_layers, _StackUpdater, backprop_gradients, forward
-from .optim import anneal, momentum_coeff
+from .dnn import LayerStack, _backprop_epochs, _pretrain_layers, forward
 from .rbm import RbmLayer, TrainConfig
 
 
@@ -62,23 +62,18 @@ def corrupt(batch: Matrix, rate: float, rng: Rng) -> Matrix:
 
 def fine_tune_mse(model: AeModel, clean, epochs: int, cfg: TrainConfig,
                   hook=None) -> AeModel:
-    """Backpropagate the reconstruction MSE through the whole stack.
+    """Backpropagate the reconstruction MSE through the whole stack,
+    updating the layers' arrays in place.
 
     When the model has a denoise rate the input of every batch is freshly
     corrupted each epoch, while the target stays the clean data.
     """
     clean_batches = batch_part(clean, 0)
     rng = make_rng(cfg.seed)
-    updater = _StackUpdater(model.stack)
-    for epoch in range(epochs):
-        lr = anneal(cfg.lr, epoch, cfg.anneal)
-        rho = momentum_coeff(epoch, cfg.momentum)
-        for target in clean_batches:
-            x = corrupt(target, model.denoise_rate, rng) if model.denoise_rate > 0 else target
-            grads = backprop_gradients(model.stack, x, target, LossKind.MSE)
-            updater.step(model.stack, grads, lr, rho, cfg.decay)
-        if hook is not None:
-            hook(epoch, lr, rho)
+    noisy = ((lambda x: corrupt(x, model.denoise_rate, rng))
+             if model.denoise_rate > 0 else None)
+    _backprop_epochs(model.stack, [(t, t) for t in clean_batches], LossKind.MSE,
+                     epochs, cfg, hook, noisy)
     return model
 
 
@@ -93,7 +88,5 @@ def reconstruct(model: AeModel, data: Matrix) -> Matrix:
 
 def reconstruction_error(model: AeModel, data: Matrix) -> float:
     """Mean over samples of half the summed squared reconstruction error."""
-    from .core import loss
-
     return loss(reconstruct(model, data), np.asarray(data, dtype=np.float64),
                 LossKind.MSE)

@@ -20,7 +20,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,7 @@ from . import dbn as dbn_mod
 from . import dnn as dnn_mod
 from . import multimodal as mm
 from . import rbm as rbm_mod
-from .core import ActivationKind, ConfigError, LossKind, loss as loss_fn, make_rng
+from .core import ConfigError, LossKind, loss as loss_fn, make_rng
 from .data import (FormatError, make_batches, one_of_k, read_mnist_images,
                    read_mnist_labels, shuffle_paired)
 from .model_io import save_model
@@ -46,6 +46,14 @@ DEFAULT_LAYERS = {
     "dbm": [784, 500, 500],
     "bimodal": [784, 500, 300],
 }
+
+
+_ANNEAL_KINDS = {"none": AnnealKind.NONE, "exp": AnnealKind.EXPONENTIAL,
+                 "div": AnnealKind.DIVIDE, "step": AnnealKind.STEP}
+_DECAY_KINDS = {"none": DecayKind.NONE, "l1": DecayKind.L1, "l2": DecayKind.L2}
+# JSON value types accepted for each ExperimentConfig annotation
+_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool,
+               "list": list}
 
 
 class UsageError(Exception):
@@ -90,27 +98,43 @@ class ExperimentConfig:
             raise ConfigError("learning rate must be positive")
         if not 0.0 <= self.dropout <= 1.0 or not 0.0 <= self.denoise <= 1.0:
             raise ConfigError("dropout and denoise rates must lie in [0, 1]")
-        if self.anneal not in ("none", "exp", "div", "step"):
+        if self.anneal not in _ANNEAL_KINDS:
             raise ConfigError(f"unknown anneal kind {self.anneal!r}")
-        if self.decay not in ("none", "l1", "l2"):
+        if self.decay not in _DECAY_KINDS:
             raise ConfigError(f"unknown decay kind {self.decay!r}")
         if self.subset < 0:
             raise ConfigError("subset must be >= 0")
         return self
 
+    @classmethod
+    def from_dict(cls, raw) -> "ExperimentConfig":
+        """Strict constructor for a JSON config: unknown or missing keys and
+        values of the wrong JSON type raise ConfigError; an integer is
+        accepted where a float is expected."""
+        try:
+            cfg = cls(**raw)
+        except TypeError as exc:  # not an object, or unknown or missing keys
+            raise ConfigError(str(exc)) from None
+        for f in fields(cls):
+            value = getattr(cfg, f.name)
+            ok = (isinstance(value, _JSON_TYPES[f.type])
+                  and isinstance(value, bool) == (f.type == "bool"))
+            if not ok or f.type == "list" and any(type(n) is not int for n in value):
+                raise ConfigError(f"config key {f.name!r} must be {f.type}, "
+                                  f"got {value!r}")
+            if f.type == "float":
+                setattr(cfg, f.name, float(value))
+        return cfg
+
     def train_config(self, epochs: int = None) -> rbm_mod.TrainConfig:
-        kind = {"none": AnnealKind.NONE, "exp": AnnealKind.EXPONENTIAL,
-                "div": AnnealKind.DIVIDE, "step": AnnealKind.STEP}[self.anneal]
-        decay = {"none": DecayKind.NONE, "l1": DecayKind.L1,
-                 "l2": DecayKind.L2}[self.decay]
         return rbm_mod.TrainConfig(
             epochs=self.epochs if epochs is None else epochs,
             num_batches=self.num_batches,
             lr=self.lr,
-            anneal=AnnealSchedule(kind, self.anneal_k),
+            anneal=AnnealSchedule(_ANNEAL_KINDS[self.anneal], self.anneal_k),
             momentum=MomentumSchedule(self.momentum_early, self.momentum_late,
                                       self.momentum_threshold),
-            decay=WeightDecaySpec(decay, self.decay_k),
+            decay=WeightDecaySpec(_DECAY_KINDS[self.decay], self.decay_k),
             dropout_rate=self.dropout,
             gibbs_steps=self.gibbs,
             seed=self.seed,
@@ -194,24 +218,21 @@ def export_pgm(matrix, rows: int, cols: int, path) -> None:
 # data plumbing
 # ---------------------------------------------------------------------------
 
-def _find_file(data_dir: Path, names):
-    for name in names:
-        p = data_dir / name
-        if p.exists():
-            return p
-    raise FileNotFoundError(f"none of {names} found in {data_dir}")
-
-
 def load_mnist(data_dir, subset: int = 0):
+    """(train_x, train_y, test_x, test_y) from the four MNIST IDX files,
+    named with either `-idx` or `.idx` before the format suffix."""
     d = Path(data_dir)
-    train_x = read_mnist_images(_find_file(d, ["train-images-idx3-ubyte",
-                                               "train-images.idx3-ubyte"]))
-    train_y = read_mnist_labels(_find_file(d, ["train-labels-idx1-ubyte",
-                                               "train-labels.idx1-ubyte"]))
-    test_x = read_mnist_images(_find_file(d, ["t10k-images-idx3-ubyte",
-                                              "t10k-images.idx3-ubyte"]))
-    test_y = read_mnist_labels(_find_file(d, ["t10k-labels-idx1-ubyte",
-                                              "t10k-labels.idx1-ubyte"]))
+
+    def find(stem, suffix):
+        for name in (f"{stem}-{suffix}", f"{stem}.{suffix}"):
+            if (d / name).exists():
+                return d / name
+        raise FileNotFoundError(f"none of {stem}[-.]{suffix} found in {d}")
+
+    train_x = read_mnist_images(find("train-images", "idx3-ubyte"))
+    train_y = read_mnist_labels(find("train-labels", "idx1-ubyte"))
+    test_x = read_mnist_images(find("t10k-images", "idx3-ubyte"))
+    test_y = read_mnist_labels(find("t10k-labels", "idx1-ubyte"))
     if subset:
         n_test = max(1, subset // 5)
         train_x, train_y = train_x[:subset], train_y[:subset]
@@ -260,8 +281,7 @@ def run_experiment(cfg: ExperimentConfig):
     if not data_dir:
         raise FileNotFoundError("no data directory: pass --data-dir or set MDL_DATA_DIR")
     train_x, train_y, test_x, test_y = load_mnist(data_dir, cfg.subset)
-    n_classes = 10
-    train_onehot = one_of_k(train_y, n_classes)
+    train_onehot = one_of_k(train_y, 10)
     train_x, train_onehot = shuffle_paired(train_x, train_onehot, make_rng(cfg.seed))
     num_batches = min(cfg.num_batches, train_x.shape[0])
     batches = make_batches(train_x, train_onehot, num_batches)
@@ -294,23 +314,20 @@ def _filters_pgm(w, out_dir):
 
 def _run_rbm(cfg, batches, train_x, train_onehot, test_x, test_y, out_dir):
     tc = cfg.train_config()
-    rng = make_rng(cfg.seed)
-    layer = rbm_mod.RbmLayer.random(cfg.layers[0], cfg.layers[1], rng)
-    rbm_mod.train_binary(layer, batches, tc)
+    # one pretrained RBM under an untrained softmax head
+    stack = dnn_mod.pretrain_stack(cfg.layers[:2] + [10], batches, tc)
+    layer, head = stack.layers
     _check_finite_model([layer.w, layer.b_v, layer.b_h], "RBM training")
-    head = rbm_mod.RbmLayer.random(cfg.layers[1], 10, rng,
-                                   activation=ActivationKind.SOFTMAX)
-    feats = [rbm_mod.hidden_given_visible(layer, b[0]) for b in batches]
+    feats = dnn_mod.hidden_features(stack, batches)
     labels = [b[1] for b in batches]
     recorder = _Recorder(_class_probe(
-        lambda x: dnn_mod.predict(dnn_mod.LayerStack([layer, head]), x),
+        lambda x: dnn_mod.predict(stack, x),
         batches[0][0], batches[0][1], test_x, test_y,
         lambda x, y: rbm_mod.classify_rbm(layer, head, x, y)))
     rbm_mod.train_classifier_head(head, feats, labels, tc, hook=recorder.hook)
     _check_finite_model([head.w, head.b_h], "classifier training")
     report = rbm_mod.classify_rbm(layer, head, test_x, test_y)
     _filters_pgm(layer.w, out_dir)
-    stack = dnn_mod.LayerStack([layer, head])
     return stack, recorder, {"error": report.error_rate, "n": report.n_samples}
 
 
@@ -359,11 +376,7 @@ def _run_dae(cfg, batches, train_x, train_onehot, test_x, test_y, out_dir):
     tc = cfg.train_config()
     model = ae.build_symmetric(cfg.layers, batches, tc, denoise_rate=cfg.denoise)
     probe_x = batches[0][0]
-
-    def probe():
-        return {"loss": ae.reconstruction_error(model, probe_x)}
-
-    recorder = _Recorder(probe)
+    recorder = _Recorder(lambda: {"loss": ae.reconstruction_error(model, probe_x)})
     if cfg.fine_tune:
         ae.fine_tune_mse(model, batches, cfg.epochs, tc, hook=recorder.hook)
     _check_finite_model([l.w for l in model.stack.layers], "autoencoder training")
@@ -405,15 +418,9 @@ def _run_bimodal(cfg, batches, train_x, train_onehot, test_x, test_y, out_dir):
     # pretrain only, then fine-tune here so each epoch can be probed
     model = mm.train_bimodal(data_a, data_b, cfg.layers, tc,
                              denoise_rate=denoise, fine_tune_epochs=0)
-    joined = np.hstack([model.scale_a.forward(data_a), model.scale_b.forward(data_b)])
-    joined, _ = shuffle_paired(joined, joined, make_rng(cfg.seed))
-    joined_batches = make_batches(joined, None, min(cfg.num_batches, joined.shape[0]))
-    probe_x = joined[:50]
-
-    def probe():
-        return {"loss": ae.reconstruction_error(model.ae, probe_x)}
-
-    recorder = _Recorder(probe)
+    joined, joined_batches = mm._joined_batches(model.scale_a, model.scale_b,
+                                                data_a, data_b, tc)
+    recorder = _Recorder(lambda: {"loss": ae.reconstruction_error(model.ae, joined[:50])})
     ae.fine_tune_mse(model.ae, joined_batches, cfg.epochs, tc, hook=recorder.hook)
     _check_finite_model([l.w for l in model.ae.stack.layers], "bimodal training")
     pred_b = mm.predict_modal(model, test_x[:, :half])
@@ -430,31 +437,26 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# flags named other than their ExperimentConfig field, and flag help texts
+_FLAG_NAMES = {"num_batches": "batches"}
+_FLAG_HELP = {"subset": "truncate to N training rows (test gets N/5)"}
+
+
 def _add_common_flags(p: argparse.ArgumentParser, model: str):
+    """One flag per ExperimentConfig field after model and layers, with the
+    field's default; booleans take 0 or 1."""
     p.add_argument("--layers", type=str, default=None,
                    help="comma-separated layer sizes")
     if model == "rbm":
         p.add_argument("--hidden", type=int, default=None,
                        help="hidden units (shorthand for --layers 784,N)")
-    p.add_argument("--epochs", type=int, default=6)
-    p.add_argument("--batches", type=int, default=100)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--anneal", choices=["none", "exp", "div", "step"], default="none")
-    p.add_argument("--anneal-k", type=float, default=0.0)
-    p.add_argument("--momentum-early", type=float, default=0.5)
-    p.add_argument("--momentum-late", type=float, default=0.9)
-    p.add_argument("--momentum-threshold", type=int, default=5)
-    p.add_argument("--decay", choices=["none", "l1", "l2"], default="none")
-    p.add_argument("--decay-k", type=float, default=0.0)
-    p.add_argument("--dropout", type=float, default=0.0)
-    p.add_argument("--denoise", type=float, default=0.0)
-    p.add_argument("--gibbs", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--fine-tune", type=int, choices=[0, 1], default=1)
-    p.add_argument("--data-dir", type=str, default="")
-    p.add_argument("--out-dir", type=str, default="out")
-    p.add_argument("--subset", type=int, default=0,
-                   help="truncate to N training rows (test gets N/5)")
+    for f in fields(ExperimentConfig)[2:]:
+        name = _FLAG_NAMES.get(f.name, f.name)
+        kind = {"int": int, "float": float, "str": str, "bool": int}[f.type]
+        choices = {"anneal": list(_ANNEAL_KINDS), "decay": list(_DECAY_KINDS),
+                   "fine_tune": [0, 1]}.get(f.name)
+        p.add_argument("--" + name.replace("_", "-"), type=kind, choices=choices,
+                       default=kind(f.default), help=_FLAG_HELP.get(f.name))
     p.add_argument("--config", type=str, default=None,
                    help="load a previously echoed config.json (other flags ignored)")
 
@@ -470,8 +472,7 @@ def build_parser() -> _Parser:
 
 def config_from_args(args) -> ExperimentConfig:
     if args.config:
-        raw = json.loads(Path(args.config).read_text())
-        return ExperimentConfig(**raw)
+        return ExperimentConfig.from_dict(json.loads(Path(args.config).read_text()))
     model = args.command.removeprefix("run-")
     if args.layers:
         layers = [int(s) for s in args.layers.split(",") if s]
@@ -479,14 +480,10 @@ def config_from_args(args) -> ExperimentConfig:
         layers = [784, args.hidden]
     else:
         layers = list(DEFAULT_LAYERS[model])
-    return ExperimentConfig(
-        model=model, layers=layers, epochs=args.epochs, num_batches=args.batches,
-        lr=args.lr, anneal=args.anneal, anneal_k=args.anneal_k,
-        momentum_early=args.momentum_early, momentum_late=args.momentum_late,
-        momentum_threshold=args.momentum_threshold, decay=args.decay,
-        decay_k=args.decay_k, dropout=args.dropout, denoise=args.denoise,
-        gibbs=args.gibbs, seed=args.seed, fine_tune=bool(args.fine_tune),
-        data_dir=args.data_dir, out_dir=args.out_dir, subset=args.subset)
+    values = {f.name: getattr(args, _FLAG_NAMES.get(f.name, f.name))
+              for f in fields(ExperimentConfig)[2:]}
+    return ExperimentConfig(model=model, layers=layers,
+                            **{**values, "fine_tune": bool(args.fine_tune)})
 
 
 def main(argv=None) -> int:

@@ -66,12 +66,6 @@ def matrix(values) -> Matrix:
     return m
 
 
-def check_finite(m: Matrix, name: str = "matrix") -> Matrix:
-    if not np.all(np.isfinite(m)):
-        raise DomainError(f"{name} contains NaN or Inf")
-    return m
-
-
 def sigmoid(z: Matrix) -> Matrix:
     # split by sign so exp never overflows
     out = np.empty_like(z, dtype=np.float64)

@@ -20,8 +20,7 @@ MNIST_IMAGE_MAGIC = 2051
 MNIST_LABEL_MAGIC = 2049
 CIFAR_RECORD_BYTES = 3073  # 1 label byte + 32*32*3 pixel bytes
 
-# One batch is a (data, labels) pair; labels may be None for unlabeled sets.
-Batch = tuple
+# A list of (data, labels) batches; labels may be None for unlabeled sets.
 BatchedDataset = list
 
 
@@ -165,3 +164,10 @@ def batch_part(batches, part: int):
         else:
             out.append(b)
     return out
+
+
+def _join_labels(feats, label_batches):
+    """Each feature batch with its label batch appended column-wise."""
+    if len(label_batches) != len(feats):
+        raise ShapeError("data/label batch counts differ")
+    return [np.hstack([f, y]) for f, y in zip(feats, label_batches)]

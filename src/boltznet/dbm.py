@@ -10,16 +10,16 @@ use the stored weights in both directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import (ClassificationReport, ConfigError, DomainError, Matrix,
+from .core import (ClassificationReport, ConfigError, Matrix,
                    ShapeError, classification_report, label_indices, make_rng,
                    sample_bernoulli, sigmoid, softmax)
-from .data import batch_part
-from .optim import AnnealKind, AnnealSchedule, anneal
-from .rbm import RbmLayer, TrainConfig, _train_rbm, pretrain_config
+from .data import _join_labels, batch_part
+from .optim import NO_MOMENTUM, AnnealKind, AnnealSchedule, run_epochs
+from .rbm import RbmLayer, TrainConfig, _check_binary, _train_rbm, pretrain_config
 
 MEAN_FIELD_TOL = 1e-4
 MEAN_FIELD_MAX_SWEEPS = 30
@@ -70,30 +70,61 @@ class DbmModel:
         return self.weights[-1].shape[0] - self.label_dim
 
 
+def _state_below(model: DbmModel, l: int, v: Matrix, hs, y: Matrix) -> Matrix:
+    """The state under hidden layer l (v or the layer beneath), with the
+    label units joined on for the top layer."""
+    below = v if l == 0 else hs[l - 1]
+    if l == model.n_layers - 1 and model.label_dim:
+        below = np.hstack([below, y])
+    return below
+
+
+def _states_below(model: DbmModel, v: Matrix, hs, y: Matrix) -> list:
+    return [_state_below(model, l, v, hs, y) for l in range(model.n_layers)]
+
+
+def _layer_input(model: DbmModel, l: int, v: Matrix, hs, y: Matrix) -> Matrix:
+    """Total input to hidden layer l: bottom-up from the state below it plus
+    top-down from layer l+1 through the rows of its weight that face layer
+    l (never the label rows). While `hs` holds no state for layer l+1 yet,
+    as in a bottom-up pass, the bottom-up input is doubled in its place."""
+    z = _state_below(model, l, v, hs, y) @ model.weights[l]
+    if l == model.n_layers - 1:
+        return z + model.hidden_biases[l]
+    if len(hs) <= l + 1:
+        return 2.0 * z + model.hidden_biases[l]
+    return (z + model.hidden_biases[l]
+            + hs[l + 1] @ model.weights[l + 1][:model.weights[l].shape[1]].T)
+
+
+def _label_input(model: DbmModel, h_top: Matrix) -> Matrix:
+    """Total input to the label units from the top hidden layer."""
+    return h_top @ model.weights[-1][model.top_feature_rows():].T + model.label_bias
+
+
+def _bottom_up(model: DbmModel, v: Matrix, y: Matrix, settle) -> list:
+    """One bottom-up pass; `settle` maps each layer's input to its state."""
+    hs = []
+    for l in range(model.n_layers):
+        hs.append(settle(_layer_input(model, l, v, hs, y)))
+    return hs
+
+
 def dbm_energy(model: DbmModel, v: Matrix, h_list, y: Matrix = None) -> float:
     """Bias-free layered energy:
     -v W1 h1 - sum_i h_{i-1} W_i h_i (labels ride on the top layer's input).
     """
-
-    def as_binary(x, name):
-        x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-        if not np.all((x == 0.0) | (x == 1.0)):
-            raise DomainError(f"{name} must be a binary state")
-        return x
-
-    v = as_binary(v, "visible state")
-    hs = [as_binary(h, f"hidden state {i + 1}") for i, h in enumerate(h_list)]
+    v = _check_binary(v, "visible state").reshape(1, -1)
+    hs = [_check_binary(h, f"hidden state {i + 1}").reshape(1, -1)
+          for i, h in enumerate(h_list)]
     if len(hs) != model.n_layers:
         raise ShapeError(f"expected {model.n_layers} hidden states, got {len(hs)}")
     if model.label_dim:
         if y is None:
             raise ShapeError("model has label units; pass their state")
-        y = as_binary(y, "label state")
-    below = [v] + hs[:-1]
-    if model.label_dim:
-        below[-1] = np.hstack([below[-1], y])
+        y = _check_binary(y, "label state").reshape(1, -1)
     total = 0.0
-    for lower, w, upper in zip(below, model.weights, hs):
+    for lower, w, upper in zip(_states_below(model, v, hs, y), model.weights, hs):
         if lower.shape[1] != w.shape[0] or upper.shape[1] != w.shape[1]:
             raise ShapeError("state widths do not match the weights")
         total -= (lower @ w @ upper.T).item()
@@ -127,12 +158,7 @@ def pretrain_dbm(sizes, data, cfg: TrainConfig, labels=None, hook=None) -> DbmMo
         down_scale = 2.0 if last and not first else 1.0
         n_v = sizes[i] + (k if last else 0)
         layer = RbmLayer.random(n_v, sizes[i + 1], rng, index=i)
-        if last and label_batches:
-            if len(label_batches) != len(feats):
-                raise ShapeError("data/label batch counts differ")
-            feed = [np.hstack([f, y]) for f, y in zip(feats, label_batches)]
-        else:
-            feed = feats
+        feed = _join_labels(feats, label_batches) if last and label_batches else feats
         layer_hook = (lambda e, lr, rho, _i=i: hook(_i, e, lr, rho)) if hook else None
         _train_rbm(layer, feed, pretrain_config(cfg, i), up_scale=up_scale,
                    down_scale=down_scale, hook=layer_hook)
@@ -163,15 +189,8 @@ def _init_chains(model: DbmModel, data_batches, label_batches, rng) -> None:
         else:
             model.chain_y = sample_bernoulli(
                 np.full((v0.shape[0], model.label_dim), 0.5), rng)
-    model.chain_h = []
-    prev = model.chain_v
-    for i, (w, b) in enumerate(zip(model.weights, model.hidden_biases)):
-        scale = 2.0 if i < model.n_layers - 1 else 1.0
-        if i == model.n_layers - 1 and model.label_dim:
-            prev = np.hstack([prev, model.chain_y])
-        state = sample_bernoulli(sigmoid(scale * (prev @ w) + b), rng)
-        model.chain_h.append(state)
-        prev = state
+    model.chain_h = _bottom_up(model, model.chain_v, model.chain_y,
+                               lambda z: sample_bernoulli(sigmoid(z), rng))
 
 
 def mean_field_states(model: DbmModel, data: Matrix, y: Matrix = None,
@@ -188,40 +207,21 @@ def mean_field_states(model: DbmModel, data: Matrix, y: Matrix = None,
     max-change sequence when `return_history` is set.
     """
     v = np.asarray(data, dtype=np.float64)
-    n = model.n_layers
     if model.label_dim and clamp_labels and y is None:
         raise ShapeError("clamping labels requires their values")
     y_mu = (np.asarray(y, dtype=np.float64) if (model.label_dim and y is not None)
             else np.zeros((v.shape[0], model.label_dim)))
 
-    mus = []
-    prev = v
-    for i, (w, b) in enumerate(zip(model.weights, model.hidden_biases)):
-        scale = 2.0 if i < n - 1 else 1.0
-        inp = np.hstack([prev, y_mu]) if (i == n - 1 and model.label_dim) else prev
-        mu = sigmoid(scale * (inp @ w) + b)
-        mus.append(mu)
-        prev = mu
-
-    n_top_feat = model.top_feature_rows()
+    mus = _bottom_up(model, v, y_mu, sigmoid)
     history = []
     for _ in range(max_sweeps):
         max_change = 0.0
-        for l in range(n):
-            below = v if l == 0 else mus[l - 1]
-            if l == n - 1 and model.label_dim:
-                below = np.hstack([below, y_mu])
-            z = below @ model.weights[l] + model.hidden_biases[l]
-            if l < n - 1:
-                w_up = model.weights[l + 1]
-                rows = w_up.shape[0] - (model.label_dim if l + 1 == n - 1 else 0)
-                z = z + mus[l + 1] @ w_up[:rows].T
-            new_mu = sigmoid(z)
+        for l in range(model.n_layers):
+            new_mu = sigmoid(_layer_input(model, l, v, mus, y_mu))
             max_change = max(max_change, float(np.abs(new_mu - mus[l]).max()))
             mus[l] = new_mu
         if model.label_dim and not clamp_labels:
-            new_y = softmax(mus[-1] @ model.weights[-1][n_top_feat:].T
-                            + model.label_bias)
+            new_y = softmax(_label_input(model, mus[-1]))
             max_change = max(max_change, float(np.abs(new_y - y_mu).max()))
             y_mu = new_y
         history.append(max_change)
@@ -234,23 +234,14 @@ def mean_field_states(model: DbmModel, data: Matrix, y: Matrix = None,
 
 def _gibbs_sweep(model: DbmModel, rng) -> None:
     """One sequential Gibbs sweep over every persistent chain."""
-    n = model.n_layers
-    n_top_feat = model.top_feature_rows()
     model.chain_v = sample_bernoulli(
         sigmoid(model.chain_h[0] @ model.weights[0].T + model.visible_bias), rng)
-    for l in range(n):
-        below = model.chain_v if l == 0 else model.chain_h[l - 1]
-        if l == n - 1 and model.label_dim:
-            below = np.hstack([below, model.chain_y])
-        z = below @ model.weights[l] + model.hidden_biases[l]
-        if l < n - 1:
-            w_up = model.weights[l + 1]
-            rows = w_up.shape[0] - (model.label_dim if l + 1 == n - 1 else 0)
-            z = z + model.chain_h[l + 1] @ w_up[:rows].T
+    for l in range(model.n_layers):
+        z = _layer_input(model, l, model.chain_v, model.chain_h, model.chain_y)
         model.chain_h[l] = sample_bernoulli(sigmoid(z), rng)
     if model.label_dim:
-        zy = model.chain_h[-1] @ model.weights[-1][n_top_feat:].T + model.label_bias
-        model.chain_y = _sample_one_of_k(softmax(zy), rng)
+        model.chain_y = _sample_one_of_k(softmax(_label_input(model, model.chain_h[-1])),
+                                         rng)
 
 
 def mean_field_train(model: DbmModel, batches, iterations: int, lr: float,
@@ -262,6 +253,9 @@ def mean_field_train(model: DbmModel, batches, iterations: int, lr: float,
     clamped), advances every persistent chain one Gibbs sweep, and applies
     one update: W_l += alpha_t (data outer products / D - chain outer
     products / M). Biases move with the corresponding mean differences.
+    The update is plain SGD on `lr` (STEP-annealed unless `anneal_sched` is
+    given) and changes the model's arrays in place; the hook reports
+    momentum 0.0.
     """
     if model.chain_v is None:
         raise ConfigError("model must be pretrained before mean-field training")
@@ -270,34 +264,27 @@ def mean_field_train(model: DbmModel, batches, iterations: int, lr: float,
     if anneal_sched is None:
         anneal_sched = AnnealSchedule(AnnealKind.STEP)
     rng = make_rng(cfg.seed)
-    n = model.n_layers
     d_total = sum(b.shape[0] for b in data_batches)
     m_chains = model.chain_v.shape[0]
 
-    for t in range(iterations):
-        alpha = anneal(lr, t, anneal_sched)
+    def iteration(alpha, _rho):
         acc_w = [np.zeros_like(w) for w in model.weights]
         acc_b = [np.zeros_like(b) for b in model.hidden_biases]
         acc_bv = np.zeros_like(model.visible_bias)
         acc_by = np.zeros_like(model.label_bias) if model.label_dim else None
         for x, yb in zip(data_batches, label_batches):
             mus, _ = mean_field_states(model, x, y=yb, clamp_labels=True)
-            below = [x] + mus[:-1]
-            if model.label_dim:
-                below[-1] = np.hstack([below[-1], yb])
-            for l in range(n):
-                acc_w[l] += below[l].T @ mus[l]
+            for l, below in enumerate(_states_below(model, x, mus, yb)):
+                acc_w[l] += below.T @ mus[l]
                 acc_b[l] += mus[l].sum(axis=0, keepdims=True)
             acc_bv += x.sum(axis=0, keepdims=True)
             if model.label_dim:
                 acc_by += yb.sum(axis=0, keepdims=True)
         _gibbs_sweep(model, rng)
-        chain_below = [model.chain_v] + model.chain_h[:-1]
-        if model.label_dim:
-            chain_below[-1] = np.hstack([chain_below[-1], model.chain_y])
-        for l in range(n):
+        for l, below in enumerate(_states_below(model, model.chain_v, model.chain_h,
+                                                model.chain_y)):
             model.weights[l] += alpha * (acc_w[l] / d_total
-                                         - chain_below[l].T @ model.chain_h[l] / m_chains)
+                                         - below.T @ model.chain_h[l] / m_chains)
             model.hidden_biases[l] += alpha * (
                 acc_b[l] / d_total
                 - model.chain_h[l].mean(axis=0, keepdims=True))
@@ -306,8 +293,10 @@ def mean_field_train(model: DbmModel, batches, iterations: int, lr: float,
         if model.label_dim:
             model.label_bias += alpha * (acc_by / d_total
                                          - model.chain_y.mean(axis=0, keepdims=True))
-        if hook is not None:
-            hook(t, alpha, 0.0)
+
+    # plain SGD on its own rate and schedule: no momentum, reported as 0.0
+    run_epochs(replace(cfg, lr=lr, anneal=anneal_sched, momentum=NO_MOMENTUM),
+               iterations, iteration, hook)
     return model
 
 

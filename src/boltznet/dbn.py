@@ -13,13 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (ClassificationReport, ConfigError, Matrix, ShapeError,
-                   classification_report, label_indices, make_rng,
-                   sample_bernoulli, sigmoid)
-from .data import batch_part
+from .core import (ClassificationReport, ConfigError, Matrix, classification_report,
+                   label_indices, make_rng, sample_bernoulli, sigmoid)
+from .data import _join_labels, batch_part
 from .dnn import _pretrain_layers
-from .optim import NO_DECAY, anneal, apply_update, momentum_coeff
-from .rbm import RbmLayer, TrainConfig, pretrain_config, train_binary
+from .optim import ParamGroup, run_epochs
+from .rbm import RbmLayer, TrainConfig, _cd_gradients, pretrain_config, train_binary
 
 
 @dataclass
@@ -63,12 +62,7 @@ def pretrain_dbn(sizes, data, labels=None, cfg: TrainConfig = None,
     label_batches = batch_part(labels, 1) if labels is not None else None
     k = label_batches[0].shape[1] if label_batches else 0
     top = RbmLayer.random(sizes[-2] + k, sizes[-1], rng, index=len(sizes) - 2)
-    if label_batches:
-        if len(label_batches) != len(feats):
-            raise ShapeError("data/label batch counts differ")
-        top_feed = [np.hstack([f, y]) for f, y in zip(feats, label_batches)]
-    else:
-        top_feed = feats
+    top_feed = _join_labels(feats, label_batches) if label_batches else feats
     train_binary(top, top_feed, pretrain_config(cfg, len(sizes) - 2))
     model = DbnModel(recognition=lower, top=top, label_dim=k)
     model.generative_w = [layer.w.T.copy() for layer in lower]
@@ -76,12 +70,12 @@ def pretrain_dbn(sizes, data, labels=None, cfg: TrainConfig = None,
     return model
 
 
-def _residual_update(state_above, state_below, predicted, lr):
-    """Wake-sleep residual gradient: state^T (state - prediction) / m."""
-    m = state_above.shape[0]
-    dw = state_above.T @ (state_below - predicted) / m
-    db = (state_below - predicted).mean(axis=0, keepdims=True)
-    return lr * dw, lr * db
+def _residual_update(w, b, source, target, lr):
+    """Wake-sleep delta rule, in place: move the sigmoid prediction of
+    `target` from `source` toward it by lr * source^T (target - pred) / m."""
+    residual = target - sigmoid(source @ w + b)
+    w += lr * (source.T @ residual / source.shape[0])
+    b += lr * residual.mean(axis=0, keepdims=True)
 
 
 def up_down_fine_tune(model: DbnModel, data, labels, epochs: int,
@@ -91,22 +85,19 @@ def up_down_fine_tune(model: DbnModel, data, labels, epochs: int,
     Per batch: a sampled up-pass (recognition weights) trains the generative
     weights on its states; a CD-1 step with labels clamped in the positive
     phase trains the top RBM; a sampled down-pass (generative weights)
-    trains the recognition weights on its states.
+    trains the recognition weights on its states. Every weight and bias
+    array is updated in place.
     """
     if model.top is None:
         raise ConfigError("model must be pretrained before fine-tuning")
     data_batches = batch_part(data, 0)
     label_batches = batch_part(labels, 1)
     rng = make_rng(cfg.seed)
-    vel_w = np.zeros_like(model.top.w)
-    vel_bv = np.zeros_like(model.top.b_v)
-    vel_bh = np.zeros_like(model.top.b_h)
-    n_feat = model.feature_dim
-    for epoch in range(epochs):
-        lr = anneal(cfg.lr, epoch, cfg.anneal)
-        rho = momentum_coeff(epoch, cfg.momentum)
+    top = model.top
+    params = ParamGroup([top.w], [top.b_v, top.b_h], cfg.decay)
+
+    def epoch(lr, rho):
         for x, y in zip(data_batches, label_batches):
-            m = x.shape[0]
             # wake: sample upward, then fit the generative weights to
             # reproduce each layer from the one above
             states = [np.asarray(x, dtype=np.float64)]
@@ -114,70 +105,51 @@ def up_down_fine_tune(model: DbnModel, data, labels, epochs: int,
             for layer in model.recognition:
                 probs = sigmoid(states[-1] @ layer.w + layer.b_h)
                 states.append(sample_bernoulli(probs, rng))
-            for i, _ in enumerate(model.recognition):
-                pred = sigmoid(states[i + 1] @ model.generative_w[i]
-                               + model.generative_b[i])
-                dw, db = _residual_update(states[i + 1], states[i], pred, lr)
-                model.generative_w[i] += dw
-                model.generative_b[i] += db
+            for i in range(len(model.recognition)):
+                _residual_update(model.generative_w[i], model.generative_b[i],
+                                 states[i + 1], states[i], lr)
             # top RBM CD-1 with labels clamped in the positive phase; the
             # data statistic uses the recognition probabilities (same
             # variance reduction as plain RBM training)
             top_v = np.hstack([probs, y]) if model.label_dim else probs
-            h_probs = sigmoid(top_v @ model.top.w + model.top.b_h)
-            h_state = sample_bernoulli(h_probs, rng)
-            v_recon = sigmoid(h_state @ model.top.w.T + model.top.b_v)
-            h_recon = sigmoid(v_recon @ model.top.w + model.top.b_h)
-            dw_top = (v_recon.T @ h_recon - top_v.T @ h_probs) / m
-            dbv_top = (v_recon - top_v).mean(axis=0, keepdims=True)
-            dbh_top = (h_recon - h_probs).mean(axis=0, keepdims=True)
-            model.top.w, vel_w = apply_update(model.top.w, dw_top, vel_w, lr, rho,
-                                              cfg.decay)
-            model.top.b_v, vel_bv = apply_update(model.top.b_v, dbv_top, vel_bv,
-                                                 lr, rho, NO_DECAY)
-            model.top.b_h, vel_bh = apply_update(model.top.b_h, dbh_top, vel_bh,
-                                                 lr, rho, NO_DECAY)
+            h_probs = sigmoid(top_v @ top.w + top.b_h)
+            g, v_recon = _cd_gradients(top, top_v, h_probs,
+                                       sample_bernoulli(h_probs, rng))
+            params.step([g.dw, g.db_v, g.db_h], lr, rho)
             # sleep: sample downward from the top reconstruction, then fit
             # the recognition weights to invert the generative pass
-            down = sample_bernoulli(v_recon[:, :n_feat], rng)
-            dream = [down]
+            dream = [sample_bernoulli(v_recon[:, :model.feature_dim], rng)]
             for i in range(len(model.recognition) - 1, -1, -1):
                 p = sigmoid(dream[-1] @ model.generative_w[i]
                             + model.generative_b[i])
                 dream.append(sample_bernoulli(p, rng))
             dream.reverse()  # dream[i] now sits at layer i
             for i, layer in enumerate(model.recognition):
-                pred = sigmoid(dream[i] @ layer.w + layer.b_h)
-                dw, db = _residual_update(dream[i], dream[i + 1], pred, lr)
-                layer.w += dw
-                layer.b_h += db
-        if hook is not None:
-            hook(epoch, lr, rho)
+                _residual_update(layer.w, layer.b_h, dream[i], dream[i + 1], lr)
+
+    run_epochs(cfg, epochs, epoch, hook)
     model.fine_tuned = model.fine_tuned or epochs > 0
     return model
 
 
-def predict_dbn(model: DbnModel, data: Matrix, top_gibbs_iters: int = 1) -> Matrix:
+def predict_dbn(model: DbnModel, data: Matrix) -> Matrix:
     """Prediction distribution over the label slots.
 
-    Upward pass to the top features, label slots clamped to zero, one (or
-    more) up-down steps of the top RBM, then the label-slot reconstruction
+    Upward pass to the top features, label slots clamped to zero, one
+    up-down step of the top RBM, then the label-slot reconstruction
     renormalized to sum to 1.
     """
     if model.label_dim == 0:
         raise ConfigError("model was pretrained without labels")
     feats = model.recognition_pass(data)
-    label_slots = np.zeros((feats.shape[0], model.label_dim))
-    for _ in range(max(1, top_gibbs_iters)):
-        top_v = np.hstack([feats, label_slots])
-        h = sigmoid(top_v @ model.top.w + model.top.b_h)
-        recon = sigmoid(h @ model.top.w.T + model.top.b_v)
-        label_slots = recon[:, model.feature_dim:]
+    top_v = np.hstack([feats, np.zeros((feats.shape[0], model.label_dim))])
+    h = sigmoid(top_v @ model.top.w + model.top.b_h)
+    recon = sigmoid(h @ model.top.w.T + model.top.b_v)
+    label_slots = recon[:, model.feature_dim:]
     total = label_slots.sum(axis=1, keepdims=True)
     return label_slots / np.maximum(total, 1e-300)
 
 
-def classify_dbn(model: DbnModel, data: Matrix, labels: Matrix,
-                 top_gibbs_iters: int = 1) -> ClassificationReport:
-    pred = predict_dbn(model, data, top_gibbs_iters).argmax(axis=1)
+def classify_dbn(model: DbnModel, data: Matrix, labels: Matrix) -> ClassificationReport:
+    pred = predict_dbn(model, data).argmax(axis=1)
     return classification_report(pred, label_indices(labels), model.label_dim)

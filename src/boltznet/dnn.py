@@ -12,7 +12,7 @@ from .core import (ActivationKind, ClassificationReport, ConfigError, LossKind,
                    Matrix, ShapeError, activate, activation_derivative,
                    classification_report, label_indices, make_rng)
 from .data import batch_part
-from .optim import NO_DECAY, anneal, apply_update, momentum_coeff
+from .optim import ParamGroup, run_epochs
 from .rbm import (RbmLayer, TrainConfig, hidden_given_visible, pretrain_config,
                   train_binary)
 
@@ -126,36 +126,32 @@ def backprop_gradients(stack: LayerStack, batch: Matrix, target: Matrix,
     return grads
 
 
-class _StackUpdater:
-    """Momentum state for every layer of a stack."""
+def _backprop_epochs(stack: LayerStack, pairs, loss: LossKind, epochs: int,
+                     cfg: TrainConfig, hook, noisy=None) -> None:
+    """Momentum backprop over (input, target) batch pairs, updating every
+    layer's weights and hidden biases in place; `noisy` corrupts each
+    input afresh every epoch."""
+    params = ParamGroup([l.w for l in stack.layers], [l.b_h for l in stack.layers],
+                        cfg.decay)
 
-    def __init__(self, stack: LayerStack):
-        self.vel = [(np.zeros_like(l.w), np.zeros_like(l.b_h)) for l in stack.layers]
+    def epoch(lr, rho):
+        for x, t in pairs:
+            grads = backprop_gradients(stack, noisy(x) if noisy else x, t, loss)
+            params.step([dw for dw, _ in grads] + [db for _, db in grads], lr, rho)
 
-    def step(self, stack: LayerStack, grads, lr: float, rho: float, decay):
-        for l, (layer, (dw, db)) in enumerate(zip(stack.layers, grads)):
-            vw, vb = self.vel[l]
-            layer.w, vw = apply_update(layer.w, dw, vw, lr, rho, decay)
-            layer.b_h, vb = apply_update(layer.b_h, db, vb, lr, rho, NO_DECAY)
-            self.vel[l] = (vw, vb)
+    run_epochs(cfg, epochs, epoch, hook)
 
 
 def backprop_fine_tune(stack: LayerStack, data, labels, epochs: int,
                        loss: LossKind, cfg: TrainConfig, hook=None) -> LayerStack:
-    """Refine all layers by backpropagation (in place)."""
+    """Refine all layers by backpropagation. The layers' arrays are updated
+    in place, so arrays a caller holds change with the model."""
     data_batches = batch_part(data, 0)
     label_batches = batch_part(labels, 1)
     if len(data_batches) != len(label_batches):
         raise ShapeError("data/label batch counts differ")
-    updater = _StackUpdater(stack)
-    for epoch in range(epochs):
-        lr = anneal(cfg.lr, epoch, cfg.anneal)
-        rho = momentum_coeff(epoch, cfg.momentum)
-        for x, t in zip(data_batches, label_batches):
-            grads = backprop_gradients(stack, x, t, loss)
-            updater.step(stack, grads, lr, rho, cfg.decay)
-        if hook is not None:
-            hook(epoch, lr, rho)
+    _backprop_epochs(stack, list(zip(data_batches, label_batches)), loss, epochs,
+                     cfg, hook)
     return stack
 
 

@@ -104,10 +104,6 @@ class _Reader:
         return [self.f64_array(self.u64(), self.u64())
                 for _ in range(self.u64())]
 
-    @property
-    def done(self) -> bool:
-        return self.pos >= len(self.raw)
-
 
 def _pack_layer(layer: RbmLayer) -> bytes:
     return b"".join([
@@ -208,14 +204,21 @@ def load_model(path):
         else:
             raise FormatError(f"{path}: unknown section tag {tag}")
 
+    def required(tag, what):
+        if tag not in sections:
+            raise FormatError(f"{path}: {kind} container lacks its {what} section")
+        return sections[tag]
+
     kind = _KIND_FROM_TAG.get(sections.get(SEC_KIND, 0))
+    if kind in ("dbn", "dbm") and not layers:
+        raise FormatError(f"{path}: {kind} container has no layers")
     if kind == "stack":
         return LayerStack(layers=layers)
     if kind == "ae":
         return AeModel(stack=LayerStack(layers=layers),
                        denoise_rate=sections.get(SEC_DENOISE, 0.0))
     if kind == "bimodal":
-        dim_a, dim_b, a_lo, a_hi, b_lo, b_hi = sections[SEC_MODAL]
+        dim_a, dim_b, a_lo, a_hi, b_lo, b_hi = required(SEC_MODAL, "modal boundary")
         ae = AeModel(stack=LayerStack(layers=layers),
                      denoise_rate=sections.get(SEC_DENOISE, 0.0))
         return BimodalAe(ae=ae, dim_a=dim_a, dim_b=dim_b,
@@ -237,7 +240,7 @@ def load_model(path):
                          hidden_biases=[l.b_h for l in layers],
                          label_dim=label_dim)
         if label_dim:
-            model.label_bias = sections[SEC_LABEL_BIAS][0]
+            model.label_bias = required(SEC_LABEL_BIAS, "label bias")[0]
         chains = sections.get(SEC_CHAINS)
         if chains:
             model.chain_v = chains[0]

@@ -61,15 +61,22 @@ def train_bimodal(data_a: Matrix, data_b: Matrix, sizes_half, cfg: TrainConfig,
 
     scale_a = ModalScale(float(data_a.min()), float(data_a.max()))
     scale_b = ModalScale(float(data_b.min()), float(data_b.max()))
-    joined = np.hstack([scale_a.forward(data_a), scale_b.forward(data_b)])
-    joined, _ = shuffle_paired(joined, joined, make_rng(cfg.seed))
-    batches = make_batches(joined, None, cfg.num_batches)
+    _, batches = _joined_batches(scale_a, scale_b, data_a, data_b, cfg)
 
     ae = build_symmetric(sizes_half, batches, cfg, denoise_rate=denoise_rate)
     epochs = cfg.epochs if fine_tune_epochs is None else fine_tune_epochs
     fine_tune_mse(ae, batches, epochs, cfg, hook=hook)
     return BimodalAe(ae=ae, dim_a=dim_a, dim_b=dim_b,
                      scale_a=scale_a, scale_b=scale_b)
+
+
+def _joined_batches(scale_a: ModalScale, scale_b: ModalScale, data_a: Matrix,
+                    data_b: Matrix, cfg: TrainConfig):
+    """Scale both modalities to [0, 1], join them row by row, shuffle with
+    the config's seed and split into its batches: (joined rows, batches)."""
+    joined = np.hstack([scale_a.forward(data_a), scale_b.forward(data_b)])
+    joined, _ = shuffle_paired(joined, joined, make_rng(cfg.seed))
+    return joined, make_batches(joined, None, cfg.num_batches)
 
 
 def predict_modal(model: BimodalAe, given_a: Matrix) -> Matrix:

@@ -1,5 +1,6 @@
 """Gradient-descent machinery: learning-rate annealing, momentum,
-L1/L2 weight decay, dropout masks, and the shared parameter update step.
+L1/L2 weight decay, dropout masks, the shared in-place parameter update
+and the epoch loop every trainer runs.
 """
 
 from __future__ import annotations
@@ -101,6 +102,15 @@ def decay_penalty_gradient(w: Matrix, spec: WeightDecaySpec) -> Matrix:
     raise ConfigError(f"unknown decay kind: {spec.kind!r}")
 
 
+def _momentum_step(param: Matrix, grad: Matrix, vel: Matrix, lr: float, rho: float,
+                   spec: WeightDecaySpec) -> None:
+    """In place: vel *= rho; vel -= lr * (grad + penalty); param += vel."""
+    penalty = 0.0 if spec.kind == DecayKind.NONE else decay_penalty_gradient(param, spec)
+    vel *= rho
+    vel -= lr * (grad + penalty)
+    param += vel
+
+
 def apply_update(param: Matrix, grad: Matrix, vel: Matrix, lr: float, rho: float,
                  spec: WeightDecaySpec = NO_DECAY):
     """Momentum update step.
@@ -110,13 +120,44 @@ def apply_update(param: Matrix, grad: Matrix, vel: Matrix, lr: float, rho: float
 
     The penalty is scaled by the learning rate together with the gradient,
     so annealing does not change the model the decay steers toward.
-    Returns (param', vel') without mutating the inputs.
+    Returns (param', vel'): the in-place training step applied to copies.
     """
     if param.shape != grad.shape or param.shape != vel.shape:
         raise ShapeError("param/grad/velocity shapes must match")
-    penalty = decay_penalty_gradient(param, spec)
-    new_vel = rho * vel - lr * (grad + penalty)
-    return param + new_vel, new_vel
+    param = np.array(param, dtype=np.float64)
+    vel = np.array(vel, dtype=np.float64)
+    _momentum_step(param, grad, vel, lr, rho, spec)
+    return param, vel
+
+
+class ParamGroup:
+    """Arrays trained together, each with its own velocity, updated in
+    place: weights with the weight decay, biases without it."""
+
+    def __init__(self, weights, biases, decay: WeightDecaySpec):
+        self.params = list(weights) + list(biases)
+        self.decays = [decay] * len(weights) + [NO_DECAY] * len(biases)
+        self.vels = [np.zeros_like(p) for p in self.params]
+
+    def step(self, grads, lr: float, rho: float) -> None:
+        """One momentum step; `grads` follow the weights-then-biases order."""
+        for param, grad, vel, spec in zip(self.params, grads, self.vels, self.decays):
+            _momentum_step(param, grad, vel, lr, rho, spec)
+
+
+def run_epochs(cfg, epochs: int, step, hook) -> None:
+    """The training loop every model shares: per epoch, anneal `cfg.lr`,
+    pick the momentum, run `step(lr, rho)` over the epoch's batches and
+    report `hook(epoch, lr, rho)`. A truthy `step` result stops training
+    after that epoch's report."""
+    for epoch in range(epochs):
+        lr = anneal(cfg.lr, epoch, cfg.anneal)
+        rho = momentum_coeff(epoch, cfg.momentum)
+        stop = step(lr, rho)
+        if hook is not None:
+            hook(epoch, lr, rho)
+        if stop:
+            break
 
 
 def dropout_mask(n: int, rate: float, rng: Rng) -> Matrix:

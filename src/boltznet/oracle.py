@@ -67,17 +67,6 @@ def exact_partition(model) -> float:
     raise ConfigError(f"cannot enumerate {type(model).__name__}")
 
 
-def exact_joint(rbm: RbmLayer) -> EnumeratedDistribution:
-    """Joint P(v, h) over concatenated (visible, hidden) bits."""
-    _check_units(rbm.n_v + rbm.n_h, MAX_GRADIENT_UNITS)
-    V, H, e = _rbm_energy_grid(rbm)
-    w = np.exp(-(e - e.min()))
-    probs = (w / w.sum()).reshape(-1)
-    nv, nh = V.shape[0], H.shape[0]
-    states = np.hstack([np.repeat(V, nh, axis=0), np.tile(H, (nv, 1))])
-    return EnumeratedDistribution(states=states, probs=probs)
-
-
 def _clamp_mask(states: np.ndarray, clamp) -> np.ndarray:
     """Rows of `states` consistent with the clamp (NaN marks free units)."""
     if clamp is None:

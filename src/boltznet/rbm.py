@@ -19,8 +19,8 @@ from .core import (ActivationKind, ClassificationReport, ConfigError, DomainErro
                    Matrix, Rng, ShapeError, activate, classification_report,
                    label_indices, make_rng, sample_bernoulli, sigmoid)
 from .data import batch_part
-from .optim import (NO_DECAY, AnnealSchedule, MomentumSchedule, WeightDecaySpec,
-                    anneal, apply_update, dropout_mask, momentum_coeff)
+from .optim import (AnnealSchedule, MomentumSchedule, ParamGroup, WeightDecaySpec,
+                    dropout_mask, run_epochs)
 
 WEIGHT_INIT_STD = 0.01
 TRIVIAL_GRADIENT = 1e-8  # early-stop threshold on the max-abs gradient
@@ -141,6 +141,21 @@ def mean_free_energy(rbm: RbmLayer, data: Matrix) -> float:
     return float(per_row.mean())
 
 
+def _cd_gradients(rbm: RbmLayer, batch: Matrix, h_probs_data: Matrix, h_drive: Matrix,
+                  h_mean=None, down_scale: float = 1.0):
+    """The reconstruction half of contrastive divergence: reconstruct the
+    visible units from the driving hidden state, infer the hidden means
+    again (sigmoid units unless `h_mean` says otherwise), and return
+    (gradients, visible reconstruction)."""
+    v_recon = sigmoid(down_scale * (h_drive @ rbm.w.T) + rbm.b_v)
+    h_recon = h_mean(v_recon) if h_mean else sigmoid(v_recon @ rbm.w + rbm.b_h)
+    m = batch.shape[0]
+    dw = (v_recon.T @ h_recon - batch.T @ h_probs_data) / m
+    db_v = (v_recon - batch).mean(axis=0, keepdims=True)
+    db_h = (h_recon - h_probs_data).mean(axis=0, keepdims=True)
+    return CdGradients(dw=dw, db_v=db_v, db_h=db_h), v_recon
+
+
 def _cd_step(rbm: RbmLayer, batch: Matrix, k: int, dropout_rate: float, rng: Rng,
              up_scale: float = 1.0, down_scale: float = 1.0,
              linear_hidden: bool = False) -> CdGradients:
@@ -154,8 +169,7 @@ def _cd_step(rbm: RbmLayer, batch: Matrix, k: int, dropout_rate: float, rng: Rng
     unit-variance Gaussian noise.
     """
     batch = np.asarray(batch, dtype=np.float64)
-    m = batch.shape[0]
-    if m < 1:
+    if batch.shape[0] < 1:
         raise DomainError("empty batch")
     if batch.shape[1] != rbm.n_v:
         raise ShapeError(f"batch width {batch.shape[1]} != {rbm.n_v}")
@@ -174,19 +188,11 @@ def _cd_step(rbm: RbmLayer, batch: Matrix, k: int, dropout_rate: float, rng: Rng
     h_probs_data = h_mean(batch)
     mask = dropout_mask(rbm.n_h, dropout_rate, rng)
     h_drive = h_sample(h_probs_data) * mask
-
-    v_recon = None
-    for step in range(k):
-        v_recon = sigmoid(down_scale * (h_drive @ rbm.w.T) + rbm.b_v)
-        if step < k - 1:
-            v_states = sample_bernoulli(v_recon, rng)
-            h_drive = h_sample(h_mean(v_states)) * mask
-    h_recon = h_mean(v_recon)
-
-    dw = (v_recon.T @ h_recon - batch.T @ h_probs_data) / m
-    db_v = (v_recon - batch).mean(axis=0, keepdims=True)
-    db_h = (h_recon - h_probs_data).mean(axis=0, keepdims=True)
-    return CdGradients(dw=dw, db_v=db_v, db_h=db_h)
+    for _ in range(k - 1):
+        v_states = sample_bernoulli(
+            sigmoid(down_scale * (h_drive @ rbm.w.T) + rbm.b_v), rng)
+        h_drive = h_sample(h_mean(v_states)) * mask
+    return _cd_gradients(rbm, batch, h_probs_data, h_drive, h_mean, down_scale)[0]
 
 
 def cd_step(rbm: RbmLayer, batch: Matrix, k: int, dropout_rate: float,
@@ -200,37 +206,33 @@ def _train_rbm(rbm: RbmLayer, batches, cfg: TrainConfig, up_scale: float = 1.0,
                hook=None) -> RbmLayer:
     data_batches = batch_part(batches, 0)
     rng = make_rng(cfg.seed)
-    vel_w = np.zeros_like(rbm.w)
-    vel_bv = np.zeros_like(rbm.b_v)
-    vel_bh = np.zeros_like(rbm.b_h)
-    for epoch in range(cfg.epochs):
-        lr = anneal(cfg.lr, epoch, cfg.anneal)
-        rho = momentum_coeff(epoch, cfg.momentum)
-        epoch_max_grad = 0.0
+    params = ParamGroup([rbm.w], [rbm.b_v, rbm.b_h], cfg.decay)
+
+    def epoch(lr, rho):
+        max_grad = 0.0
         for data in data_batches:
             g = _cd_step(rbm, data, cfg.gibbs_steps, cfg.dropout_rate, rng,
                          up_scale=up_scale, down_scale=down_scale,
                          linear_hidden=linear_hidden)
-            rbm.w, vel_w = apply_update(rbm.w, g.dw, vel_w, lr, rho, cfg.decay)
-            rbm.b_v, vel_bv = apply_update(rbm.b_v, g.db_v, vel_bv, lr, rho, NO_DECAY)
-            rbm.b_h, vel_bh = apply_update(rbm.b_h, g.db_h, vel_bh, lr, rho, NO_DECAY)
-            epoch_max_grad = max(epoch_max_grad, g.max_abs())
-        if hook is not None:
-            hook(epoch, lr, rho)
-        if epoch_max_grad < TRIVIAL_GRADIENT:
-            break  # gradients trivial for a full epoch
+            params.step([g.dw, g.db_v, g.db_h], lr, rho)
+            max_grad = max(max_grad, g.max_abs())
+        return max_grad < TRIVIAL_GRADIENT  # gradients trivial for a full epoch
+
+    run_epochs(cfg, cfg.epochs, epoch, hook)
     return rbm
 
 
 def train_binary(rbm: RbmLayer, batches, cfg: TrainConfig, hook=None) -> RbmLayer:
-    """CD training with stochastic binary hidden units (in place)."""
+    """CD training with stochastic binary hidden units. The layer's weight
+    and bias arrays are updated in place, so arrays a caller holds change
+    with the model."""
     return _train_rbm(rbm, batches, cfg, hook=hook)
 
 
 def train_linear(rbm: RbmLayer, batches, cfg: TrainConfig, hook=None) -> RbmLayer:
     """CD training with linear-Gaussian hidden units: the hidden mean is the
     raw input and samples add unit-variance noise; the visible side is
-    unchanged."""
+    unchanged. Updates the layer's arrays in place."""
     return _train_rbm(rbm, batches, cfg, linear_hidden=True, hook=hook)
 
 
@@ -260,23 +262,21 @@ def classifier_head_gradients(head: RbmLayer, features: Matrix, targets: Matrix)
 
 def train_classifier_head(head: RbmLayer, features, labels, cfg: TrainConfig,
                           hook=None) -> RbmLayer:
-    """Batch gradient descent on softmax cross-entropy with one-of-K targets."""
+    """Batch gradient descent on softmax cross-entropy with one-of-K targets.
+
+    The head's weight and bias arrays are updated in place."""
     feature_batches = batch_part(features, 0)
     label_batches = batch_part(labels, 1)
     if len(feature_batches) != len(label_batches):
         raise ShapeError("feature/label batch counts differ")
-    vel_w = np.zeros_like(head.w)
-    vel_bh = np.zeros_like(head.b_h)
-    for epoch in range(cfg.epochs):
-        lr = anneal(cfg.lr, epoch, cfg.anneal)
-        rho = momentum_coeff(epoch, cfg.momentum)
+    params = ParamGroup([head.w], [head.b_h], cfg.decay)
+
+    def epoch(lr, rho):
         for f, t in zip(feature_batches, label_batches):
             _check_one_of_k(t)
-            dw, db = classifier_head_gradients(head, f, t)
-            head.w, vel_w = apply_update(head.w, dw, vel_w, lr, rho, cfg.decay)
-            head.b_h, vel_bh = apply_update(head.b_h, db, vel_bh, lr, rho, NO_DECAY)
-        if hook is not None:
-            hook(epoch, lr, rho)
+            params.step(classifier_head_gradients(head, f, t), lr, rho)
+
+    run_epochs(cfg, cfg.epochs, epoch, hook)
     return head
 
 

@@ -9,6 +9,9 @@ training-improvement checks need.
 
 from __future__ import annotations
 
+import struct
+from pathlib import Path
+
 import numpy as np
 
 from .core import make_rng
@@ -61,30 +64,36 @@ def make_digit_corpus(n_train: int, n_test: int, seed: int = 0, side: int = 28,
     return train_x, train_y, test_x, test_y
 
 
-def write_idx_images(path, images: np.ndarray, side: int = 28) -> None:
-    """Write [0,1]-scaled rows as a standard big-endian IDX image file."""
-    import struct
+def write_idx_images(path, pixels: np.ndarray, rows: int = 28, cols: int = 28) -> None:
+    """Write one image per row as a standard big-endian IDX image file.
 
-    pixels = np.clip(np.rint(images * 255.0), 0, 255).astype(np.uint8)
+    Integer pixels are written as bytes as they are; floating-point rows are
+    read as [0, 1] intensities and rounded onto 0..255 first."""
+    pixels = np.asarray(pixels)
+    if np.issubdtype(pixels.dtype, np.floating):
+        pixels = np.clip(np.rint(pixels * 255.0), 0, 255)
     with open(path, "wb") as fh:
-        fh.write(struct.pack(">IIII", 2051, pixels.shape[0], side, side))
-        fh.write(pixels.tobytes())
+        fh.write(struct.pack(">IIII", 2051, pixels.shape[0], rows, cols))
+        fh.write(pixels.astype(np.uint8).tobytes())
 
 
 def write_idx_labels(path, labels: np.ndarray) -> None:
-    import struct
-
     idx = np.asarray(labels).reshape(-1).astype(np.uint8)
     with open(path, "wb") as fh:
         fh.write(struct.pack(">II", 2049, idx.size))
         fh.write(idx.tobytes())
 
 
+def write_cifar_batch(path, labels: np.ndarray, pixels: np.ndarray) -> None:
+    """Write CIFAR-10 binary records: one label byte, then 3072 pixel bytes."""
+    records = np.hstack([np.asarray(labels, dtype=np.uint8).reshape(-1, 1),
+                         np.asarray(pixels, dtype=np.uint8)])
+    Path(path).write_bytes(records.tobytes())
+
+
 def write_mnist_style_dir(dirpath, n_train: int, n_test: int, seed: int = 0,
                           **kwargs) -> None:
     """Generate a corpus and lay it out with the standard MNIST file names."""
-    from pathlib import Path
-
     d = Path(dirpath)
     d.mkdir(parents=True, exist_ok=True)
     train_x, train_y, test_x, test_y = make_digit_corpus(n_train, n_test,

@@ -1,5 +1,5 @@
-"""Shared fixtures: seeded corpora, binary-format writers, and the
-MNIST-or-synthetic data resolution used by the desk-scale acceptance runs.
+"""Shared fixtures: seeded corpora and the MNIST-or-synthetic data
+resolution used by the desk-scale acceptance runs.
 
 Real MNIST is used when MDL_DATA_DIR points at the IDX files; otherwise a
 deterministic synthetic corpus with the same shapes stands in, and every
@@ -7,36 +7,13 @@ test prints which source it ran on.
 """
 
 import os
-import struct
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from boltznet.core import make_rng
 from boltznet.data import make_batches, one_of_k, shuffle_paired
 from boltznet.synth import make_digit_corpus
-
-
-def write_idx_images(path, pixels: np.ndarray, rows: int, cols: int) -> None:
-    """pixels: (m, rows*cols) uint8."""
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">IIII", 2051, pixels.shape[0], rows, cols))
-        fh.write(pixels.astype(np.uint8).tobytes())
-
-
-def write_idx_labels(path, labels) -> None:
-    labels = np.asarray(labels).reshape(-1).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">II", 2049, labels.size))
-        fh.write(labels.tobytes())
-
-
-def write_cifar_batch(path, labels, pixels) -> None:
-    """labels: (m,) uint8; pixels: (m, 3072) uint8."""
-    records = np.hstack([np.asarray(labels, dtype=np.uint8).reshape(-1, 1),
-                         np.asarray(pixels, dtype=np.uint8)])
-    Path(path).write_bytes(records.tobytes())
 
 
 def _mnist_dir():

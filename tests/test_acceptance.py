@@ -29,9 +29,9 @@ from boltznet.oracle import (dbn_evidence, dbn_log_joint, dbn_recognition_q,
                              variational_bound, _rbm_energy_grid)
 from boltznet.optim import NO_MOMENTUM
 from boltznet.rbm import RbmLayer, TrainConfig
-from boltznet.synth import write_mnist_style_dir
+from boltznet.synth import (write_cifar_batch, write_idx_images, write_idx_labels,
+                            write_mnist_style_dir)
 
-from conftest import write_cifar_batch, write_idx_images, write_idx_labels
 
 def _report(num, name, ok, detail):
     print(f"[criterion {num:02d}] {'PASS' if ok else 'FAIL'} {name}: {detail}")
@@ -324,7 +324,7 @@ def test_criterion_10_format_conformance(tmp_path):
     pixels = rng.integers(0, 256, (2, 784)).astype(np.uint8)
     write_idx_images(tmp_path / "two", pixels, 28, 28)
     m = read_mnist_images(tmp_path / "two")
-    write_idx_images(tmp_path / "two-again", np.rint(m * 255), 28, 28)
+    write_idx_images(tmp_path / "two-again", m, 28, 28)
     round_trip = (tmp_path / "two").read_bytes() == (tmp_path / "two-again").read_bytes()
 
     elapsed = time.monotonic() - t0

@@ -98,6 +98,16 @@ class TestExitCodes:
                     "--batches", "8", "--out-dir", tmp_path / "o"])
         assert code == 0
 
+    @pytest.mark.parametrize("override", [{"bogus": 1}, {"layers": "784,16"}],
+                             ids=["unknown-key", "layers-as-string"])
+    def test_bad_config_json_is_invalid_configuration(self, tiny_data_dir, tmp_path,
+                                                      capsys, override):
+        raw = {"model": "rbm", "layers": [784, 16], "epochs": 0,
+               "data_dir": str(tiny_data_dir), "out_dir": str(tmp_path / "o")}
+        (tmp_path / "c.json").write_text(json.dumps({**raw, **override}))
+        assert run(["run-rbm", "--config", tmp_path / "c.json"]) == 1
+        assert "invalid configuration" in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exits_three(self, tiny_data_dir, tmp_path):
         # a self-amplifying weight-decay coefficient overflows the weights

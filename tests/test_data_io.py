@@ -7,8 +7,7 @@ from boltznet.core import DomainError, ShapeError, make_rng
 from boltznet.data import (FormatError, corrupt_batches, make_batches, one_of_k,
                            read_cifar10, read_f32be_matrix, read_mnist_images,
                            read_mnist_labels, shuffle_paired)
-
-from conftest import write_cifar_batch, write_idx_images, write_idx_labels
+from boltznet.synth import write_cifar_batch, write_idx_images, write_idx_labels
 
 
 class TestMnistImages:
@@ -20,7 +19,7 @@ class TestMnistImages:
         assert m.shape == (2, 784)
         np.testing.assert_array_equal(np.rint(m * 255).astype(np.uint8), pixels)
         # writing the matrix back reproduces the file byte for byte
-        write_idx_images(tmp_path / "again", np.rint(m * 255), 28, 28)
+        write_idx_images(tmp_path / "again", m, 28, 28)
         assert (tmp_path / "again").read_bytes() == path.read_bytes()
 
     def test_values_scaled_to_unit_interval(self, tmp_path):

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from boltznet.data import FormatError, make_batches, one_of_k
 from boltznet.dbm import pretrain_dbm
 from boltznet.dbn import pretrain_dbn
 from boltznet.dnn import LayerStack, pretrain_stack
-from boltznet.model_io import load_model, save_model
+from boltznet.model_io import (SEC_DENOISE, SEC_KIND, SEC_LABEL_DIM, load_model,
+                               save_model)
 from boltznet.multimodal import train_bimodal
 from boltznet.rbm import RbmLayer, TrainConfig
 
@@ -48,6 +51,30 @@ class TestContainer:
         (tmp_path / "cut.mdlr").write_bytes(raw[:len(raw) // 2])
         with pytest.raises(FormatError):
             load_model(tmp_path / "cut.mdlr")
+
+
+def crafted_container(kind_tag, layer_shapes, sections=b""):
+    """A container with zero-valued sigmoid layers, a kind section and the
+    given raw trailing sections."""
+    out = [b"MDLR", struct.pack("<II", 1, len(layer_shapes))]
+    for n_v, n_h in layer_shapes:
+        out.append(struct.pack("<QQB", n_v, n_h, 0)
+                   + bytes(8 * (n_v * n_h + n_v + n_h)))
+    out.append(struct.pack("<BB", SEC_KIND, kind_tag) + sections + b"\x00")
+    return b"".join(out)
+
+
+class TestCraftedContainers:
+    @pytest.mark.parametrize("raw", [
+        crafted_container(4, [(4, 2), (2, 4)], struct.pack("<Bd", SEC_DENOISE, 0.3)),
+        crafted_container(3, [(4, 3), (5, 2)], struct.pack("<BQ", SEC_LABEL_DIM, 2)),
+        crafted_container(3, []),
+    ], ids=["bimodal-without-modal-section", "dbm-labels-without-label-bias",
+            "dbm-without-layers"])
+    def test_rejected_with_format_error(self, tmp_path, raw):
+        (tmp_path / "m.mdlr").write_bytes(raw)
+        with pytest.raises(FormatError):
+            load_model(tmp_path / "m.mdlr")
 
 
 class TestRoundTrips:

@@ -3,9 +3,10 @@ import pytest
 
 from boltznet.core import ConfigError, DomainError, make_rng
 from boltznet.optim import (NO_DECAY, AnnealKind, AnnealSchedule, DecayKind,
-                            MomentumSchedule, WeightDecaySpec, anneal,
+                            MomentumSchedule, ParamGroup, WeightDecaySpec, anneal,
                             apply_update, decay_penalty_gradient, dropout_mask,
-                            momentum_coeff)
+                            momentum_coeff, run_epochs)
+from boltznet.rbm import TrainConfig
 
 
 class TestAnneal:
@@ -100,6 +101,23 @@ class TestApplyUpdate:
         _, v2 = apply_update(param, grad, np.zeros((1, 1)), lr=0.2, rho=0.0, spec=spec)
         np.testing.assert_allclose(v2, 2.0 * v1)
 
+    @pytest.mark.parametrize("kind", list(DecayKind))
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9])
+    def test_bitwise_equal_to_the_out_of_place_formula(self, kind, rho):
+        rng = make_rng(3)
+        param, grad, vel = (rng.normal(size=(6, 5)) for _ in range(3))
+        param[0, :2] = grad[1, :2] = vel[2, :2] = -0.0
+        spec = WeightDecaySpec(kind, 0.01)
+        ref_vel = rho * vel - 0.05 * (grad + decay_penalty_gradient(param, spec))
+        ref_param = param + ref_vel
+        before = param.copy(), vel.copy()
+        new_param, new_vel = apply_update(param, grad, vel, lr=0.05, rho=rho, spec=spec)
+        assert new_param.tobytes() == ref_param.tobytes()
+        assert new_vel.tobytes() == ref_vel.tobytes()
+        # the inputs are left untouched
+        assert param.tobytes() == before[0].tobytes()
+        assert vel.tobytes() == before[1].tobytes()
+
     def test_shape_mismatch_rejected(self):
         from boltznet.core import ShapeError
 
@@ -131,3 +149,39 @@ class TestDropoutMask:
     def test_rate_out_of_range(self):
         with pytest.raises(DomainError):
             dropout_mask(10, 1.5, make_rng(0))
+
+
+class TestParamGroup:
+    def test_updates_in_place_like_apply_update(self):
+        rng = make_rng(4)
+        w, b = rng.normal(size=(4, 3)), rng.normal(size=(1, 3))
+        spec = WeightDecaySpec(DecayKind.L2, 0.1)
+        group = ParamGroup([w], [b], spec)
+        ref_w, ref_b = w.copy(), b.copy()
+        ref_vw, ref_vb = np.zeros_like(w), np.zeros_like(b)
+        for rho in (0.5, 0.9):
+            gw, gb = rng.normal(size=w.shape), rng.normal(size=b.shape)
+            group.step([gw, gb], 0.1, rho)
+            ref_w, ref_vw = apply_update(ref_w, gw, ref_vw, 0.1, rho, spec)
+            ref_b, ref_vb = apply_update(ref_b, gb, ref_vb, 0.1, rho)  # no decay
+        assert group.params[0] is w and group.params[1] is b
+        np.testing.assert_array_equal(w, ref_w)
+        np.testing.assert_array_equal(b, ref_b)
+
+
+class TestRunEpochs:
+    def test_reports_annealed_rate_and_momentum_each_epoch(self):
+        cfg = TrainConfig(epochs=3, lr=0.4, anneal=AnnealSchedule(AnnealKind.DIVIDE, 1.0),
+                          momentum=MomentumSchedule(0.5, 0.9, 1))
+        seen = []
+        run_epochs(cfg, 3, lambda lr, rho: seen.append(("step", lr, rho)),
+                   lambda e, lr, rho: seen.append(("hook", e, lr, rho)))
+        assert seen == [("step", 0.4, 0.5), ("hook", 0, 0.4, 0.5),
+                        ("step", 0.2, 0.9), ("hook", 1, 0.2, 0.9),
+                        ("step", 0.4 / 3, 0.9), ("hook", 2, 0.4 / 3, 0.9)]
+
+    def test_truthy_step_stops_after_that_epochs_report(self):
+        hooks = []
+        run_epochs(TrainConfig(epochs=5), 5, lambda lr, rho: len(hooks) == 1,
+                   lambda e, lr, rho: hooks.append(e))
+        assert hooks == [0, 1]
