@@ -204,12 +204,13 @@ def load_model(path):
         else:
             raise FormatError(f"{path}: unknown section tag {tag}")
 
+    kind = _KIND_FROM_TAG.get(sections.get(SEC_KIND, 0))
+
     def required(tag, what):
         if tag not in sections:
             raise FormatError(f"{path}: {kind} container lacks its {what} section")
         return sections[tag]
 
-    kind = _KIND_FROM_TAG.get(sections.get(SEC_KIND, 0))
     if kind in ("dbn", "dbm") and not layers:
         raise FormatError(f"{path}: {kind} container has no layers")
     if kind == "stack":
