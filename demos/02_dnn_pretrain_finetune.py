@@ -6,6 +6,8 @@ The error after fine-tuning should land clearly below the pretrain-only
 error.
 """
 
+from dataclasses import replace
+
 import boltznet as bn
 from boltznet import dnn, rbm
 from boltznet.core import LossKind
@@ -30,7 +32,8 @@ pre = dnn.classify_dnn(stack, test_x, test_y)
 print(f"pretrain-only test error: {pre.error_rate:.4f}")
 
 print("fine-tuning with backpropagation (12 epochs)...")
-dnn.backprop_fine_tune(stack, batches, batches, 12, LossKind.CROSS_ENTROPY, cfg,
+dnn.backprop_fine_tune(stack, batches, batches, LossKind.CROSS_ENTROPY,
+                       replace(cfg, epochs=12),
                        hook=lambda e, lr, rho: print(f"  epoch {e} done"))
 post = dnn.classify_dnn(stack, test_x, test_y)
 print(f"fine-tuned test error:   {post.error_rate:.4f}")

@@ -38,8 +38,8 @@ dae_before = denoise_error(dae)
 ae_before = ae.reconstruction_error(plain, test_x)
 
 print("fine-tuning both models (8 epochs of MSE backprop)...")
-ae.fine_tune_mse(dae, batches, 8, ft_cfg)
-ae.fine_tune_mse(plain, batches, 8, ft_cfg)
+ae.fine_tune_mse(dae, batches, ft_cfg)
+ae.fine_tune_mse(plain, batches, ft_cfg)
 
 dae_after = denoise_error(dae)
 ae_after = ae.reconstruction_error(plain, test_x)

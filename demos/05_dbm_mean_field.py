@@ -39,7 +39,7 @@ pre = dbm.classify_dbm(model, test_x, test_y)
 print(f"pretrain-only accuracy: {1 - pre.error_rate:.4f}")
 
 print("mean-field training (25 iterations, step-annealed rate)...")
-dbm.mean_field_train(model, batches, 25, 0.004,
+dbm.mean_field_train(model, batches,
                      bn.TrainConfig(epochs=25, lr=0.004, seed=1,
                                     momentum=NO_MOMENTUM),
                      hook=lambda t, a, _: print(f"  iteration {t}: alpha={a:.5f}")

@@ -28,7 +28,7 @@ class AeModel:
 
 
 def build_symmetric(sizes_half, batches, cfg: TrainConfig,
-                    denoise_rate: float = 0.0, hook=None) -> AeModel:
+                    denoise_rate: float = 0.0) -> AeModel:
     """Pretrain the encoder half as RBMs and mirror it into the decoder.
 
     `sizes_half` lists n_0 .. n_{N/2}. Decoder layer i starts from the
@@ -39,7 +39,7 @@ def build_symmetric(sizes_half, batches, cfg: TrainConfig,
         raise ConfigError("need at least input size and one encoding size")
     if not 0.0 <= denoise_rate <= 1.0:
         raise ConfigError("denoise rate must lie in [0, 1]")
-    encoder, _, _ = _pretrain_layers(sizes_half, batches, cfg, hook=hook)
+    encoder, _, _ = _pretrain_layers(sizes_half, batches, cfg)
     decoder = []
     n_half = len(encoder)
     for i, mirror in enumerate(reversed(encoder)):
@@ -60,8 +60,7 @@ def corrupt(batch: Matrix, rate: float, rng: Rng) -> Matrix:
     return batch * mask
 
 
-def fine_tune_mse(model: AeModel, clean, epochs: int, cfg: TrainConfig,
-                  hook=None) -> AeModel:
+def fine_tune_mse(model: AeModel, clean, cfg: TrainConfig, hook=None) -> AeModel:
     """Backpropagate the reconstruction MSE through the whole stack,
     updating the layers' arrays in place.
 
@@ -73,7 +72,7 @@ def fine_tune_mse(model: AeModel, clean, epochs: int, cfg: TrainConfig,
     noisy = ((lambda x: corrupt(x, model.denoise_rate, rng))
              if model.denoise_rate > 0 else None)
     _backprop_epochs(model.stack, [(t, t) for t in clean_batches], LossKind.MSE,
-                     epochs, cfg, hook, noisy)
+                     cfg, hook, noisy)
     return model
 
 

@@ -20,7 +20,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,7 @@ from . import dbn as dbn_mod
 from . import dnn as dnn_mod
 from . import multimodal as mm
 from . import rbm as rbm_mod
-from .core import ConfigError, LossKind, loss as loss_fn, make_rng
+from .core import ConfigError, DivergenceError, LossKind, loss as loss_fn, make_rng
 from .data import (FormatError, make_batches, one_of_k, read_mnist_images,
                    read_mnist_labels, shuffle_paired)
 from .model_io import save_model
@@ -57,10 +57,6 @@ _JSON_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool,
 
 
 class UsageError(Exception):
-    pass
-
-
-class DivergenceError(Exception):
     pass
 
 
@@ -126,9 +122,9 @@ class ExperimentConfig:
                 setattr(cfg, f.name, float(value))
         return cfg
 
-    def train_config(self, epochs: int = None) -> rbm_mod.TrainConfig:
+    def train_config(self) -> rbm_mod.TrainConfig:
         return rbm_mod.TrainConfig(
-            epochs=self.epochs if epochs is None else epochs,
+            epochs=self.epochs,
             num_batches=self.num_batches,
             lr=self.lr,
             anneal=AnnealSchedule(_ANNEAL_KINDS[self.anneal], self.anneal_k),
@@ -240,10 +236,18 @@ def load_mnist(data_dir, subset: int = 0):
     return train_x, train_y, test_x, test_y
 
 
-def _check_finite_model(arrays, context: str):
-    for a in arrays:
-        if not np.all(np.isfinite(a)):
-            raise DivergenceError(f"non-finite values after {context}")
+def _check_finite(model, name: str) -> None:
+    """Raise DivergenceError naming the first non-finite array reachable
+    from `model` through dataclass fields and lists."""
+    if isinstance(model, np.ndarray):
+        if not np.isfinite(model).all():
+            raise DivergenceError(f"non-finite values in {name}")
+    elif isinstance(model, list):
+        for i, item in enumerate(model):
+            _check_finite(item, f"{name}[{i}]")
+    elif is_dataclass(model):
+        for f in fields(model):
+            _check_finite(getattr(model, f.name), f"{name}.{f.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +299,7 @@ def run_experiment(cfg: ExperimentConfig):
     t0 = time.monotonic()
     model, recorder, summary = runner(cfg, batches, train_x, train_onehot,
                                       test_x, test_y, out_dir)
+    _check_finite(model, cfg.model)
     summary = {"record": "summary", **summary,
                "wall_ms": int((time.monotonic() - t0) * 1000)}
     save_model(out_dir / "model.mdlr", model)
@@ -317,7 +322,6 @@ def _run_rbm(cfg, batches, train_x, train_onehot, test_x, test_y, out_dir):
     # one pretrained RBM under an untrained softmax head
     stack = dnn_mod.pretrain_stack(cfg.layers[:2] + [10], batches, tc)
     layer, head = stack.layers
-    _check_finite_model([layer.w, layer.b_v, layer.b_h], "RBM training")
     feats = dnn_mod.hidden_features(stack, batches)
     labels = [b[1] for b in batches]
     recorder = _Recorder(_class_probe(
@@ -325,7 +329,6 @@ def _run_rbm(cfg, batches, train_x, train_onehot, test_x, test_y, out_dir):
         batches[0][0], batches[0][1], test_x, test_y,
         lambda x, y: rbm_mod.classify_rbm(layer, head, x, y)))
     rbm_mod.train_classifier_head(head, feats, labels, tc, hook=recorder.hook)
-    _check_finite_model([head.w, head.b_h], "classifier training")
     report = rbm_mod.classify_rbm(layer, head, test_x, test_y)
     _filters_pgm(layer.w, out_dir)
     return stack, recorder, {"error": report.error_rate, "n": report.n_samples}
@@ -341,12 +344,11 @@ def _run_dnn(cfg, batches, train_x, train_onehot, test_x, test_y, out_dir):
         test_x, test_y, lambda x, y: dnn_mod.classify_dnn(stack, x, y)))
     if cfg.fine_tune:
         rbm_mod.train_classifier_head(stack.layers[-1], feats, labels, tc)
-        dnn_mod.backprop_fine_tune(stack, batches, batches, cfg.epochs,
-                                   LossKind.CROSS_ENTROPY, tc, hook=recorder.hook)
+        dnn_mod.backprop_fine_tune(stack, batches, batches, LossKind.CROSS_ENTROPY,
+                                   tc, hook=recorder.hook)
     else:
         rbm_mod.train_classifier_head(stack.layers[-1], feats, labels, tc,
                                       hook=recorder.hook)
-    _check_finite_model([l.w for l in stack.layers], "DNN training")
     report = dnn_mod.classify_dnn(stack, test_x, test_y)
     _filters_pgm(stack.layers[0].w, out_dir)
     return stack, recorder, {"error": report.error_rate, "n": report.n_samples}
@@ -359,13 +361,7 @@ def _run_dbn(cfg, batches, train_x, train_onehot, test_x, test_y, out_dir):
         lambda x: dbn_mod.predict_dbn(model, x), batches[0][0], batches[0][1],
         test_x, test_y, lambda x, y: dbn_mod.classify_dbn(model, x, y)))
     if cfg.fine_tune:
-        dbn_mod.up_down_fine_tune(model, batches, batches, cfg.epochs, tc,
-                                  hook=recorder.hook)
-    else:
-        for epoch in range(cfg.epochs):
-            recorder.hook(epoch, tc.lr, 0.0)
-    _check_finite_model([l.w for l in model.recognition] + [model.top.w],
-                        "DBN training")
+        dbn_mod.up_down_fine_tune(model, batches, batches, tc, hook=recorder.hook)
     report = dbn_mod.classify_dbn(model, test_x, test_y)
     _filters_pgm(model.recognition[0].w if model.recognition else model.top.w,
                  out_dir)
@@ -378,8 +374,7 @@ def _run_dae(cfg, batches, train_x, train_onehot, test_x, test_y, out_dir):
     probe_x = batches[0][0]
     recorder = _Recorder(lambda: {"loss": ae.reconstruction_error(model, probe_x)})
     if cfg.fine_tune:
-        ae.fine_tune_mse(model, batches, cfg.epochs, tc, hook=recorder.hook)
-    _check_finite_model([l.w for l in model.stack.layers], "autoencoder training")
+        ae.fine_tune_mse(model, batches, tc, hook=recorder.hook)
     recon_error = ae.reconstruction_error(model, test_x)
     side = int(round(math.sqrt(test_x.shape[1])))
     if side * side == test_x.shape[1]:
@@ -402,9 +397,7 @@ def _run_dbm(cfg, batches, train_x, train_onehot, test_x, test_y, out_dir):
         test_x[:probe_n], test_y[:probe_n],
         lambda x, y: dbm_mod.classify_dbm(model, x, y)))
     if cfg.fine_tune:
-        dbm_mod.mean_field_train(model, batches, cfg.epochs, cfg.lr, tc,
-                                 hook=recorder.hook)
-    _check_finite_model(model.weights, "DBM training")
+        dbm_mod.mean_field_train(model, batches, tc, hook=recorder.hook)
     report = dbm_mod.classify_dbm(model, test_x, test_y)
     _filters_pgm(model.weights[0], out_dir)
     return model, recorder, {"error": report.error_rate, "n": report.n_samples}
@@ -421,8 +414,7 @@ def _run_bimodal(cfg, batches, train_x, train_onehot, test_x, test_y, out_dir):
     joined, joined_batches = mm._joined_batches(model.scale_a, model.scale_b,
                                                 data_a, data_b, tc)
     recorder = _Recorder(lambda: {"loss": ae.reconstruction_error(model.ae, joined[:50])})
-    ae.fine_tune_mse(model.ae, joined_batches, cfg.epochs, tc, hook=recorder.hook)
-    _check_finite_model([l.w for l in model.ae.stack.layers], "bimodal training")
+    ae.fine_tune_mse(model.ae, joined_batches, tc, hook=recorder.hook)
     pred_b = mm.predict_modal(model, test_x[:, :half])
     rate = mm.modal_error_rate(pred_b, test_x[:, half:])
     return model, recorder, {"modal_error_pct": rate, "n": test_x.shape[0]}

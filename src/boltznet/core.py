@@ -33,6 +33,11 @@ class ShapeError(ValueError):
     """Matrix dimensions do not line up."""
 
 
+class DivergenceError(Exception):
+    """Training produced non-finite values. Not a ValueError: the input was
+    valid, the optimisation blew up."""
+
+
 class ActivationKind(enum.Enum):
     SIGMOID = "sigmoid"
     TANH = "tanh"
@@ -164,10 +169,17 @@ def loss_derivative(pred: Matrix, target: Matrix, kind: LossKind) -> Matrix:
 
 
 def sample_bernoulli(p: Matrix, rng: Rng) -> Matrix:
-    """Binary sample: 1 where a fresh uniform draw u satisfies u < p."""
+    """Binary sample: 1 where a fresh uniform draw u satisfies u < p.
+
+    A NaN probability means the model producing it diverged, and raises
+    DivergenceError instead of sampling as 0."""
     p = np.asarray(p, dtype=np.float64)
-    if p.size and (p.min() < 0.0 or p.max() > 1.0):
-        raise DomainError("bernoulli probabilities must lie in [0, 1]")
+    if p.size:
+        lo = p.min()  # NaN propagates through min
+        if np.isnan(lo):
+            raise DivergenceError("NaN bernoulli probability: training diverged")
+        if lo < 0.0 or p.max() > 1.0:
+            raise DomainError("bernoulli probabilities must lie in [0, 1]")
     u = rng.random(p.shape)
     return (u < p).astype(np.float64)
 

@@ -18,7 +18,8 @@ from .core import (ClassificationReport, ConfigError, Matrix,
                    ShapeError, classification_report, label_indices, make_rng,
                    sample_bernoulli, sigmoid, softmax)
 from .data import _join_labels, batch_part
-from .optim import NO_MOMENTUM, AnnealKind, AnnealSchedule, run_epochs
+from .optim import (NO_DECAY, NO_MOMENTUM, AnnealKind, AnnealSchedule, ParamGroup,
+                    run_epochs)
 from .rbm import RbmLayer, TrainConfig, _check_binary, _train_rbm, pretrain_config
 
 MEAN_FIELD_TOL = 1e-4
@@ -83,6 +84,18 @@ def _states_below(model: DbmModel, v: Matrix, hs, y: Matrix) -> list:
     return [_state_below(model, l, v, hs, y) for l in range(model.n_layers)]
 
 
+def _statistics(model: DbmModel, v: Matrix, hs, y: Matrix) -> list:
+    """Sufficient statistics of one set of states, summed over rows: the
+    pair products per weight, then the unit sums per bias (hidden layers,
+    visible, labels), in the order of the model's parameter group."""
+    stats = [below.T @ h for below, h in zip(_states_below(model, v, hs, y), hs)]
+    stats += [h.sum(axis=0, keepdims=True) for h in hs]
+    stats.append(v.sum(axis=0, keepdims=True))
+    if model.label_dim:
+        stats.append(y.sum(axis=0, keepdims=True))
+    return stats
+
+
 def _layer_input(model: DbmModel, l: int, v: Matrix, hs, y: Matrix) -> Matrix:
     """Total input to hidden layer l: bottom-up from the state below it plus
     top-down from layer l+1 through the rows of its weight that face layer
@@ -131,7 +144,7 @@ def dbm_energy(model: DbmModel, v: Matrix, h_list, y: Matrix = None) -> float:
     return total
 
 
-def pretrain_dbm(sizes, data, cfg: TrainConfig, labels=None, hook=None) -> DbmModel:
+def pretrain_dbm(sizes, data, cfg: TrainConfig, labels=None) -> DbmModel:
     """Stacked-RBM pretraining with adjusted weights.
 
     The first RBM trains with a doubled upward pass (2 W up, W^T down); the
@@ -159,9 +172,8 @@ def pretrain_dbm(sizes, data, cfg: TrainConfig, labels=None, hook=None) -> DbmMo
         n_v = sizes[i] + (k if last else 0)
         layer = RbmLayer.random(n_v, sizes[i + 1], rng, index=i)
         feed = _join_labels(feats, label_batches) if last and label_batches else feats
-        layer_hook = (lambda e, lr, rho, _i=i: hook(_i, e, lr, rho)) if hook else None
         _train_rbm(layer, feed, pretrain_config(cfg, i), up_scale=up_scale,
-                   down_scale=down_scale, hook=layer_hook)
+                   down_scale=down_scale)
         if first:
             visible_bias = layer.b_v.copy()
         if last and k:
@@ -244,59 +256,43 @@ def _gibbs_sweep(model: DbmModel, rng) -> None:
                                          rng)
 
 
-def mean_field_train(model: DbmModel, batches, iterations: int, lr: float,
-                     cfg: TrainConfig, anneal_sched: AnnealSchedule = None,
+def mean_field_train(model: DbmModel, batches, cfg: TrainConfig,
                      hook=None) -> DbmModel:
     """Stochastic approximation with variational data statistics.
 
-    Each iteration settles the mean field for every data batch (labels
-    clamped), advances every persistent chain one Gibbs sweep, and applies
-    one update: W_l += alpha_t (data outer products / D - chain outer
-    products / M). Biases move with the corresponding mean differences.
-    The update is plain SGD on `lr` (STEP-annealed unless `anneal_sched` is
-    given) and changes the model's arrays in place; the hook reports
-    momentum 0.0.
+    Each of `cfg.epochs` iterations settles the mean field for every data
+    batch (labels clamped), advances every persistent chain one Gibbs
+    sweep, and applies one update: W_l += alpha_t (data outer products / D
+    - chain outer products / M). Biases move with the corresponding mean
+    differences. The update is plain SGD on `cfg.lr`, always STEP-annealed
+    and without momentum or weight decay, and changes the model's arrays
+    in place; the hook reports momentum 0.0.
     """
     if model.chain_v is None:
         raise ConfigError("model must be pretrained before mean-field training")
     data_batches = batch_part(batches, 0)
     label_batches = batch_part(batches, 1) if model.label_dim else [None] * len(data_batches)
-    if anneal_sched is None:
-        anneal_sched = AnnealSchedule(AnnealKind.STEP)
     rng = make_rng(cfg.seed)
     d_total = sum(b.shape[0] for b in data_batches)
     m_chains = model.chain_v.shape[0]
+    biases = model.hidden_biases + [model.visible_bias]
+    if model.label_dim:
+        biases.append(model.label_bias)
+    params = ParamGroup(model.weights, biases, NO_DECAY)
 
-    def iteration(alpha, _rho):
-        acc_w = [np.zeros_like(w) for w in model.weights]
-        acc_b = [np.zeros_like(b) for b in model.hidden_biases]
-        acc_bv = np.zeros_like(model.visible_bias)
-        acc_by = np.zeros_like(model.label_bias) if model.label_dim else None
+    def iteration(alpha, rho):
+        data = [np.zeros_like(p) for p in params.params]
         for x, yb in zip(data_batches, label_batches):
             mus, _ = mean_field_states(model, x, y=yb, clamp_labels=True)
-            for l, below in enumerate(_states_below(model, x, mus, yb)):
-                acc_w[l] += below.T @ mus[l]
-                acc_b[l] += mus[l].sum(axis=0, keepdims=True)
-            acc_bv += x.sum(axis=0, keepdims=True)
-            if model.label_dim:
-                acc_by += yb.sum(axis=0, keepdims=True)
+            for total, s in zip(data, _statistics(model, x, mus, yb)):
+                total += s
         _gibbs_sweep(model, rng)
-        for l, below in enumerate(_states_below(model, model.chain_v, model.chain_h,
-                                                model.chain_y)):
-            model.weights[l] += alpha * (acc_w[l] / d_total
-                                         - below.T @ model.chain_h[l] / m_chains)
-            model.hidden_biases[l] += alpha * (
-                acc_b[l] / d_total
-                - model.chain_h[l].mean(axis=0, keepdims=True))
-        model.visible_bias += alpha * (acc_bv / d_total
-                                       - model.chain_v.mean(axis=0, keepdims=True))
-        if model.label_dim:
-            model.label_bias += alpha * (acc_by / d_total
-                                         - model.chain_y.mean(axis=0, keepdims=True))
+        chain = _statistics(model, model.chain_v, model.chain_h, model.chain_y)
+        params.step([c / m_chains - d / d_total for c, d in zip(chain, data)],
+                    alpha, rho)
 
-    # plain SGD on its own rate and schedule: no momentum, reported as 0.0
-    run_epochs(replace(cfg, lr=lr, anneal=anneal_sched, momentum=NO_MOMENTUM),
-               iterations, iteration, hook)
+    run_epochs(replace(cfg, anneal=AnnealSchedule(AnnealKind.STEP),
+                       momentum=NO_MOMENTUM), iteration, hook)
     return model
 
 

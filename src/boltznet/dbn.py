@@ -50,15 +50,13 @@ class DbnModel:
         return h
 
 
-def pretrain_dbn(sizes, data, labels=None, cfg: TrainConfig = None,
-                 hook=None) -> DbnModel:
+def pretrain_dbn(sizes, data, labels, cfg: TrainConfig) -> DbnModel:
     """Greedy pretraining: lower layers exactly as a DNN stack, then the top
-    RBM on [top features || one-of-K labels]."""
-    if cfg is None:
-        raise ConfigError("pretrain_dbn requires a TrainConfig")
+    RBM on [top features || one-of-K labels] (features alone when `labels`
+    is None)."""
     if len(sizes) < 2:
         raise ConfigError("need at least input size and one hidden size")
-    lower, feats, rng = _pretrain_layers(sizes[:-1], data, cfg, hook=hook)
+    lower, feats, rng = _pretrain_layers(sizes[:-1], data, cfg)
     label_batches = batch_part(labels, 1) if labels is not None else None
     k = label_batches[0].shape[1] if label_batches else 0
     top = RbmLayer.random(sizes[-2] + k, sizes[-1], rng, index=len(sizes) - 2)
@@ -78,8 +76,8 @@ def _residual_update(w, b, source, target, lr):
     b += lr * residual.mean(axis=0, keepdims=True)
 
 
-def up_down_fine_tune(model: DbnModel, data, labels, epochs: int,
-                      cfg: TrainConfig, hook=None) -> DbnModel:
+def up_down_fine_tune(model: DbnModel, data, labels, cfg: TrainConfig,
+                      hook=None) -> DbnModel:
     """Wake-sleep fine-tuning with contrastive divergence at the top.
 
     Per batch: a sampled up-pass (recognition weights) trains the generative
@@ -127,8 +125,8 @@ def up_down_fine_tune(model: DbnModel, data, labels, epochs: int,
             for i, layer in enumerate(model.recognition):
                 _residual_update(layer.w, layer.b_h, dream[i], dream[i + 1], lr)
 
-    run_epochs(cfg, epochs, epoch, hook)
-    model.fine_tuned = model.fine_tuned or epochs > 0
+    run_epochs(cfg, epoch, hook)
+    model.fine_tuned = model.fine_tuned or cfg.epochs > 0
     return model
 
 

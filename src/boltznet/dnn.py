@@ -44,8 +44,7 @@ class ForwardTrace:
     a: list
 
 
-def _pretrain_layers(sizes, batches, cfg: TrainConfig, train: bool = True,
-                     hook=None):
+def _pretrain_layers(sizes, batches, cfg: TrainConfig, train: bool = True):
     """Initialize and (optionally) greedily train an RBM for each adjacent
     size pair, feeding each layer the previous layer's hidden probabilities.
 
@@ -59,22 +58,19 @@ def _pretrain_layers(sizes, batches, cfg: TrainConfig, train: bool = True,
     feats = batch_part(batches, 0)
     for i, layer in enumerate(layers):
         if train:
-            layer_hook = (lambda e, lr, rho, _i=i: hook(_i, e, lr, rho)) if hook else None
-            train_binary(layer, feats, pretrain_config(cfg, i), hook=layer_hook)
+            train_binary(layer, feats, pretrain_config(cfg, i))
         feats = [hidden_given_visible(layer, f) for f in feats]
     return layers, feats, rng
 
 
-def pretrain_stack(sizes, batches, cfg: TrainConfig, pretrain: bool = True,
-                   hook=None) -> LayerStack:
+def pretrain_stack(sizes, batches, cfg: TrainConfig, pretrain: bool = True) -> LayerStack:
     """Build a classifier stack: hidden layers greedily pretrained as RBMs
     (or randomly initialized when pretrain is false) plus a randomly
     initialized softmax output layer, left for the classifier head trainer.
     """
     if len(sizes) < 2:
         raise ConfigError("a stack needs at least input and output sizes")
-    hidden, _, rng = _pretrain_layers(sizes[:-1], batches, cfg, train=pretrain,
-                                      hook=hook)
+    hidden, _, rng = _pretrain_layers(sizes[:-1], batches, cfg, train=pretrain)
     head = RbmLayer.random(sizes[-2], sizes[-1], rng,
                            activation=ActivationKind.SOFTMAX,
                            index=len(sizes) - 2)
@@ -126,8 +122,8 @@ def backprop_gradients(stack: LayerStack, batch: Matrix, target: Matrix,
     return grads
 
 
-def _backprop_epochs(stack: LayerStack, pairs, loss: LossKind, epochs: int,
-                     cfg: TrainConfig, hook, noisy=None) -> None:
+def _backprop_epochs(stack: LayerStack, pairs, loss: LossKind, cfg: TrainConfig,
+                     hook, noisy=None) -> None:
     """Momentum backprop over (input, target) batch pairs, updating every
     layer's weights and hidden biases in place; `noisy` corrupts each
     input afresh every epoch."""
@@ -139,19 +135,18 @@ def _backprop_epochs(stack: LayerStack, pairs, loss: LossKind, epochs: int,
             grads = backprop_gradients(stack, noisy(x) if noisy else x, t, loss)
             params.step([dw for dw, _ in grads] + [db for _, db in grads], lr, rho)
 
-    run_epochs(cfg, epochs, epoch, hook)
+    run_epochs(cfg, epoch, hook)
 
 
-def backprop_fine_tune(stack: LayerStack, data, labels, epochs: int,
-                       loss: LossKind, cfg: TrainConfig, hook=None) -> LayerStack:
+def backprop_fine_tune(stack: LayerStack, data, labels, loss: LossKind,
+                       cfg: TrainConfig, hook=None) -> LayerStack:
     """Refine all layers by backpropagation. The layers' arrays are updated
     in place, so arrays a caller holds change with the model."""
     data_batches = batch_part(data, 0)
     label_batches = batch_part(labels, 1)
     if len(data_batches) != len(label_batches):
         raise ShapeError("data/label batch counts differ")
-    _backprop_epochs(stack, list(zip(data_batches, label_batches)), loss, epochs,
-                     cfg, hook)
+    _backprop_epochs(stack, list(zip(data_batches, label_batches)), loss, cfg, hook)
     return stack
 
 

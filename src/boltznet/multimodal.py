@@ -6,7 +6,7 @@ from the other by zero-filling its slots.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,13 +41,13 @@ class BimodalAe:
 
 
 def train_bimodal(data_a: Matrix, data_b: Matrix, sizes_half, cfg: TrainConfig,
-                  denoise_rate: float = 0.3, fine_tune_epochs: int = None,
-                  hook=None) -> BimodalAe:
+                  denoise_rate: float = 0.3, fine_tune_epochs: int = None) -> BimodalAe:
     """Scale each modality to [0, 1], concatenate row-aligned samples, and
     train a denoising autoencoder on the result.
 
     Corruption is what teaches the network to fill in missing values, so a
-    zero denoise rate is rejected.
+    zero denoise rate is rejected. Pretraining runs `cfg.epochs` epochs and
+    fine-tuning `fine_tune_epochs` (default: the same count).
     """
     data_a = np.asarray(data_a, dtype=np.float64)
     data_b = np.asarray(data_b, dtype=np.float64)
@@ -64,8 +64,8 @@ def train_bimodal(data_a: Matrix, data_b: Matrix, sizes_half, cfg: TrainConfig,
     _, batches = _joined_batches(scale_a, scale_b, data_a, data_b, cfg)
 
     ae = build_symmetric(sizes_half, batches, cfg, denoise_rate=denoise_rate)
-    epochs = cfg.epochs if fine_tune_epochs is None else fine_tune_epochs
-    fine_tune_mse(ae, batches, epochs, cfg, hook=hook)
+    fine_tune_mse(ae, batches, cfg if fine_tune_epochs is None
+                  else replace(cfg, epochs=fine_tune_epochs))
     return BimodalAe(ae=ae, dim_a=dim_a, dim_b=dim_b,
                      scale_a=scale_a, scale_b=scale_b)
 

@@ -145,12 +145,12 @@ class ParamGroup:
             _momentum_step(param, grad, vel, lr, rho, spec)
 
 
-def run_epochs(cfg, epochs: int, step, hook) -> None:
-    """The training loop every model shares: per epoch, anneal `cfg.lr`,
-    pick the momentum, run `step(lr, rho)` over the epoch's batches and
-    report `hook(epoch, lr, rho)`. A truthy `step` result stops training
-    after that epoch's report."""
-    for epoch in range(epochs):
+def run_epochs(cfg, step, hook) -> None:
+    """The training loop every model shares: for each of `cfg.epochs`
+    epochs, anneal `cfg.lr`, pick the momentum, run `step(lr, rho)` over
+    the epoch's batches and report `hook(epoch, lr, rho)`. A truthy `step`
+    result stops training after that epoch's report."""
+    for epoch in range(cfg.epochs):
         lr = anneal(cfg.lr, epoch, cfg.anneal)
         rho = momentum_coeff(epoch, cfg.momentum)
         stop = step(lr, rho)

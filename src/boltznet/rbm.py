@@ -218,7 +218,7 @@ def _train_rbm(rbm: RbmLayer, batches, cfg: TrainConfig, up_scale: float = 1.0,
             max_grad = max(max_grad, g.max_abs())
         return max_grad < TRIVIAL_GRADIENT  # gradients trivial for a full epoch
 
-    run_epochs(cfg, cfg.epochs, epoch, hook)
+    run_epochs(cfg, epoch, hook)
     return rbm
 
 
@@ -276,7 +276,7 @@ def train_classifier_head(head: RbmLayer, features, labels, cfg: TrainConfig,
             _check_one_of_k(t)
             params.step(classifier_head_gradients(head, f, t), lr, rho)
 
-    run_epochs(cfg, cfg.epochs, epoch, hook)
+    run_epochs(cfg, epoch, hook)
     return head
 
 

@@ -9,6 +9,7 @@ reproducibility criteria are dataset-independent.
 
 import json
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -175,8 +176,8 @@ def test_criterion_05_dnn_fine_tuning_gain(desk10k):
     feats = dnn_mod.hidden_features(stack, desk10k.batches)
     rbm_mod.train_classifier_head(stack.layers[-1], feats, desk10k.batches, cfg)
     pre_err = dnn_mod.classify_dnn(stack, desk10k.test_x, desk10k.test_y).error_rate
-    dnn_mod.backprop_fine_tune(stack, desk10k.batches, desk10k.batches, 12,
-                               LossKind.CROSS_ENTROPY, cfg)
+    dnn_mod.backprop_fine_tune(stack, desk10k.batches, desk10k.batches,
+                               LossKind.CROSS_ENTROPY, replace(cfg, epochs=12))
     ft_err = dnn_mod.classify_dnn(stack, desk10k.test_x, desk10k.test_y).error_rate
     elapsed = time.monotonic() - t0
     ok = ft_err < pre_err and ft_err <= 0.08 and elapsed < 1200
@@ -200,8 +201,8 @@ def test_criterion_06_dae_improvement_dominance(desk5k):
     plain = ae.build_symmetric([784, 500, 300], batches, build_cfg)
     dae_before = denoise_error(dae)
     ae_before = ae.reconstruction_error(plain, desk5k.test_x)
-    ae.fine_tune_mse(dae, batches, 8, ft_cfg)
-    ae.fine_tune_mse(plain, batches, 8, ft_cfg)
+    ae.fine_tune_mse(dae, batches, ft_cfg)
+    ae.fine_tune_mse(plain, batches, ft_cfg)
     dae_drop = dae_before - denoise_error(dae)
     ae_drop = ae_before - ae.reconstruction_error(plain, desk5k.test_x)
     elapsed = time.monotonic() - t0
@@ -216,7 +217,7 @@ def test_criterion_07_dbn_fine_tuning_gain(desk10k):
     model = dbn_mod.pretrain_dbn([784, 500, 300], desk10k.batches, desk10k.batches,
                                  TrainConfig(epochs=1, lr=0.1, seed=0))
     pre = dbn_mod.classify_dbn(model, desk10k.test_x, desk10k.test_y).error_rate
-    dbn_mod.up_down_fine_tune(model, desk10k.batches, desk10k.batches, 5,
+    dbn_mod.up_down_fine_tune(model, desk10k.batches, desk10k.batches,
                               TrainConfig(epochs=5, lr=0.02, seed=1,
                                           momentum=NO_MOMENTUM))
     ft = dbn_mod.classify_dbn(model, desk10k.test_x, desk10k.test_y).error_rate
@@ -242,7 +243,7 @@ def test_criterion_08_dbm_mean_field_gain(desk3k):
                                  labels=desk3k.batches)
     pre_acc = 1.0 - dbm_mod.classify_dbm(model, desk3k.test_x,
                                          desk3k.test_y).error_rate
-    dbm_mod.mean_field_train(model, desk3k.batches, 40, 0.004,
+    dbm_mod.mean_field_train(model, desk3k.batches,
                              TrainConfig(epochs=40, lr=0.004, seed=1,
                                          momentum=NO_MOMENTUM))
     ft_acc = 1.0 - dbm_mod.classify_dbm(model, desk3k.test_x,

@@ -98,7 +98,7 @@ class TestFineTune:
         data = np.vstack([b[0] for b in batches])
         model = build_symmetric([6, 5, 3], batches, TrainConfig(epochs=2, lr=0.2, seed=10))
         before = reconstruction_error(model, data)
-        fine_tune_mse(model, batches, 30, TrainConfig(epochs=30, lr=0.5, seed=11))
+        fine_tune_mse(model, batches, TrainConfig(epochs=30, lr=0.5, seed=11))
         assert reconstruction_error(model, data) < before
 
     def test_denoise_zero_reduces_to_plain_fine_tuning(self):
@@ -106,9 +106,9 @@ class TestFineTune:
         cfg_build = TrainConfig(epochs=1, lr=0.2, seed=12)
         cfg_ft = TrainConfig(epochs=4, lr=0.3, seed=13)
         plain = build_symmetric([6, 4], batches, cfg_build, denoise_rate=0.0)
-        fine_tune_mse(plain, batches, 4, cfg_ft)
+        fine_tune_mse(plain, batches, cfg_ft)
         other = build_symmetric([6, 4], batches, cfg_build, denoise_rate=0.0)
-        fine_tune_mse(other, batches, 4, cfg_ft)
+        fine_tune_mse(other, batches, cfg_ft)
         np.testing.assert_array_equal(plain.stack.layers[0].w,
                                       other.stack.layers[0].w)
 
@@ -119,14 +119,14 @@ class TestFineTune:
         batches = make_batches(data, None, 3)
         model = build_symmetric([6, 4], batches, TrainConfig(epochs=2, lr=0.3, seed=14),
                                 denoise_rate=0.4)
-        fine_tune_mse(model, batches, 60, TrainConfig(epochs=60, lr=0.5, seed=15))
+        fine_tune_mse(model, batches, TrainConfig(epochs=60, lr=0.5, seed=15))
         recon = reconstruct(model, data[:1])
         np.testing.assert_allclose(recon, 0.9, atol=0.05)
 
     def test_mirror_tie_breaks_after_fine_tuning(self):
         batches = toy_batches()
         model = build_symmetric([6, 4], batches, TrainConfig(epochs=1, lr=0.2, seed=16))
-        fine_tune_mse(model, batches, 3, TrainConfig(epochs=3, lr=0.3, seed=17))
+        fine_tune_mse(model, batches, TrainConfig(epochs=3, lr=0.3, seed=17))
         assert not np.allclose(model.stack.layers[1].w,
                                model.stack.layers[0].w.T)
 

@@ -1,12 +1,18 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from boltznet.cli import (ExperimentConfig, emit_metrics, export_pgm, main,
-                          parse_metrics)
-from boltznet.core import ConfigError
+from boltznet import dbn as dbn_mod
+from boltznet.cli import (ExperimentConfig, _check_finite, emit_metrics, export_pgm,
+                          main, parse_metrics)
+from boltznet.core import ConfigError, DivergenceError, make_rng
+from boltznet.data import make_batches, one_of_k
+from boltznet.dbm import pretrain_dbm
+from boltznet.dnn import pretrain_stack
+from boltznet.rbm import TrainConfig
 from boltznet.synth import write_mnist_style_dir
 
 
@@ -117,6 +123,77 @@ class TestExitCodes:
                     "--data-dir", tiny_data_dir, "--out-dir", tmp_path / "o"])
         assert code == 3
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_stops_at_the_first_nan_sample(self, tiny_data_dir, tmp_path,
+                                                      capsys):
+        code = run(["run-rbm", "--hidden", "16", "--epochs", "2",
+                    "--batches", "8", "--decay", "l2", "--decay-k", "1e200",
+                    "--lr", "1.0",
+                    "--data-dir", tiny_data_dir, "--out-dir", tmp_path / "o"])
+        assert code == 3
+        assert "NaN bernoulli probability" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "metrics.txt").exists()
+
+    def test_nan_planted_after_training_exits_three(self, tiny_data_dir, tmp_path,
+                                                    capsys, monkeypatch):
+        # the DBN's generative weights are checked too, not only the
+        # recognition and top weights
+        fine_tune = dbn_mod.up_down_fine_tune
+
+        def diverging(model, *args, **kwargs):
+            fine_tune(model, *args, **kwargs)
+            model.generative_w[0][0, 0] = np.inf
+
+        monkeypatch.setattr(dbn_mod, "up_down_fine_tune", diverging)
+        code = run(["run-dbn", "--layers", "784,16,12", "--epochs", "1",
+                    "--batches", "8", "--data-dir", tiny_data_dir,
+                    "--out-dir", tmp_path / "o"])
+        assert code == 3
+        assert "dbn.generative_w[0]" in capsys.readouterr().err
+
+
+def _toy_batches():
+    rng = make_rng(0)
+    x = (rng.random((12, 4)) > 0.5).astype(float)
+    y = one_of_k(rng.integers(0, 2, (12, 1)).astype(float), 2)
+    return make_batches(x, y, 3)
+
+
+def _dbn():
+    batches = _toy_batches()
+    return dbn_mod.pretrain_dbn([4, 3, 2], batches, batches, TrainConfig(epochs=1))
+
+
+def _dbm():
+    batches = _toy_batches()
+    return pretrain_dbm([4, 3, 2], batches, TrainConfig(epochs=1), labels=batches)
+
+
+# every field below was skipped by the per-runner lists of weights the CLI
+# used to check: (model builder, field name, the field's array)
+PLANTED = [
+    (lambda: pretrain_stack([4, 3, 2], _toy_batches(), TrainConfig(epochs=1)),
+     "m.layers[0].b_v", lambda m: m.layers[0].b_v),
+    (_dbn, "m.generative_w[0]", lambda m: m.generative_w[0]),
+    (_dbn, "m.generative_b[0]", lambda m: m.generative_b[0]),
+    (_dbn, "m.top.b_h", lambda m: m.top.b_h),
+    (_dbm, "m.label_bias", lambda m: m.label_bias),
+    (_dbm, "m.hidden_biases[1]", lambda m: m.hidden_biases[1]),
+    (_dbm, "m.chain_h[1]", lambda m: m.chain_h[1]),
+    (_dbm, "m.chain_y", lambda m: m.chain_y),
+]
+
+
+class TestFiniteCheck:
+    @pytest.mark.parametrize("build, field, array", PLANTED,
+                             ids=[field for _, field, _ in PLANTED])
+    def test_nan_in_any_array_field_is_divergence(self, build, field, array):
+        model = build()
+        _check_finite(model, "m")  # the trained model itself is finite
+        array(model)[0, 0] = np.nan
+        with pytest.raises(DivergenceError, match=re.escape(field)):
+            _check_finite(model, "m")
+
 
 class TestRuns:
     def test_epochs_zero_emits_baseline(self, tiny_data_dir, tmp_path):
@@ -141,6 +218,16 @@ class TestRuns:
         assert len(records) == 4
         assert [r["epoch"] for r in records[:-1]] == [0, 1, 2]
         assert all("loss" in r and "error" in r for r in records[:-1])
+
+    def test_dbn_without_fine_tuning_writes_summary_only(self, tiny_data_dir, tmp_path):
+        # like run-dae and run-dbm: no per-epoch records when nothing trains
+        out = tmp_path / "o"
+        code = run(["run-dbn", "--layers", "784,16,12", "--epochs", "2",
+                    "--batches", "8", "--fine-tune", "0",
+                    "--data-dir", tiny_data_dir, "--out-dir", out])
+        assert code == 0
+        records = parse_metrics(out / "metrics.txt")
+        assert [r["record"] for r in records] == ["summary"]
 
     def test_dae_run_writes_reconstruction(self, tiny_data_dir, tmp_path):
         out = tmp_path / "o"

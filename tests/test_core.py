@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from boltznet.core import (ActivationKind, ConfigError, DomainError, LossKind,
-                           ShapeError, activate, activation_derivative,
+from boltznet.core import (ActivationKind, ConfigError, DivergenceError, DomainError,
+                           LossKind, ShapeError, activate, activation_derivative,
                            classification_report, loss, loss_derivative,
                            make_rng, matrix, sample_bernoulli)
 
@@ -153,6 +153,12 @@ class TestSampleBernoulli:
     def test_rejects_out_of_range(self):
         with pytest.raises(DomainError):
             sample_bernoulli(matrix([1.5]), make_rng(0))
+
+    def test_nan_is_divergence_not_a_zero_sample(self):
+        with pytest.raises(DivergenceError):
+            sample_bernoulli(matrix([[np.nan, 0.5]]), make_rng(0))
+        # outside the ValueError family, so the CLI maps it to its own exit code
+        assert not issubclass(DivergenceError, ValueError)
 
 
 def test_classification_report_counts():

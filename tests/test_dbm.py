@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from boltznet.dbm import (DbmModel, classify_dbm, dbm_energy, mean_field_states,
                           mean_field_train, predict_dbm, pretrain_dbm)
 from boltznet.oracle import dbm_joint, exact_partition
 from boltznet.rbm import TrainConfig
-from boltznet.optim import NO_MOMENTUM
+from boltznet.optim import (NO_MOMENTUM, AnnealKind, AnnealSchedule, MomentumSchedule,
+                            anneal)
 
 
 def toy_batches(seed=0, n=32, dim=4, num_batches=4, classes=0):
@@ -192,15 +195,14 @@ class TestTraining:
     def test_requires_pretrained_chains(self):
         model = random_dbm([4, 3, 2], seed=12)
         with pytest.raises(ConfigError):
-            mean_field_train(model, toy_batches(), 1, 0.01,
-                             TrainConfig(epochs=1, seed=0))
+            mean_field_train(model, toy_batches(), TrainConfig(epochs=1, lr=0.01, seed=0))
 
     def test_update_moves_weights_and_stays_finite(self):
         batches = toy_batches(dim=4, classes=2)
         model = pretrain_dbm([4, 3, 2], batches, TrainConfig(epochs=1, seed=13),
                              labels=batches)
         w0 = model.weights[0].copy()
-        mean_field_train(model, batches, 3, 0.05,
+        mean_field_train(model, batches,
                          TrainConfig(epochs=3, lr=0.05, seed=14, momentum=NO_MOMENTUM))
         assert not np.allclose(model.weights[0], w0)
         assert all(np.all(np.isfinite(w)) for w in model.weights)
@@ -233,6 +235,86 @@ class TestTraining:
         cos = ((exact_pair * mc_pair).sum()
                / (np.linalg.norm(exact_pair) * np.linalg.norm(mc_pair)))
         assert cos > 0.9
+
+
+def accumulator_mean_field_train(model, batches, iterations, lr, seed):
+    """The stochastic-approximation update written out with explicit
+    accumulators and `+=` on each parameter: plain SGD, STEP-annealed."""
+    from boltznet.dbm import _gibbs_sweep
+
+    def below(v, hs, y):
+        states = [v] + hs[:-1]
+        if model.label_dim:
+            states[-1] = np.hstack([states[-1], y])
+        return states
+
+    data_batches = [b[0] for b in batches]
+    label_batches = ([b[1] for b in batches] if model.label_dim
+                     else [None] * len(batches))
+    rng = make_rng(seed)
+    d_total = sum(b.shape[0] for b in data_batches)
+    m_chains = model.chain_v.shape[0]
+    for t in range(iterations):
+        alpha = anneal(lr, t, AnnealSchedule(AnnealKind.STEP))
+        acc_w = [np.zeros_like(w) for w in model.weights]
+        acc_b = [np.zeros_like(b) for b in model.hidden_biases]
+        acc_bv = np.zeros_like(model.visible_bias)
+        acc_by = np.zeros_like(model.label_bias) if model.label_dim else None
+        for x, yb in zip(data_batches, label_batches):
+            mus, _ = mean_field_states(model, x, y=yb, clamp_labels=True)
+            for l, lower in enumerate(below(x, mus, yb)):
+                acc_w[l] += lower.T @ mus[l]
+                acc_b[l] += mus[l].sum(axis=0, keepdims=True)
+            acc_bv += x.sum(axis=0, keepdims=True)
+            if model.label_dim:
+                acc_by += yb.sum(axis=0, keepdims=True)
+        _gibbs_sweep(model, rng)
+        for l, lower in enumerate(below(model.chain_v, model.chain_h, model.chain_y)):
+            model.weights[l] += alpha * (acc_w[l] / d_total
+                                         - lower.T @ model.chain_h[l] / m_chains)
+            model.hidden_biases[l] += alpha * (
+                acc_b[l] / d_total - model.chain_h[l].mean(axis=0, keepdims=True))
+        model.visible_bias += alpha * (acc_bv / d_total
+                                       - model.chain_v.mean(axis=0, keepdims=True))
+        if model.label_dim:
+            model.label_bias += alpha * (acc_by / d_total
+                                         - model.chain_y.mean(axis=0, keepdims=True))
+
+
+class TestTrainingReference:
+    @pytest.mark.parametrize("sizes, classes", [([5, 4, 3], 3), ([5, 4, 3, 2], 0)],
+                             ids=["labelled", "unlabelled"])
+    def test_matches_accumulator_update_bitwise(self, sizes, classes):
+        batches = toy_batches(seed=23, n=24, dim=5, num_batches=3, classes=classes)
+        model = pretrain_dbm(sizes, batches, TrainConfig(epochs=2, lr=0.1, seed=24),
+                             labels=batches if classes else None)
+        reference = copy.deepcopy(model)
+        w0 = model.weights[0].copy()
+        # momentum and annealing in the config do not reach the update
+        cfg = TrainConfig(epochs=2, lr=0.05, seed=25,
+                          anneal=AnnealSchedule(AnnealKind.EXPONENTIAL, 1.0),
+                          momentum=MomentumSchedule(0.5, 0.9, 1))
+        mean_field_train(model, batches, cfg)
+        accumulator_mean_field_train(reference, batches, 2, 0.05, 25)
+
+        def arrays(m):
+            return (m.weights + m.hidden_biases + [m.visible_bias, m.chain_v]
+                    + m.chain_h + ([m.label_bias, m.chain_y] if classes else []))
+
+        for got, want in zip(arrays(model), arrays(reference), strict=True):
+            np.testing.assert_array_equal(got, want)
+        assert not np.array_equal(model.weights[0], w0)
+
+    def test_hook_sees_step_anneal_and_no_momentum(self):
+        batches = toy_batches(classes=2)
+        model = pretrain_dbm([4, 3, 2], batches, TrainConfig(epochs=1, seed=26),
+                             labels=batches)
+        seen = []
+        mean_field_train(model, batches,
+                         TrainConfig(epochs=7, lr=0.08, seed=27,
+                                     anneal=AnnealSchedule(AnnealKind.DIVIDE, 1.0)),
+                         hook=lambda e, lr, rho: seen.append((e, lr, rho)))
+        assert seen == [(e, 0.08 if e < 5 else 0.04, 0.0) for e in range(7)]
 
 
 class TestClassify:

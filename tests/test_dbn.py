@@ -69,7 +69,7 @@ class TestUpDown:
         batches = toy_data()
         model = pretrain_dbn([4, 3, 2], batches, batches, TrainConfig(epochs=1, seed=5))
         w = model.top.w.copy()
-        up_down_fine_tune(model, batches, batches, 0, TrainConfig(epochs=0, seed=6))
+        up_down_fine_tune(model, batches, batches, TrainConfig(epochs=0, seed=6))
         np.testing.assert_array_equal(model.top.w, w)
         assert not model.fine_tuned
 
@@ -78,7 +78,7 @@ class TestUpDown:
         model = pretrain_dbn([4, 3, 2], batches, batches, TrainConfig(epochs=1, seed=7))
         r0 = model.recognition[0].w.copy()
         g0 = model.generative_w[0].copy()
-        up_down_fine_tune(model, batches, batches, 1,
+        up_down_fine_tune(model, batches, batches,
                           TrainConfig(epochs=1, lr=0.05, seed=8, momentum=NO_MOMENTUM))
         assert not np.allclose(model.recognition[0].w, r0)
         assert not np.allclose(model.generative_w[0], g0)

@@ -113,8 +113,8 @@ class TestBackprop:
     def test_zero_epochs_is_identity(self):
         stack = randomized_stack([5, 4, 2], seed=9)
         before = [l.w.copy() for l in stack.layers]
-        backprop_fine_tune(stack, toy_batches(), toy_batches(), 0,
-                           LossKind.CROSS_ENTROPY, TrainConfig(epochs=0, seed=0))
+        backprop_fine_tune(stack, toy_batches(), toy_batches(), LossKind.CROSS_ENTROPY,
+                           TrainConfig(epochs=0, seed=0))
         for w, layer in zip(before, stack.layers):
             np.testing.assert_array_equal(w, layer.w)
 
@@ -124,8 +124,7 @@ class TestBackprop:
         x = make_rng(11).random((4, 3))
         c = predict(stack, x)
         before = stack.layers[-1].w.copy()
-        backprop_fine_tune(stack, [(x, c)], [(x, c)], 3,
-                           LossKind.CROSS_ENTROPY,
+        backprop_fine_tune(stack, [(x, c)], [(x, c)], LossKind.CROSS_ENTROPY,
                            TrainConfig(epochs=3, lr=0.5, seed=1))
         np.testing.assert_allclose(stack.layers[-1].w, before, atol=1e-12)
 
@@ -135,8 +134,7 @@ class TestBackprop:
         for lr in (1e-6, 2e-6):
             stack = randomized_stack([5, 4, 2], seed=12)
             w0 = stack.layers[0].w.copy()
-            backprop_fine_tune(stack, batches, batches, 1,
-                               LossKind.CROSS_ENTROPY,
+            backprop_fine_tune(stack, batches, batches, LossKind.CROSS_ENTROPY,
                                TrainConfig(epochs=1, lr=lr, seed=2))
             deltas.append(stack.layers[0].w - w0)
         np.testing.assert_allclose(deltas[1], 2.0 * deltas[0], rtol=1e-3)
@@ -149,7 +147,7 @@ class TestBackprop:
         stack = pretrain_stack([4, 5, 2], batches, TrainConfig(epochs=0, seed=14),
                                pretrain=False)
         losses = []
-        backprop_fine_tune(stack, batches, batches, 30, LossKind.CROSS_ENTROPY,
+        backprop_fine_tune(stack, batches, batches, LossKind.CROSS_ENTROPY,
                            TrainConfig(epochs=30, lr=0.1, seed=3),
                            hook=lambda e, lr, rho: losses.append(
                                loss(predict(stack, x), t, LossKind.CROSS_ENTROPY)))
@@ -164,8 +162,7 @@ class TestClassify:
         t = one_of_k(labels, 3)
         stack = pretrain_stack([6, 16, 3], [(x, t)], TrainConfig(epochs=0, seed=16),
                                pretrain=False)
-        backprop_fine_tune(stack, [(x, t)], [(x, t)], 400,
-                           LossKind.CROSS_ENTROPY,
+        backprop_fine_tune(stack, [(x, t)], [(x, t)], LossKind.CROSS_ENTROPY,
                            TrainConfig(epochs=400, lr=0.5, seed=4))
         report = classify_dnn(stack, x, labels)
         assert report.error_rate == 0.0

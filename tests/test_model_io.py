@@ -147,7 +147,7 @@ class TestRoundTrips:
         save_model(tmp_path / "m", model)
         loaded = load_model(tmp_path / "m")
         cfg = TrainConfig(epochs=1, lr=0.01, seed=8, momentum=NO_MOMENTUM)
-        mean_field_train(model, batches, 1, 0.01, cfg)
-        mean_field_train(loaded, batches, 1, 0.01, cfg)
+        mean_field_train(model, batches, cfg)
+        mean_field_train(loaded, batches, cfg)
         for a, b in zip(model.weights, loaded.weights):
             np.testing.assert_array_equal(a, b)

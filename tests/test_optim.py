@@ -174,7 +174,7 @@ class TestRunEpochs:
         cfg = TrainConfig(epochs=3, lr=0.4, anneal=AnnealSchedule(AnnealKind.DIVIDE, 1.0),
                           momentum=MomentumSchedule(0.5, 0.9, 1))
         seen = []
-        run_epochs(cfg, 3, lambda lr, rho: seen.append(("step", lr, rho)),
+        run_epochs(cfg, lambda lr, rho: seen.append(("step", lr, rho)),
                    lambda e, lr, rho: seen.append(("hook", e, lr, rho)))
         assert seen == [("step", 0.4, 0.5), ("hook", 0, 0.4, 0.5),
                         ("step", 0.2, 0.9), ("hook", 1, 0.2, 0.9),
@@ -182,6 +182,6 @@ class TestRunEpochs:
 
     def test_truthy_step_stops_after_that_epochs_report(self):
         hooks = []
-        run_epochs(TrainConfig(epochs=5), 5, lambda lr, rho: len(hooks) == 1,
+        run_epochs(TrainConfig(epochs=5), lambda lr, rho: len(hooks) == 1,
                    lambda e, lr, rho: hooks.append(e))
         assert hooks == [0, 1]
