@@ -91,6 +91,33 @@ class TestPretrain:
         np.testing.assert_array_equal(model.weights[1], mid.w * 0.5)
         np.testing.assert_array_equal(model.hidden_biases[1], mid.b_h * 0.5)
 
+    def test_first_and_last_layers_bitwise_with_labels(self):
+        batches = toy_batches(dim=5, classes=3)
+        cfg = TrainConfig(epochs=2, lr=0.2, seed=12)
+        model = pretrain_dbm([5, 4, 3, 2], batches, cfg, labels=batches)
+        # retrain every RBM by hand: doubled up pass first, doubled down
+        # pass last on [features || labels]
+        from boltznet.rbm import RbmLayer, _train_rbm, pretrain_config
+
+        rng = make_rng(cfg.seed)
+        first = RbmLayer.random(5, 4, rng, index=0)
+        mid = RbmLayer.random(4, 3, rng, index=1)
+        last = RbmLayer.random(3 + 3, 2, rng, index=2)
+        _train_rbm(first, batches, pretrain_config(cfg, 0), up_scale=2.0)
+        feats = [sigmoid(2.0 * (b[0] @ first.w) + first.b_h) for b in batches]
+        _train_rbm(mid, feats, pretrain_config(cfg, 1))
+        feed = [np.hstack([sigmoid(f @ mid.w + mid.b_h), b[1]])
+                for f, b in zip(feats, batches)]
+        _train_rbm(last, feed, pretrain_config(cfg, 2), down_scale=2.0)
+        assert model.label_dim == 3
+        for got, ref in ((model.weights[0], first.w),
+                         (model.hidden_biases[0], first.b_h),
+                         (model.visible_bias, first.b_v),
+                         (model.weights[2], last.w),
+                         (model.hidden_biases[2], last.b_h),
+                         (model.label_bias, last.b_v[:, 3:])):
+            np.testing.assert_array_equal(got, ref)
+
     def test_first_and_last_weights_stored_unscaled(self):
         batches = toy_batches(dim=5)
         model = pretrain_dbm([5, 3, 2], batches, TrainConfig(epochs=1, seed=5))

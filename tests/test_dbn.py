@@ -57,6 +57,25 @@ class TestPretrain:
         layers, _, _ = _pretrain_layers([4, 3], batches, cfg)
         np.testing.assert_array_equal(model.recognition[0].w, layers[0].w)
 
+    def test_label_joined_top_rbm_bitwise(self):
+        batches = toy_data(classes=3)
+        cfg = TrainConfig(epochs=2, lr=0.2, seed=9)
+        model = pretrain_dbn([4, 3, 2], batches, batches, cfg)
+        # retrain both RBMs by hand: the top one sees [features || labels]
+        from boltznet.core import sigmoid
+        from boltznet.rbm import _train_rbm, pretrain_config
+
+        rng = make_rng(cfg.seed)
+        lower = RbmLayer.random(4, 3, rng, index=0)
+        top = RbmLayer.random(3 + 3, 2, rng, index=1)
+        _train_rbm(lower, batches, pretrain_config(cfg, 0))
+        feed = [np.hstack([sigmoid(x @ lower.w + lower.b_h), y]) for x, y in batches]
+        _train_rbm(top, feed, pretrain_config(cfg, 1))
+        assert model.label_dim == 3
+        for got, ref in ((model.top.w, top.w), (model.top.b_v, top.b_v),
+                         (model.top.b_h, top.b_h)):
+            np.testing.assert_array_equal(got, ref)
+
     def test_generative_weights_start_tied(self):
         batches = toy_data()
         model = pretrain_dbn([4, 3, 2], batches, batches, TrainConfig(epochs=1, seed=4))
