@@ -11,8 +11,8 @@ import numpy as np
 from .core import (ConfigError, DomainError, LossKind, Matrix, Rng, ShapeError, loss,
                    make_rng)
 from .data import batch_part
-from .dnn import LayerStack, _backprop_epochs, _pretrain_layers, forward
-from .rbm import RbmLayer, TrainConfig
+from .dnn import LayerStack, _backprop_epochs, forward
+from .rbm import RbmLayer, TrainConfig, _pretrain_layers
 
 
 @dataclass
@@ -39,7 +39,7 @@ def build_symmetric(sizes_half, batches, cfg: TrainConfig,
         raise ConfigError("need at least input size and one encoding size")
     if not 0.0 <= denoise_rate <= 1.0:
         raise ConfigError("denoise rate must lie in [0, 1]")
-    encoder, _, _ = _pretrain_layers(sizes_half, batches, cfg)
+    encoder, _ = _pretrain_layers(sizes_half, batches, cfg)
     decoder = []
     n_half = len(encoder)
     for i, mirror in enumerate(reversed(encoder)):

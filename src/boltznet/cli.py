@@ -20,7 +20,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, fields, is_dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -88,18 +88,17 @@ class ExperimentConfig:
             raise ConfigError(f"unknown model {self.model!r}")
         if len(self.layers) < 2 or any(n < 1 for n in self.layers):
             raise ConfigError("layers must list at least two positive sizes")
-        if self.epochs < 0 or self.num_batches < 1 or self.gibbs < 1:
-            raise ConfigError("epochs >= 0, batches >= 1, gibbs >= 1 required")
-        if self.lr <= 0:
-            raise ConfigError("learning rate must be positive")
-        if not 0.0 <= self.dropout <= 1.0 or not 0.0 <= self.denoise <= 1.0:
-            raise ConfigError("dropout and denoise rates must lie in [0, 1]")
+        if self.num_batches < 1:
+            raise ConfigError("batches must be >= 1")
+        if not 0.0 <= self.denoise <= 1.0:
+            raise ConfigError("denoise rate must lie in [0, 1]")
         if self.anneal not in _ANNEAL_KINDS:
             raise ConfigError(f"unknown anneal kind {self.anneal!r}")
         if self.decay not in _DECAY_KINDS:
             raise ConfigError(f"unknown decay kind {self.decay!r}")
         if self.subset < 0:
             raise ConfigError("subset must be >= 0")
+        self.train_config()  # the training hyperparameters check themselves
         return self
 
     @classmethod
@@ -317,21 +316,9 @@ def _filters_pgm(w, out_dir):
         export_pgm(w[:, :min(100, w.shape[1])].T, side, side, out_dir / "filters.pgm")
 
 
-def _run_rbm(cfg, batches, train_x, train_onehot, test_x, test_y, out_dir):
-    tc = cfg.train_config()
-    # one pretrained RBM under an untrained softmax head
-    stack = dnn_mod.pretrain_stack(cfg.layers[:2] + [10], batches, tc)
-    layer, head = stack.layers
-    feats = dnn_mod.hidden_features(stack, batches)
-    labels = [b[1] for b in batches]
-    recorder = _Recorder(_class_probe(
-        lambda x: dnn_mod.predict(stack, x),
-        batches[0][0], batches[0][1], test_x, test_y,
-        lambda x, y: rbm_mod.classify_rbm(layer, head, x, y)))
-    rbm_mod.train_classifier_head(head, feats, labels, tc, hook=recorder.hook)
-    report = rbm_mod.classify_rbm(layer, head, test_x, test_y)
-    _filters_pgm(layer.w, out_dir)
-    return stack, recorder, {"error": report.error_rate, "n": report.n_samples}
+def _run_rbm(cfg, *args):
+    # one pretrained RBM under a softmax head trained on its features
+    return _run_dnn(replace(cfg, layers=cfg.layers[:2] + [10], fine_tune=False), *args)
 
 
 def _run_dnn(cfg, batches, train_x, train_onehot, test_x, test_y, out_dir):

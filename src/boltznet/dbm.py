@@ -17,10 +17,10 @@ import numpy as np
 from .core import (ClassificationReport, ConfigError, Matrix,
                    ShapeError, classification_report, label_indices, make_rng,
                    sample_bernoulli, sigmoid, softmax)
-from .data import _join_labels, batch_part
+from .data import batch_part
 from .optim import (NO_DECAY, NO_MOMENTUM, AnnealKind, AnnealSchedule, ParamGroup,
                     run_epochs)
-from .rbm import RbmLayer, TrainConfig, _check_binary, _train_rbm, pretrain_config
+from .rbm import TrainConfig, _check_binary, _pretrain_layers
 
 MEAN_FIELD_TOL = 1e-4
 MEAN_FIELD_MAX_SWEEPS = 30
@@ -155,49 +155,27 @@ def pretrain_dbm(sizes, data, cfg: TrainConfig, labels=None) -> DbmModel:
     """
     if len(sizes) < 3:
         raise ConfigError("a DBM needs at least two hidden layers")
-    data_batches = batch_part(data, 0)
-    label_batches = batch_part(labels, 1) if labels is not None else None
-    k = label_batches[0].shape[1] if label_batches else 0
-    rng = make_rng(cfg.seed)
-    n_hidden = len(sizes) - 1
-
-    weights, hidden_biases = [], []
-    visible_bias = None
-    label_bias = None
-    feats = data_batches
-    for i in range(n_hidden):
-        first, last = i == 0, i == n_hidden - 1
-        up_scale = 2.0 if first and not last else 1.0
-        down_scale = 2.0 if last and not first else 1.0
-        n_v = sizes[i] + (k if last else 0)
-        layer = RbmLayer.random(n_v, sizes[i + 1], rng, index=i)
-        feed = _join_labels(feats, label_batches) if last and label_batches else feats
-        _train_rbm(layer, feed, pretrain_config(cfg, i), up_scale=up_scale,
-                   down_scale=down_scale)
-        if first:
-            visible_bias = layer.b_v.copy()
-        if last and k:
-            label_bias = layer.b_v[:, sizes[i]:].copy()
-        scale = 0.5 if not (first or last) else 1.0
-        weights.append(layer.w * scale)
-        hidden_biases.append(layer.b_h * scale)
-        # feed the next layer the trained RBM's own activation
-        feats = [sigmoid(up_scale * (f @ layer.w) + layer.b_h) for f in feed]
-
-    model = DbmModel(weights=weights, visible_bias=visible_bias,
-                     hidden_biases=hidden_biases, label_dim=k,
-                     label_bias=label_bias)
-    _init_chains(model, data_batches, label_batches, rng)
+    scales = [(2.0, 1.0)] + [(1.0, 1.0)] * (len(sizes) - 3) + [(1.0, 2.0)]
+    layers, rng = _pretrain_layers(sizes, data, cfg, labels, scales)
+    for layer in layers[1:-1]:
+        layer.w *= 0.5
+        layer.b_h *= 0.5
+    k = layers[-1].n_v - sizes[-2]
+    model = DbmModel(weights=[layer.w for layer in layers],
+                     visible_bias=layers[0].b_v,
+                     hidden_biases=[layer.b_h for layer in layers], label_dim=k,
+                     label_bias=layers[-1].b_v[:, sizes[-2]:].copy() if k else None)
+    _init_chains(model, data, labels, rng)
     return model
 
 
-def _init_chains(model: DbmModel, data_batches, label_batches, rng) -> None:
+def _init_chains(model: DbmModel, data, labels, rng) -> None:
     """One fantasy chain per batch, seeded by a stochastic bottom-up pass."""
-    v0 = np.vstack([b[:1] for b in data_batches])
+    v0 = np.vstack([b[:1] for b in batch_part(data, 0)])
     model.chain_v = sample_bernoulli(np.clip(v0, 0.0, 1.0), rng)
     if model.label_dim:
-        if label_batches:
-            model.chain_y = np.vstack([y[:1] for y in label_batches])
+        if labels is not None:
+            model.chain_y = np.vstack([y[:1] for y in batch_part(labels, 1)])
         else:
             model.chain_y = sample_bernoulli(
                 np.full((v0.shape[0], model.label_dim), 0.5), rng)
@@ -292,7 +270,7 @@ def mean_field_train(model: DbmModel, batches, cfg: TrainConfig,
                     alpha, rho)
 
     run_epochs(replace(cfg, anneal=AnnealSchedule(AnnealKind.STEP),
-                       momentum=NO_MOMENTUM), iteration, hook)
+                       momentum=NO_MOMENTUM), params, iteration, hook)
     return model
 
 

@@ -15,10 +15,9 @@ import numpy as np
 
 from .core import (ClassificationReport, ConfigError, Matrix, classification_report,
                    label_indices, make_rng, sample_bernoulli, sigmoid)
-from .data import _join_labels, batch_part
-from .dnn import _pretrain_layers
+from .data import batch_part
 from .optim import ParamGroup, run_epochs
-from .rbm import RbmLayer, TrainConfig, _cd_gradients, pretrain_config, train_binary
+from .rbm import RbmLayer, TrainConfig, _cd_gradients, _pretrain_layers
 
 
 @dataclass
@@ -56,13 +55,8 @@ def pretrain_dbn(sizes, data, labels, cfg: TrainConfig) -> DbnModel:
     is None)."""
     if len(sizes) < 2:
         raise ConfigError("need at least input size and one hidden size")
-    lower, feats, rng = _pretrain_layers(sizes[:-1], data, cfg)
-    label_batches = batch_part(labels, 1) if labels is not None else None
-    k = label_batches[0].shape[1] if label_batches else 0
-    top = RbmLayer.random(sizes[-2] + k, sizes[-1], rng, index=len(sizes) - 2)
-    top_feed = _join_labels(feats, label_batches) if label_batches else feats
-    train_binary(top, top_feed, pretrain_config(cfg, len(sizes) - 2))
-    model = DbnModel(recognition=lower, top=top, label_dim=k)
+    (*lower, top), _ = _pretrain_layers(sizes, data, cfg, labels)
+    model = DbnModel(recognition=lower, top=top, label_dim=top.n_v - sizes[-2])
     model.generative_w = [layer.w.T.copy() for layer in lower]
     model.generative_b = [layer.b_v.copy() for layer in lower]
     return model
@@ -125,7 +119,7 @@ def up_down_fine_tune(model: DbnModel, data, labels, cfg: TrainConfig,
             for i, layer in enumerate(model.recognition):
                 _residual_update(layer.w, layer.b_h, dream[i], dream[i + 1], lr)
 
-    run_epochs(cfg, epoch, hook)
+    run_epochs(cfg, params, epoch, hook)
     model.fine_tuned = model.fine_tuned or cfg.epochs > 0
     return model
 

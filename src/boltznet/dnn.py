@@ -10,11 +10,10 @@ import numpy as np
 
 from .core import (ActivationKind, ClassificationReport, ConfigError, LossKind,
                    Matrix, ShapeError, activate, activation_derivative,
-                   classification_report, label_indices, make_rng)
+                   classification_report, label_indices)
 from .data import batch_part
 from .optim import ParamGroup, run_epochs
-from .rbm import (RbmLayer, TrainConfig, hidden_given_visible, pretrain_config,
-                  train_binary)
+from .rbm import RbmLayer, TrainConfig, _pretrain_layers, hidden_given_visible
 
 
 @dataclass
@@ -44,25 +43,6 @@ class ForwardTrace:
     a: list
 
 
-def _pretrain_layers(sizes, batches, cfg: TrainConfig, train: bool = True):
-    """Initialize and (optionally) greedily train an RBM for each adjacent
-    size pair, feeding each layer the previous layer's hidden probabilities.
-
-    Returns (layers, top_feature_batches, rng) so callers can keep drawing
-    from the same stream. Shared by the DNN, DBN, and autoencoder builders
-    so identical seeds give identical layers.
-    """
-    rng = make_rng(cfg.seed)
-    layers = [RbmLayer.random(sizes[i - 1], sizes[i], rng, index=i - 1)
-              for i in range(1, len(sizes))]
-    feats = batch_part(batches, 0)
-    for i, layer in enumerate(layers):
-        if train:
-            train_binary(layer, feats, pretrain_config(cfg, i))
-        feats = [hidden_given_visible(layer, f) for f in feats]
-    return layers, feats, rng
-
-
 def pretrain_stack(sizes, batches, cfg: TrainConfig, pretrain: bool = True) -> LayerStack:
     """Build a classifier stack: hidden layers greedily pretrained as RBMs
     (or randomly initialized when pretrain is false) plus a randomly
@@ -70,7 +50,7 @@ def pretrain_stack(sizes, batches, cfg: TrainConfig, pretrain: bool = True) -> L
     """
     if len(sizes) < 2:
         raise ConfigError("a stack needs at least input and output sizes")
-    hidden, _, rng = _pretrain_layers(sizes[:-1], batches, cfg, train=pretrain)
+    hidden, rng = _pretrain_layers(sizes[:-1], batches, cfg, train=pretrain)
     head = RbmLayer.random(sizes[-2], sizes[-1], rng,
                            activation=ActivationKind.SOFTMAX,
                            index=len(sizes) - 2)
@@ -135,7 +115,7 @@ def _backprop_epochs(stack: LayerStack, pairs, loss: LossKind, cfg: TrainConfig,
             grads = backprop_gradients(stack, noisy(x) if noisy else x, t, loss)
             params.step([dw for dw, _ in grads] + [db for _, db in grads], lr, rho)
 
-    run_epochs(cfg, epoch, hook)
+    run_epochs(cfg, params, epoch, hook)
 
 
 def backprop_fine_tune(stack: LayerStack, data, labels, loss: LossKind,

@@ -18,7 +18,7 @@ import numpy as np
 from .core import (ActivationKind, ClassificationReport, ConfigError, DomainError,
                    Matrix, Rng, ShapeError, activate, classification_report,
                    label_indices, make_rng, sample_bernoulli, sigmoid)
-from .data import batch_part
+from .data import _join_labels, batch_part
 from .optim import (AnnealSchedule, MomentumSchedule, ParamGroup, WeightDecaySpec,
                     dropout_mask, run_epochs)
 
@@ -218,7 +218,7 @@ def _train_rbm(rbm: RbmLayer, batches, cfg: TrainConfig, up_scale: float = 1.0,
             max_grad = max(max_grad, g.max_abs())
         return max_grad < TRIVIAL_GRADIENT  # gradients trivial for a full epoch
 
-    run_epochs(cfg, epoch, hook)
+    run_epochs(cfg, params, epoch, hook)
     return rbm
 
 
@@ -276,7 +276,7 @@ def train_classifier_head(head: RbmLayer, features, labels, cfg: TrainConfig,
             _check_one_of_k(t)
             params.step(classifier_head_gradients(head, f, t), lr, rho)
 
-    run_epochs(cfg, epoch, hook)
+    run_epochs(cfg, params, epoch, hook)
     return head
 
 
@@ -294,3 +294,30 @@ def pretrain_config(cfg: TrainConfig, layer_index: int) -> TrainConfig:
     """Per-layer seed derivation so stacked layers train on distinct but
     reproducible streams."""
     return replace(cfg, seed=cfg.seed + layer_index)
+
+
+def _pretrain_layers(sizes, batches, cfg: TrainConfig, labels=None, scales=None,
+                     train: bool = True):
+    """Greedy layer-wise pretraining, shared by every stacked model: one RBM
+    per adjacent size pair, each trained (when `train` is set) on the
+    previous RBM's hidden probabilities. `labels` are joined onto the last
+    RBM's visible side; `scales[i]` gives RBM i's (up, down) pass scales,
+    (1, 1) by default.
+
+    Returns (layers, rng) so callers can keep drawing from the same stream.
+    """
+    rng = make_rng(cfg.seed)
+    label_batches = batch_part(labels, 1) if labels is not None else []
+    k = label_batches[0].shape[1] if label_batches else 0
+    n = len(sizes) - 1
+    layers = [RbmLayer.random(sizes[i] + (k if i == n - 1 else 0), sizes[i + 1], rng,
+                              index=i) for i in range(n)]
+    feats = batch_part(batches, 0)
+    for i, layer in enumerate(layers if train else []):
+        up, down = scales[i] if scales else (1.0, 1.0)
+        if i == n - 1 and k:
+            feats = _join_labels(feats, label_batches)
+        _train_rbm(layer, feats, pretrain_config(cfg, i), up_scale=up, down_scale=down)
+        if i < n - 1:
+            feats = [sigmoid(up * (f @ layer.w) + layer.b_h) for f in feats]
+    return layers, rng

@@ -36,7 +36,7 @@ class TestBuildSymmetric:
         cfg = TrainConfig(epochs=3, lr=0.2, seed=7)
         batches = toy_batches()
         model = build_symmetric([6, 4, 3], batches, cfg)
-        layers, _, _ = _pretrain_layers([6, 4, 3], batches, cfg)
+        layers, _ = _pretrain_layers([6, 4, 3], batches, cfg)
         for enc, ref in zip(model.stack.layers[:2], layers):
             np.testing.assert_array_equal(enc.w, ref.w)
             np.testing.assert_array_equal(enc.b_h, ref.b_h)

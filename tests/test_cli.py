@@ -98,6 +98,15 @@ class TestExitCodes:
         assert run(["run-rbm", "--epochs", "-3", "--data-dir", tiny_data_dir,
                     "--out-dir", tmp_path / "o"]) == 1
 
+    @pytest.mark.parametrize("flag", [("--momentum-early", "1.5"), ("--anneal-k", "-1"),
+                                      ("--decay-k", "-1")],
+                             ids=["momentum", "anneal-k", "decay-k"])
+    def test_bad_schedule_caught_before_data_loads(self, tmp_path, flag):
+        out = tmp_path / "o"
+        assert run(["run-rbm", *flag, "--data-dir", tmp_path / "missing",
+                    "--out-dir", out]) == 1
+        assert not out.exists()
+
     def test_env_var_fallback(self, tiny_data_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("MDL_DATA_DIR", str(tiny_data_dir))
         code = run(["run-rbm", "--hidden", "16", "--epochs", "1",

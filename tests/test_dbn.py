@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from boltznet.core import ConfigError, make_rng
+from boltznet.core import ConfigError, make_rng, sigmoid
 from boltznet.data import make_batches, one_of_k
 from boltznet.dbn import (DbnModel, classify_dbn, predict_dbn, pretrain_dbn,
                           up_down_fine_tune)
 from boltznet.dnn import _pretrain_layers
 from boltznet.oracle import (dbn_evidence, dbn_log_joint, dbn_recognition_q,
                              variational_bound)
-from boltznet.rbm import RbmLayer, TrainConfig
+from boltznet.rbm import RbmLayer, TrainConfig, _train_rbm, pretrain_config
 from boltznet.optim import NO_MOMENTUM
 
 
@@ -54,7 +54,7 @@ class TestPretrain:
         batches = toy_data()
         cfg = TrainConfig(epochs=2, lr=0.2, seed=3)
         model = pretrain_dbn([4, 3, 2], batches, batches, cfg)
-        layers, _, _ = _pretrain_layers([4, 3], batches, cfg)
+        layers, _ = _pretrain_layers([4, 3], batches, cfg)
         np.testing.assert_array_equal(model.recognition[0].w, layers[0].w)
 
     def test_label_joined_top_rbm_bitwise(self):
@@ -62,9 +62,6 @@ class TestPretrain:
         cfg = TrainConfig(epochs=2, lr=0.2, seed=9)
         model = pretrain_dbn([4, 3, 2], batches, batches, cfg)
         # retrain both RBMs by hand: the top one sees [features || labels]
-        from boltznet.core import sigmoid
-        from boltznet.rbm import _train_rbm, pretrain_config
-
         rng = make_rng(cfg.seed)
         lower = RbmLayer.random(4, 3, rng, index=0)
         top = RbmLayer.random(3 + 3, 2, rng, index=1)

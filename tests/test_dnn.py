@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from boltznet.core import ActivationKind, LossKind, ShapeError, loss, make_rng
+from boltznet.core import (ActivationKind, DivergenceError, LossKind, ShapeError, loss,
+                           make_rng)
 from boltznet.data import make_batches, one_of_k
 from boltznet.dnn import (LayerStack, backprop_fine_tune, backprop_gradients,
                           classify_dnn, forward, hidden_features, predict,
                           pretrain_stack)
+from boltznet.optim import DecayKind, WeightDecaySpec
 from boltznet.oracle import finite_difference_gradient
 from boltznet.rbm import RbmLayer, TrainConfig, hidden_given_visible
 
@@ -181,3 +183,17 @@ def test_hidden_features_stops_before_head():
     batches = toy_batches()
     feats = hidden_features(stack, batches)
     assert all(f.shape[1] == 4 for f in feats)
+
+
+def test_backprop_divergence_raises_at_its_epoch_before_the_hook():
+    # a huge L2 penalty overflows the weights within epoch 0; no Bernoulli
+    # sample is drawn, so only the epoch loop's finiteness check sees it
+    cfg = TrainConfig(epochs=6, lr=1.0, decay=WeightDecaySpec(DecayKind.L2, 1e200))
+    batches = toy_batches(dim=6, classes=3)
+    stack = pretrain_stack([6, 5, 3], batches, cfg, pretrain=False)
+    hooks = []
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError,
+                                                  match="after epoch 0"):
+        backprop_fine_tune(stack, batches, batches, LossKind.CROSS_ENTROPY, cfg,
+                           hook=lambda *rec: hooks.append(rec))
+    assert hooks == []

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from boltznet.core import ConfigError, DomainError, make_rng
+from boltznet.core import ConfigError, DivergenceError, DomainError, make_rng
 from boltznet.optim import (NO_DECAY, AnnealKind, AnnealSchedule, DecayKind,
                             MomentumSchedule, ParamGroup, WeightDecaySpec, anneal,
                             apply_update, decay_penalty_gradient, dropout_mask,
@@ -174,7 +174,8 @@ class TestRunEpochs:
         cfg = TrainConfig(epochs=3, lr=0.4, anneal=AnnealSchedule(AnnealKind.DIVIDE, 1.0),
                           momentum=MomentumSchedule(0.5, 0.9, 1))
         seen = []
-        run_epochs(cfg, lambda lr, rho: seen.append(("step", lr, rho)),
+        run_epochs(cfg, ParamGroup([], [], NO_DECAY),
+                   lambda lr, rho: seen.append(("step", lr, rho)),
                    lambda e, lr, rho: seen.append(("hook", e, lr, rho)))
         assert seen == [("step", 0.4, 0.5), ("hook", 0, 0.4, 0.5),
                         ("step", 0.2, 0.9), ("hook", 1, 0.2, 0.9),
@@ -182,6 +183,20 @@ class TestRunEpochs:
 
     def test_truthy_step_stops_after_that_epochs_report(self):
         hooks = []
-        run_epochs(TrainConfig(epochs=5), lambda lr, rho: len(hooks) == 1,
+        run_epochs(TrainConfig(epochs=5), ParamGroup([], [], NO_DECAY),
+                   lambda lr, rho: len(hooks) == 1,
                    lambda e, lr, rho: hooks.append(e))
         assert hooks == [0, 1]
+
+    def test_non_finite_parameter_raises_after_its_epoch_before_the_hook(self):
+        w = np.zeros((2, 2))
+        hooks = []
+
+        def step(lr, rho):
+            if len(hooks) == 1:
+                w[0, 1] = np.inf
+
+        with pytest.raises(DivergenceError, match="non-finite parameters after epoch 1"):
+            run_epochs(TrainConfig(epochs=3), ParamGroup([w], [], NO_DECAY), step,
+                       lambda e, lr, rho: hooks.append(e))
+        assert hooks == [0]

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from boltznet.core import (ActivationKind, DomainError, ShapeError, make_rng,
-                           sigmoid)
+from boltznet.core import (ActivationKind, DivergenceError, DomainError, ShapeError,
+                           make_rng, sigmoid)
 from boltznet.data import make_batches, one_of_k
+from boltznet.optim import DecayKind, WeightDecaySpec
 from boltznet.oracle import (exact_conditional, exact_likelihood_gradient,
                              exact_partition, finite_difference_gradient,
                              _rbm_energy_grid)
@@ -275,6 +276,22 @@ class TestClassifierHead:
         labels[0, :] = 0.5
         with pytest.raises(DomainError):
             train_classifier_head(head, [feats], [labels], TrainConfig(epochs=1))
+
+    def test_divergence_raises_at_its_epoch_before_the_hook(self):
+        # a huge L2 penalty overflows the head within epoch 0; no Bernoulli
+        # sample is drawn, so only the epoch loop's finiteness check sees it
+        rng = make_rng(3)
+        head = RbmLayer.random(5, 3, rng, activation=ActivationKind.SOFTMAX)
+        feats = [rng.random((8, 5)) for _ in range(3)]
+        labels = [one_of_k(rng.integers(0, 3, (8, 1)).astype(float), 3)
+                  for _ in range(3)]
+        cfg = TrainConfig(epochs=6, lr=1.0, decay=WeightDecaySpec(DecayKind.L2, 1e200))
+        hooks = []
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError,
+                                                      match="after epoch 0"):
+            train_classifier_head(head, feats, labels, cfg,
+                                  hook=lambda *rec: hooks.append(rec))
+        assert hooks == []
 
 
 class TestClassify:
