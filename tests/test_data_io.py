@@ -191,3 +191,34 @@ class TestCorruptBatches:
         out = corrupt_batches(make_batches(data, None, 2), 0.3, make_rng(42))
         kept = np.mean([b[0].mean() for b in out])
         assert abs(kept - 0.7) < 0.01
+
+
+class TestReaderScaling:
+    """Reader output on seeded random bytes, bitwise against converting the
+    bytes to float64 and then dividing by 255."""
+
+    @staticmethod
+    def assert_bitwise(got, expect):
+        assert got.dtype == np.float64 and got.shape == expect.shape
+        assert got.tobytes() == expect.tobytes()
+
+    def test_mnist_images(self, tmp_path):
+        pixels = make_rng(20).integers(0, 256, (7, 12)).astype(np.uint8)
+        write_idx_images(tmp_path / "imgs", pixels, 3, 4)
+        self.assert_bitwise(read_mnist_images(tmp_path / "imgs"),
+                            pixels.astype(np.float64) / 255.0)
+
+    def test_cifar10(self, tmp_path):
+        rng = make_rng(21)
+        parts = []
+        for i, n in enumerate([3, 1, 4, 2, 5, 3]):
+            labels = rng.integers(0, 10, n).astype(np.uint8)
+            pixels = rng.integers(0, 256, (n, 3072)).astype(np.uint8)
+            write_cifar_batch(tmp_path / f"b{i}", labels, pixels)
+            parts.append((pixels.astype(np.float64) / 255.0,
+                          labels.astype(np.float64).reshape(-1, 1)))
+        got = read_cifar10([tmp_path / f"b{i}" for i in range(6)])
+        expect = (np.vstack([x for x, _ in parts[:5]]),
+                  np.vstack([y for _, y in parts[:5]]), *parts[5])
+        for g, e in zip(got, expect):
+            self.assert_bitwise(g, e)
