@@ -26,6 +26,12 @@ class AeModel:
     def sizes(self):
         return self.stack.sizes
 
+    def check(self) -> "AeModel":
+        """Raise ShapeError unless the stack checks and outputs its input width."""
+        if self.stack.check().sizes[-1] != self.sizes[0]:
+            raise ShapeError(f"output width {self.sizes[-1]} != input {self.sizes[0]}")
+        return self
+
 
 def build_symmetric(sizes_half, batches, cfg: TrainConfig,
                     denoise_rate: float = 0.0) -> AeModel:
@@ -47,7 +53,7 @@ def build_symmetric(sizes_half, batches, cfg: TrainConfig,
                                 b_h=mirror.b_v.copy(),
                                 activation=mirror.activation,
                                 index=n_half + i))
-    stack = LayerStack(layers=encoder + decoder).validate_chain()
+    stack = LayerStack(layers=encoder + decoder).check()
     return AeModel(stack=stack, denoise_rate=denoise_rate)
 
 

@@ -88,6 +88,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown model {self.model!r}")
         if len(self.layers) < 2 or any(n < 1 for n in self.layers):
             raise ConfigError("layers must list at least two positive sizes")
+        if self.model == "dbm" and len(self.layers) < 3:
+            raise ConfigError("a DBM needs at least two hidden layers")
+        if self.model == "dnn" and self.layers[-1] != 10:
+            raise ConfigError("a DNN's output layer needs 10 units, one per class")
         if self.num_batches < 1:
             raise ConfigError("batches must be >= 1")
         if not 0.0 <= self.denoise <= 1.0:
@@ -284,6 +288,8 @@ def run_experiment(cfg: ExperimentConfig):
     if not data_dir:
         raise FileNotFoundError("no data directory: pass --data-dir or set MDL_DATA_DIR")
     train_x, train_y, test_x, test_y = load_mnist(data_dir, cfg.subset)
+    if cfg.layers[0] != train_x.shape[1]:
+        raise ConfigError(f"first layer size {cfg.layers[0]} != data width {train_x.shape[1]}")
     train_onehot = one_of_k(train_y, 10)
     train_x, train_onehot = shuffle_paired(train_x, train_onehot, make_rng(cfg.seed))
     num_batches = min(cfg.num_batches, train_x.shape[0])

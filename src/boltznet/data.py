@@ -44,7 +44,7 @@ def read_mnist_images(path) -> Matrix:
     if len(raw) != expected:
         raise FormatError(f"{path}: {len(raw)} bytes, header declares {expected}")
     pixels = np.frombuffer(raw, dtype=np.uint8, offset=16)
-    return pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
+    return np.divide(pixels.reshape(count, rows * cols), 255.0)  # converts as it scales
 
 
 def read_mnist_labels(path) -> Matrix:
@@ -67,28 +67,28 @@ def read_cifar10(paths: Sequence):
     """Read the six CIFAR-10 binary batch files.
 
     The first five files are training batches, the last is the test batch.
-    Each record is one label byte followed by 3072 pixel bytes (1024 R,
+    Each record is one label byte (0-9) followed by 3072 pixel bytes (1024 R,
     1024 G, 1024 B). Returns (train_data, train_labels, test_data,
     test_labels) with pixels scaled to [0, 1].
     """
     if len(paths) != 6:
         raise FormatError(f"expected 6 CIFAR batch files, got {len(paths)}")
 
-    def read_batch(path):
+    def records(path):
         raw = _read_bytes(path)
         if len(raw) == 0 or len(raw) % CIFAR_RECORD_BYTES != 0:
             raise FormatError(
                 f"{path}: length {len(raw)} is not a multiple of {CIFAR_RECORD_BYTES}")
-        records = np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
-        labels = records[:, 0].astype(np.float64).reshape(-1, 1)
-        data = records[:, 1:].astype(np.float64) / 255.0
-        return data, labels
+        recs = np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
+        if recs[:, 0].max() > 9:
+            raise FormatError(f"{path}: label byte {recs[:, 0].max()} outside [0, 9]")
+        return recs
 
-    train_parts = [read_batch(p) for p in paths[:5]]
-    train_data = np.vstack([d for d, _ in train_parts])
-    train_labels = np.vstack([l for _, l in train_parts])
-    test_data, test_labels = read_batch(paths[5])
-    return train_data, train_labels, test_data, test_labels
+    def scaled(batches):
+        recs = np.concatenate(batches)  # joined as bytes, one float64 pass after
+        return np.divide(recs[:, 1:], 255.0), recs[:, :1].astype(np.float64)
+
+    return (*scaled([records(p) for p in paths[:5]]), *scaled([records(paths[5])]))
 
 
 def read_f32be_matrix(path, rows: int, cols: int) -> Matrix:

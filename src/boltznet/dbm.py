@@ -20,7 +20,7 @@ from .core import (ClassificationReport, ConfigError, Matrix,
 from .data import batch_part
 from .optim import (NO_DECAY, NO_MOMENTUM, AnnealKind, AnnealSchedule, ParamGroup,
                     run_epochs)
-from .rbm import TrainConfig, _check_binary, _pretrain_layers
+from .rbm import TrainConfig, _check_binary, _check_chain, _pretrain_layers
 
 MEAN_FIELD_TOL = 1e-4
 MEAN_FIELD_MAX_SWEEPS = 30
@@ -69,6 +69,21 @@ class DbmModel:
 
     def top_feature_rows(self) -> int:
         return self.weights[-1].shape[0] - self.label_dim
+
+    def check(self) -> "DbmModel":
+        """Raise ShapeError unless the weights chain (the top one with the
+        label rows) and every bias and persistent chain fits its units."""
+        _check_chain([w.shape for w in self.weights], self.label_dim)
+        k = 1 if self.label_dim else 0
+        widths = self.sizes + [self.label_dim] * k
+        biases = [self.visible_bias, *self.hidden_biases] + [self.label_bias] * k
+        states = [self.chain_v, *self.chain_h] + [self.chain_y] * k
+        if [np.shape(b) for b in biases] != [(1, n) for n in widths]:
+            raise ShapeError("bias widths do not match the layers")
+        if self.chain_v is not None and ([np.shape(s) for s in states]
+                                         != [(len(self.chain_v), n) for n in widths]):
+            raise ShapeError("persistent-chain widths do not match the layers")
+        return self
 
 
 def _state_below(model: DbmModel, l: int, v: Matrix, hs, y: Matrix) -> Matrix:

@@ -13,11 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (ClassificationReport, ConfigError, Matrix, classification_report,
-                   label_indices, make_rng, sample_bernoulli, sigmoid)
+from .core import (ClassificationReport, ConfigError, Matrix, ShapeError,
+                   classification_report, label_indices, make_rng, sample_bernoulli,
+                   sigmoid)
 from .data import batch_part
 from .optim import ParamGroup, run_epochs
-from .rbm import RbmLayer, TrainConfig, _cd_gradients, _pretrain_layers
+from .rbm import RbmLayer, TrainConfig, _cd_gradients, _check_chain, _pretrain_layers
 
 
 @dataclass
@@ -40,6 +41,17 @@ class DbnModel:
     @property
     def feature_dim(self) -> int:
         return self.top.n_v - self.label_dim
+
+    def check(self) -> "DbnModel":
+        """Raise ShapeError unless the recognition layers chain into the top
+        RBM's feature rows and the generative arrays mirror them."""
+        _check_chain([l.check().w.shape for l in self.recognition + [self.top]],
+                     self.label_dim)
+        mirror = [(l.w.T.shape, l.b_v.shape) for l in self.recognition]
+        if ([w.shape for w in self.generative_w] != [w for w, _ in mirror]
+                or [b.shape for b in self.generative_b] != [b for _, b in mirror]):
+            raise ShapeError("generative arrays do not mirror the recognition layers")
+        return self
 
     def recognition_pass(self, data: Matrix) -> Matrix:
         """Deterministic upward pass through the lower layers."""

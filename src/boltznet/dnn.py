@@ -13,7 +13,8 @@ from .core import (ActivationKind, ClassificationReport, ConfigError, LossKind,
                    classification_report, label_indices)
 from .data import batch_part
 from .optim import ParamGroup, run_epochs
-from .rbm import RbmLayer, TrainConfig, _pretrain_layers, hidden_given_visible
+from .rbm import (RbmLayer, TrainConfig, _check_chain, _pretrain_layers,
+                  hidden_given_visible)
 
 
 @dataclass
@@ -26,12 +27,9 @@ class LayerStack:
     def sizes(self):
         return [self.layers[0].n_v] + [layer.n_h for layer in self.layers]
 
-    def validate_chain(self):
-        for lower, upper in zip(self.layers, self.layers[1:]):
-            if lower.n_h != upper.n_v:
-                raise ShapeError(
-                    f"layer {lower.index} output {lower.n_h} != "
-                    f"layer {upper.index} input {upper.n_v}")
+    def check(self) -> "LayerStack":
+        """Raise ShapeError unless every layer checks and feeds the next."""
+        _check_chain([layer.check().w.shape for layer in self.layers])
         return self
 
 
@@ -54,7 +52,7 @@ def pretrain_stack(sizes, batches, cfg: TrainConfig, pretrain: bool = True) -> L
     head = RbmLayer.random(sizes[-2], sizes[-1], rng,
                            activation=ActivationKind.SOFTMAX,
                            index=len(sizes) - 2)
-    return LayerStack(layers=hidden + [head]).validate_chain()
+    return LayerStack(layers=hidden + [head]).check()
 
 
 def forward(stack: LayerStack, batch: Matrix) -> ForwardTrace:

@@ -11,9 +11,14 @@ Layout (all integers little-endian):
         3  modal boundary: dim_a u64, dim_b u64, scale lo/hi f64 x4
         4  denoise rate (f64)
         5  generative weights/biases (array list, DBN)
-        6  label bias row (f64 list)
+        6  label bias row (array list)
         7  fine-tuned flag (u8)
         8  model kind (u8)
+    an array list is a u64 count, then per array rows u64 | cols u64 | f64s.
+
+Two tables drive both `save_model` and `load_model`: `_SECTIONS` (each
+section's payload format) and `_KINDS` (each model kind's layers and
+sections). `load_model` ends with the model's own `check()`.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .autoencoder import AeModel
-from .core import ActivationKind
+from .core import ActivationKind, ShapeError
 from .data import FormatError
 from .dbm import DbmModel
 from .dbn import DbnModel
@@ -35,41 +40,33 @@ from .rbm import RbmLayer
 MAGIC = b"MDLR"
 VERSION = 1
 
-_ACT_TAGS = {
-    ActivationKind.SIGMOID: 0,
-    ActivationKind.TANH: 1,
-    ActivationKind.RELU: 2,
-    ActivationKind.LEAKY_RELU: 3,
-    ActivationKind.SOFTMAX: 4,
-    ActivationKind.IDENTITY: 5,
-}
-_ACT_FROM_TAG = {v: k for k, v in _ACT_TAGS.items()}
+_ACT_FROM_TAG = dict(enumerate([
+    ActivationKind.SIGMOID, ActivationKind.TANH, ActivationKind.RELU,
+    ActivationKind.LEAKY_RELU, ActivationKind.SOFTMAX, ActivationKind.IDENTITY]))
+_ACT_TAGS = {v: k for k, v in _ACT_FROM_TAG.items()}
 
-_KIND_TAGS = {"stack": 0, "dbn": 1, "ae": 2, "dbm": 3, "bimodal": 4}
-_KIND_FROM_TAG = {v: k for k, v in _KIND_TAGS.items()}
-
-SEC_END = 0
-SEC_LABEL_DIM = 1
-SEC_CHAINS = 2
-SEC_MODAL = 3
-SEC_DENOISE = 4
-SEC_GENERATIVE = 5
-SEC_LABEL_BIAS = 6
-SEC_FINE_TUNED = 7
-SEC_KIND = 8
+(SEC_END, SEC_LABEL_DIM, SEC_CHAINS, SEC_MODAL, SEC_DENOISE, SEC_GENERATIVE,
+ SEC_LABEL_BIAS, SEC_FINE_TUNED, SEC_KIND) = range(9)  # the tags listed above
+# payload format per section tag; None marks an array list
+_SECTIONS = {SEC_LABEL_DIM: "<Q", SEC_CHAINS: None, SEC_MODAL: "<QQdddd",
+             SEC_DENOISE: "<d", SEC_GENERATIVE: None, SEC_LABEL_BIAS: None,
+             SEC_FINE_TUNED: "<B", SEC_KIND: "<B"}
 
 
 def _f64_bytes(a: np.ndarray) -> bytes:
     return np.ascontiguousarray(a, dtype="<f8").tobytes()
 
 
-def _pack_arrays(arrays) -> bytes:
-    out = [struct.pack("<Q", len(arrays))]
-    for a in arrays:
-        a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-        out.append(struct.pack("<QQ", a.shape[0], a.shape[1]))
-        out.append(_f64_bytes(a))
-    return b"".join(out)
+def _pack_section(tag: int, value) -> bytes:
+    """One tagged section: a scalar or tuple packed by its format, or a list
+    of arrays."""
+    fmt = _SECTIONS[tag]
+    if fmt is None:
+        arrays = [np.atleast_2d(np.asarray(a, dtype=np.float64)) for a in value]
+        return struct.pack("<BQ", tag, len(arrays)) + b"".join(
+            struct.pack("<QQ", *a.shape) + _f64_bytes(a) for a in arrays)
+    return struct.pack("<B", tag) + struct.pack(
+        fmt, *(value if isinstance(value, tuple) else (value,)))
 
 
 class _Reader:
@@ -79,176 +76,149 @@ class _Reader:
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.raw):
-            raise FormatError("truncated model file")
+            raise FormatError("truncated")
         chunk = self.raw[self.pos:self.pos + n]
         self.pos += n
         return chunk
 
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
-    def f64(self) -> float:
-        return struct.unpack("<d", self.take(8))[0]
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def f64_array(self, rows: int, cols: int) -> np.ndarray:
+        if max(rows, cols) > len(self.raw):  # so even an empty array's shape fits
+            raise FormatError(f"array shape {rows}x{cols} exceeds the file")
         data = np.frombuffer(self.take(8 * rows * cols), dtype="<f8")
         return data.reshape(rows, cols).astype(np.float64)
 
-    def arrays(self):
-        return [self.f64_array(self.u64(), self.u64())
-                for _ in range(self.u64())]
+    def section(self, tag: int):
+        """The payload of a section whose tag was just read."""
+        if tag not in _SECTIONS:
+            raise FormatError(f"unknown section tag {tag}")
+        fmt = _SECTIONS[tag]
+        if fmt is None:
+            return [self.f64_array(*self.unpack("<QQ"))
+                    for _ in range(self.unpack("<Q")[0])]
+        values = self.unpack(fmt)
+        return values if len(values) > 1 else values[0]
+
+
+class _Sections(dict):
+    def __missing__(self, tag):  # a required section is absent; `get` is optional
+        raise FormatError(f"missing section {tag}")
 
 
 def _pack_layer(layer: RbmLayer) -> bytes:
-    return b"".join([
-        struct.pack("<QQB", layer.n_v, layer.n_h, _ACT_TAGS[layer.activation]),
-        _f64_bytes(layer.w), _f64_bytes(layer.b_v), _f64_bytes(layer.b_h),
-    ])
+    head = struct.pack("<QQB", layer.n_v, layer.n_h, _ACT_TAGS[layer.activation])
+    return head + b"".join(_f64_bytes(a) for a in (layer.w, layer.b_v, layer.b_h))
 
 
 def _read_layer(r: _Reader, index: int) -> RbmLayer:
-    n_v, n_h = r.u64(), r.u64()
-    tag = r.u8()
+    n_v, n_h, tag = r.unpack("<QQB")
     if tag not in _ACT_FROM_TAG:
         raise FormatError(f"unknown activation tag {tag}")
-    w = r.f64_array(n_v, n_h)
-    b_v = r.f64_array(1, n_v)
-    b_h = r.f64_array(1, n_h)
-    return RbmLayer(w=w, b_v=b_v, b_h=b_h, activation=_ACT_FROM_TAG[tag],
+    return RbmLayer(w=r.f64_array(n_v, n_h), b_v=r.f64_array(1, n_v),
+                    b_h=r.f64_array(1, n_h), activation=_ACT_FROM_TAG[tag],
                     index=index)
 
 
-def _dbm_as_layers(model: DbmModel):
-    layers = []
-    for i, (w, b) in enumerate(zip(model.weights, model.hidden_biases)):
-        b_v = model.visible_bias if i == 0 else np.zeros((1, w.shape[0]))
-        layers.append(RbmLayer(w=w, b_v=b_v, b_h=b, index=i))
-    return layers
+def _build_dbn(layers, s) -> DbnModel:
+    gen = s.get(SEC_GENERATIVE, [])
+    return DbnModel(recognition=layers[:-1], top=layers[-1],
+                    generative_w=gen[:len(gen) // 2], generative_b=gen[len(gen) // 2:],
+                    label_dim=s.get(SEC_LABEL_DIM, 0),
+                    fine_tuned=bool(s.get(SEC_FINE_TUNED, 0)))
+
+
+def _dbm_parts(model: DbmModel):
+    # one RBM layer per weight: the visible bias on the first, zeros above
+    layers = [RbmLayer(w=w, b_v=np.zeros((1, w.shape[0])) if i else model.visible_bias,
+                       b_h=b, index=i)
+              for i, (w, b) in enumerate(zip(model.weights, model.hidden_biases))]
+    sections = {SEC_LABEL_DIM: model.label_dim}
+    if model.label_dim:
+        sections[SEC_LABEL_BIAS] = [model.label_bias]
+    if model.chain_v is not None:
+        sections[SEC_CHAINS] = ([model.chain_v] + model.chain_h
+                                + ([model.chain_y] if model.label_dim else []))
+    return layers, sections
+
+
+def _build_dbm(layers, s) -> DbmModel:
+    k = s.get(SEC_LABEL_DIM, 0)
+    chain_v, *chain_h = s.get(SEC_CHAINS) or [None]
+    return DbmModel(weights=[l.w for l in layers], visible_bias=layers[0].b_v,
+                    hidden_biases=[l.b_h for l in layers], label_dim=k,
+                    label_bias=s[SEC_LABEL_BIAS][0] if k and s[SEC_LABEL_BIAS] else None,
+                    chain_v=chain_v, chain_h=chain_h[:-1] if k else chain_h,
+                    chain_y=chain_h[-1] if k and chain_h else None)
+
+
+def _build_ae(layers, s) -> AeModel:
+    return AeModel(stack=LayerStack(layers=layers), denoise_rate=s.get(SEC_DENOISE, 0.0))
+
+
+def _build_bimodal(layers, s) -> BimodalAe:
+    dim_a, dim_b, a_lo, a_hi, b_lo, b_hi = s[SEC_MODAL]
+    return BimodalAe(ae=_build_ae(layers, s), dim_a=dim_a, dim_b=dim_b,
+                     scale_a=ModalScale(a_lo, a_hi), scale_b=ModalScale(b_lo, b_hi))
+
+
+# kind tag -> (name, class, parts(model) -> (layers, {tag: value} in write
+# order), build(layers, sections) -> model; an absent optional section
+# takes its default)
+_KINDS = {
+    0: ("stack", LayerStack, lambda m: (m.layers, {}),
+        lambda layers, s: LayerStack(layers=layers)),
+    1: ("dbn", DbnModel,
+        lambda m: (m.recognition + [m.top], {
+            SEC_LABEL_DIM: m.label_dim, SEC_GENERATIVE: m.generative_w + m.generative_b,
+            SEC_FINE_TUNED: int(m.fine_tuned)}),
+        _build_dbn),
+    2: ("ae", AeModel, lambda m: (m.stack.layers, {SEC_DENOISE: m.denoise_rate}),
+        _build_ae),
+    3: ("dbm", DbmModel, _dbm_parts, _build_dbm),
+    4: ("bimodal", BimodalAe,
+        lambda m: (m.ae.stack.layers, {
+            SEC_DENOISE: m.ae.denoise_rate,
+            SEC_MODAL: (m.dim_a, m.dim_b, m.scale_a.lo, m.scale_a.hi,
+                        m.scale_b.lo, m.scale_b.hi)}),
+        _build_bimodal),
+}
 
 
 def save_model(path, model) -> None:
-    if isinstance(model, BimodalAe):
-        kind, layers = "bimodal", model.ae.stack.layers
-    elif isinstance(model, AeModel):
-        kind, layers = "ae", model.stack.layers
-    elif isinstance(model, DbnModel):
-        kind, layers = "dbn", model.recognition + [model.top]
-    elif isinstance(model, DbmModel):
-        kind, layers = "dbm", _dbm_as_layers(model)
-    elif isinstance(model, LayerStack):
-        kind, layers = "stack", model.layers
-    else:
+    kind = next((k for k, entry in _KINDS.items() if isinstance(model, entry[1])), None)
+    if kind is None:
         raise FormatError(f"cannot serialize {type(model).__name__}")
-
-    out = [MAGIC, struct.pack("<I", VERSION), struct.pack("<I", len(layers))]
+    layers, sections = _KINDS[kind][2](model)
+    out = [MAGIC, struct.pack("<II", VERSION, len(layers))]
     out += [_pack_layer(l) for l in layers]
-    out.append(struct.pack("<BB", SEC_KIND, _KIND_TAGS[kind]))
-
-    if kind == "dbn":
-        out.append(struct.pack("<BQ", SEC_LABEL_DIM, model.label_dim))
-        gen = list(model.generative_w) + list(model.generative_b)
-        out.append(struct.pack("<B", SEC_GENERATIVE) + _pack_arrays(gen))
-        out.append(struct.pack("<BB", SEC_FINE_TUNED, int(model.fine_tuned)))
-    elif kind == "dbm":
-        out.append(struct.pack("<BQ", SEC_LABEL_DIM, model.label_dim))
-        if model.label_dim:
-            out.append(struct.pack("<B", SEC_LABEL_BIAS)
-                       + _pack_arrays([model.label_bias]))
-        chains = [model.chain_v] + list(model.chain_h)
-        if model.label_dim:
-            chains.append(model.chain_y)
-        if model.chain_v is not None:
-            out.append(struct.pack("<B", SEC_CHAINS) + _pack_arrays(chains))
-    elif kind == "ae":
-        out.append(struct.pack("<Bd", SEC_DENOISE, model.denoise_rate))
-    elif kind == "bimodal":
-        out.append(struct.pack("<Bd", SEC_DENOISE, model.ae.denoise_rate))
-        out.append(struct.pack("<BQQdddd", SEC_MODAL, model.dim_a, model.dim_b,
-                               model.scale_a.lo, model.scale_a.hi,
-                               model.scale_b.lo, model.scale_b.hi))
-
+    out += [_pack_section(tag, v) for tag, v in {SEC_KIND: kind, **sections}.items()]
     out.append(struct.pack("<B", SEC_END))
     Path(path).write_bytes(b"".join(out))
 
 
 def load_model(path):
+    """The checked model in a container; FormatError, naming the file, when
+    the container is malformed or its model fails `check()`."""
     r = _Reader(Path(path).read_bytes())
-    if r.take(4) != MAGIC:
-        raise FormatError(f"{path}: bad magic")
-    version = r.u32()
-    if version != VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    layers = [_read_layer(r, i) for i in range(r.u32())]
-
-    sections = {}
-    while True:
-        tag = r.u8()
-        if tag == SEC_END:
-            break
-        if tag == SEC_LABEL_DIM:
-            sections[tag] = r.u64()
-        elif tag in (SEC_CHAINS, SEC_GENERATIVE, SEC_LABEL_BIAS):
-            sections[tag] = r.arrays()
-        elif tag == SEC_MODAL:
-            sections[tag] = (r.u64(), r.u64(), r.f64(), r.f64(), r.f64(), r.f64())
-        elif tag == SEC_DENOISE:
-            sections[tag] = r.f64()
-        elif tag in (SEC_FINE_TUNED, SEC_KIND):
-            sections[tag] = r.u8()
-        else:
-            raise FormatError(f"{path}: unknown section tag {tag}")
-
-    kind = _KIND_FROM_TAG.get(sections.get(SEC_KIND, 0))
-
-    def required(tag, what):
-        if tag not in sections:
-            raise FormatError(f"{path}: {kind} container lacks its {what} section")
-        return sections[tag]
-
-    if kind in ("dbn", "dbm") and not layers:
-        raise FormatError(f"{path}: {kind} container has no layers")
-    if kind == "stack":
-        return LayerStack(layers=layers)
-    if kind == "ae":
-        return AeModel(stack=LayerStack(layers=layers),
-                       denoise_rate=sections.get(SEC_DENOISE, 0.0))
-    if kind == "bimodal":
-        dim_a, dim_b, a_lo, a_hi, b_lo, b_hi = required(SEC_MODAL, "modal boundary")
-        ae = AeModel(stack=LayerStack(layers=layers),
-                     denoise_rate=sections.get(SEC_DENOISE, 0.0))
-        return BimodalAe(ae=ae, dim_a=dim_a, dim_b=dim_b,
-                         scale_a=ModalScale(a_lo, a_hi),
-                         scale_b=ModalScale(b_lo, b_hi))
-    if kind == "dbn":
-        gen = sections.get(SEC_GENERATIVE, [])
-        half = len(gen) // 2
-        model = DbnModel(recognition=layers[:-1], top=layers[-1],
-                         label_dim=sections.get(SEC_LABEL_DIM, 0),
-                         fine_tuned=bool(sections.get(SEC_FINE_TUNED, 0)))
-        model.generative_w = gen[:half]
-        model.generative_b = gen[half:]
-        return model
-    if kind == "dbm":
-        label_dim = sections.get(SEC_LABEL_DIM, 0)
-        model = DbmModel(weights=[l.w for l in layers],
-                         visible_bias=layers[0].b_v,
-                         hidden_biases=[l.b_h for l in layers],
-                         label_dim=label_dim)
-        if label_dim:
-            model.label_bias = required(SEC_LABEL_BIAS, "label bias")[0]
-        chains = sections.get(SEC_CHAINS)
-        if chains:
-            model.chain_v = chains[0]
-            if label_dim:
-                model.chain_h = chains[1:-1]
-                model.chain_y = chains[-1]
-            else:
-                model.chain_h = chains[1:]
-        return model
-    raise FormatError(f"{path}: unknown model kind")
+    name = "model"
+    try:
+        if r.take(4) != MAGIC:
+            raise FormatError("bad magic")
+        version, count = r.unpack("<II")
+        if version != VERSION:
+            raise FormatError(f"unsupported version {version}")
+        layers = [_read_layer(r, i) for i in range(count)]
+        if not layers:
+            raise FormatError("no layers")
+        sections = _Sections()
+        while (tag := r.unpack("<B")[0]) != SEC_END:
+            sections[tag] = r.section(tag)
+        kind = sections.get(SEC_KIND, 0)
+        if kind not in _KINDS:
+            raise FormatError(f"unknown kind {kind}")
+        name, _, _, build = _KINDS[kind]
+        return build(layers, sections).check()
+    except (FormatError, ShapeError) as exc:
+        raise FormatError(f"{path}: {name} container: {exc}") from None

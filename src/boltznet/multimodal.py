@@ -39,6 +39,13 @@ class BimodalAe:
     scale_a: ModalScale
     scale_b: ModalScale
 
+    def check(self) -> "BimodalAe":
+        """Raise ShapeError unless the autoencoder checks and takes dim_a + dim_b."""
+        if self.dim_a + self.dim_b != self.ae.check().sizes[0]:
+            raise ShapeError(f"modal widths {self.dim_a}+{self.dim_b} != input "
+                             f"{self.ae.sizes[0]}")
+        return self
+
 
 def train_bimodal(data_a: Matrix, data_b: Matrix, sizes_half, cfg: TrainConfig,
                   denoise_rate: float = 0.3, fine_tune_epochs: int = None) -> BimodalAe:

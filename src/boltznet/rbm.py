@@ -54,6 +54,25 @@ class RbmLayer:
         return cls(w=w, b_v=np.zeros((1, n_v)), b_h=np.zeros((1, n_h)),
                    activation=activation, index=index)
 
+    def check(self) -> "RbmLayer":
+        """Raise ShapeError unless each bias is one row as wide as its side of w."""
+        if self.b_v.shape != (1, self.n_v) or self.b_h.shape != (1, self.n_h):
+            raise ShapeError(f"layer {self.index}: biases {self.b_v.shape}, "
+                             f"{self.b_h.shape} do not fit weight {self.w.shape}")
+        return self
+
+
+def _check_chain(shapes, label_dim: int = 0) -> None:
+    """Raise ShapeError unless the weight shapes (n_v, n_h), bottom first, are
+    non-empty and chain: each n_v is the n_h below, plus `label_dim` on top."""
+    if not shapes or any(0 in s for s in shapes) or not 0 <= label_dim < shapes[-1][0]:
+        raise ShapeError(f"weight shapes {shapes} with {label_dim} label rows")
+    for i in range(1, len(shapes)):
+        extra = label_dim if i == len(shapes) - 1 else 0
+        if shapes[i - 1][1] + extra != shapes[i][0]:
+            raise ShapeError(f"layer {i - 1} output {shapes[i - 1][1]} != "
+                             f"layer {i} input {shapes[i][0] - extra}")
+
 
 @dataclass
 class CdGradients:

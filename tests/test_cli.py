@@ -107,6 +107,16 @@ class TestExitCodes:
                     "--out-dir", out]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("model, layers", [("dbm", "784,500"), ("bimodal", "100,50"),
+                                               ("dnn", "100,50,10"), ("dnn", "784,300,7")],
+                             ids=["dbm-one-hidden", "bimodal-width", "dnn-width",
+                                  "dnn-output"])
+    def test_layer_rules_caught_before_output(self, tiny_data_dir, tmp_path, model, layers):
+        out = tmp_path / "o"
+        assert run([f"run-{model}", "--layers", layers, "--data-dir", tiny_data_dir,
+                    "--out-dir", out]) == 1
+        assert not out.exists()
+
     def test_env_var_fallback(self, tiny_data_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("MDL_DATA_DIR", str(tiny_data_dir))
         code = run(["run-rbm", "--hidden", "16", "--epochs", "1",

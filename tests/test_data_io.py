@@ -83,6 +83,12 @@ class TestCifar:
         with pytest.raises(FormatError):
             read_cifar10([tmp_path / "b"] * 6)
 
+    def test_out_of_range_label_rejected(self, tmp_path):
+        write_cifar_batch(tmp_path / "b", np.array([3, 10], dtype=np.uint8),
+                          np.zeros((2, 3072), dtype=np.uint8))
+        with pytest.raises(FormatError):
+            read_cifar10([tmp_path / "b"] * 6)
+
     def test_needs_six_files(self, tmp_path):
         with pytest.raises(FormatError):
             read_cifar10([tmp_path / "only-one"])
