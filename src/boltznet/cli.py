@@ -31,7 +31,8 @@ from . import dbn as dbn_mod
 from . import dnn as dnn_mod
 from . import multimodal as mm
 from . import rbm as rbm_mod
-from .core import ConfigError, DivergenceError, LossKind, loss as loss_fn, make_rng
+from .core import (ConfigError, DivergenceError, LossKind, classification_report,
+                   label_indices, loss as loss_fn, make_rng)
 from .data import (FormatError, make_batches, one_of_k, read_mnist_images,
                    read_mnist_labels, shuffle_paired)
 from .model_io import save_model
@@ -228,10 +229,15 @@ def load_mnist(data_dir, subset: int = 0):
                 return d / name
         raise FileNotFoundError(f"none of {stem}[-.]{suffix} found in {d}")
 
-    train_x = read_mnist_images(find("train-images", "idx3-ubyte"))
-    train_y = read_mnist_labels(find("train-labels", "idx1-ubyte"))
-    test_x = read_mnist_images(find("t10k-images", "idx3-ubyte"))
-    test_y = read_mnist_labels(find("t10k-labels", "idx1-ubyte"))
+    def pair(prefix):
+        images = find(f"{prefix}-images", "idx3-ubyte")
+        labels = find(f"{prefix}-labels", "idx1-ubyte")
+        x, y = read_mnist_images(images), read_mnist_labels(labels)
+        if len(x) != len(y):
+            raise FormatError(f"{images} holds {len(x)} images, {labels} {len(y)} labels")
+        return x, y
+
+    (train_x, train_y), (test_x, test_y) = pair("train"), pair("t10k")
     if subset:
         n_test = max(1, subset // 5)
         train_x, train_y = train_x[:subset], train_y[:subset]
@@ -272,11 +278,13 @@ class _Recorder:
         self.records.append(rec)
 
 
-def _class_probe(predict_probs, probe_x, probe_y, test_x, test_y, classify):
+def _class_probe(predict_probs, probe_x, probe_y, test_x, test_y):
+    """Probe-row cross entropy and test error, both from `predict_probs`."""
     def probe():
         probs = np.maximum(predict_probs(probe_x), 1e-12)
         ce = loss_fn(probs, probe_y, LossKind.CROSS_ENTROPY)
-        report = classify(test_x, test_y)
+        pred = predict_probs(test_x).argmax(axis=1)
+        report = classification_report(pred, label_indices(test_y), 10)
         return {"loss": ce, "error": report.error_rate}
     return probe
 
@@ -302,8 +310,7 @@ def run_experiment(cfg: ExperimentConfig):
     runner = {"rbm": _run_rbm, "dnn": _run_dnn, "dbn": _run_dbn,
               "dae": _run_dae, "dbm": _run_dbm, "bimodal": _run_bimodal}[cfg.model]
     t0 = time.monotonic()
-    model, recorder, summary = runner(cfg, batches, train_x, train_onehot,
-                                      test_x, test_y, out_dir)
+    model, recorder, summary = runner(cfg, batches, train_x, test_x, test_y, out_dir)
     _check_finite(model, cfg.model)
     summary = {"record": "summary", **summary,
                "wall_ms": int((time.monotonic() - t0) * 1000)}
@@ -327,14 +334,14 @@ def _run_rbm(cfg, *args):
     return _run_dnn(replace(cfg, layers=cfg.layers[:2] + [10], fine_tune=False), *args)
 
 
-def _run_dnn(cfg, batches, train_x, train_onehot, test_x, test_y, out_dir):
+def _run_dnn(cfg, batches, train_x, test_x, test_y, out_dir):
     tc = cfg.train_config()
     stack = dnn_mod.pretrain_stack(cfg.layers, batches, tc, pretrain=True)
     feats = dnn_mod.hidden_features(stack, batches)
     labels = [b[1] for b in batches]
     recorder = _Recorder(_class_probe(
         lambda x: dnn_mod.predict(stack, x), batches[0][0], batches[0][1],
-        test_x, test_y, lambda x, y: dnn_mod.classify_dnn(stack, x, y)))
+        test_x, test_y))
     if cfg.fine_tune:
         rbm_mod.train_classifier_head(stack.layers[-1], feats, labels, tc)
         dnn_mod.backprop_fine_tune(stack, batches, batches, LossKind.CROSS_ENTROPY,
@@ -347,12 +354,12 @@ def _run_dnn(cfg, batches, train_x, train_onehot, test_x, test_y, out_dir):
     return stack, recorder, {"error": report.error_rate, "n": report.n_samples}
 
 
-def _run_dbn(cfg, batches, train_x, train_onehot, test_x, test_y, out_dir):
+def _run_dbn(cfg, batches, train_x, test_x, test_y, out_dir):
     tc = cfg.train_config()
     model = dbn_mod.pretrain_dbn(cfg.layers, batches, batches, tc)
     recorder = _Recorder(_class_probe(
         lambda x: dbn_mod.predict_dbn(model, x), batches[0][0], batches[0][1],
-        test_x, test_y, lambda x, y: dbn_mod.classify_dbn(model, x, y)))
+        test_x, test_y))
     if cfg.fine_tune:
         dbn_mod.up_down_fine_tune(model, batches, batches, tc, hook=recorder.hook)
     report = dbn_mod.classify_dbn(model, test_x, test_y)
@@ -361,7 +368,7 @@ def _run_dbn(cfg, batches, train_x, train_onehot, test_x, test_y, out_dir):
     return model, recorder, {"error": report.error_rate, "n": report.n_samples}
 
 
-def _run_dae(cfg, batches, train_x, train_onehot, test_x, test_y, out_dir):
+def _run_dae(cfg, batches, train_x, test_x, test_y, out_dir):
     tc = cfg.train_config()
     model = ae.build_symmetric(cfg.layers, batches, tc, denoise_rate=cfg.denoise)
     probe_x = batches[0][0]
@@ -376,7 +383,7 @@ def _run_dae(cfg, batches, train_x, train_onehot, test_x, test_y, out_dir):
     return model, recorder, {"recon_error": recon_error, "n": test_x.shape[0]}
 
 
-def _run_dbm(cfg, batches, train_x, train_onehot, test_x, test_y, out_dir):
+def _run_dbm(cfg, batches, train_x, test_x, test_y, out_dir):
     tc = cfg.train_config()
     model = dbm_mod.pretrain_dbm(cfg.layers, batches, tc, labels=batches)
     probe_n = min(500, test_x.shape[0])
@@ -385,10 +392,8 @@ def _run_dbm(cfg, batches, train_x, train_onehot, test_x, test_y, out_dir):
         p = np.maximum(dbm_mod.predict_dbm(model, x), 1e-12)
         return p / p.sum(axis=1, keepdims=True)
 
-    recorder = _Recorder(_class_probe(
-        label_probs, batches[0][0], batches[0][1],
-        test_x[:probe_n], test_y[:probe_n],
-        lambda x, y: dbm_mod.classify_dbm(model, x, y)))
+    recorder = _Recorder(_class_probe(label_probs, batches[0][0], batches[0][1],
+                                      test_x[:probe_n], test_y[:probe_n]))
     if cfg.fine_tune:
         dbm_mod.mean_field_train(model, batches, tc, hook=recorder.hook)
     report = dbm_mod.classify_dbm(model, test_x, test_y)
@@ -396,8 +401,8 @@ def _run_dbm(cfg, batches, train_x, train_onehot, test_x, test_y, out_dir):
     return model, recorder, {"error": report.error_rate, "n": report.n_samples}
 
 
-def _run_bimodal(cfg, batches, train_x, train_onehot, test_x, test_y, out_dir):
-    tc = cfg.train_config()
+def _run_bimodal(cfg, batches, train_x, test_x, test_y, out_dir):
+    tc = replace(cfg.train_config(), num_batches=len(batches))
     half = train_x.shape[1] // 2
     data_a, data_b = train_x[:, :half], train_x[:, half:]
     denoise = cfg.denoise if cfg.denoise > 0 else 0.3
@@ -407,7 +412,8 @@ def _run_bimodal(cfg, batches, train_x, train_onehot, test_x, test_y, out_dir):
     joined, joined_batches = mm._joined_batches(model.scale_a, model.scale_b,
                                                 data_a, data_b, tc)
     recorder = _Recorder(lambda: {"loss": ae.reconstruction_error(model.ae, joined[:50])})
-    ae.fine_tune_mse(model.ae, joined_batches, tc, hook=recorder.hook)
+    if cfg.fine_tune:
+        ae.fine_tune_mse(model.ae, joined_batches, tc, hook=recorder.hook)
     pred_b = mm.predict_modal(model, test_x[:, :half])
     rate = mm.modal_error_rate(pred_b, test_x[:, half:])
     return model, recorder, {"modal_error_pct": rate, "n": test_x.shape[0]}

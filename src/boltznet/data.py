@@ -43,6 +43,8 @@ def read_mnist_images(path) -> Matrix:
     expected = 16 + count * rows * cols
     if len(raw) != expected:
         raise FormatError(f"{path}: {len(raw)} bytes, header declares {expected}")
+    if max(count, rows * cols) > len(raw):  # so even an empty matrix's shape fits
+        raise FormatError(f"{path}: {count} images of {rows}x{cols} exceed the file")
     pixels = np.frombuffer(raw, dtype=np.uint8, offset=16)
     return np.divide(pixels.reshape(count, rows * cols), 255.0)  # converts as it scales
 
@@ -143,13 +145,6 @@ def make_batches(data: Matrix, labels: Optional[Matrix], num_batches: int) -> Ba
         lab = labels[lo:hi] if labels is not None else None
         batches.append((data[lo:hi], lab))
     return batches
-
-
-def corrupt_batches(batches: BatchedDataset, rate: float, rng: Rng) -> BatchedDataset:
-    """Mask each batch's data matrix (labels untouched)."""
-    from .autoencoder import corrupt
-
-    return [(corrupt(data, rate, rng), labels) for data, labels in batches]
 
 
 def batch_part(batches, part: int):

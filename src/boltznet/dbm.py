@@ -199,11 +199,11 @@ def _init_chains(model: DbmModel, data, labels, rng) -> None:
 
 
 def mean_field_states(model: DbmModel, data: Matrix, y: Matrix = None,
-                      clamp_labels: bool = False, tol: float = MEAN_FIELD_TOL,
+                      tol: float = MEAN_FIELD_TOL,
                       max_sweeps: int = MEAN_FIELD_MAX_SWEEPS,
                       return_history: bool = False):
-    """Mean-field posterior means for every hidden layer (and the label
-    units when they are free).
+    """Mean-field posterior means for every hidden layer, with the label
+    units clamped to `y` when it is given and free (from zero) otherwise.
 
     Starts from a bottom-up pass with doubled weights (top layer undoubled),
     then iterates the fixed-point updates with the stored weights in both
@@ -212,10 +212,8 @@ def mean_field_states(model: DbmModel, data: Matrix, y: Matrix = None,
     max-change sequence when `return_history` is set.
     """
     v = np.asarray(data, dtype=np.float64)
-    if model.label_dim and clamp_labels and y is None:
-        raise ShapeError("clamping labels requires their values")
-    y_mu = (np.asarray(y, dtype=np.float64) if (model.label_dim and y is not None)
-            else np.zeros((v.shape[0], model.label_dim)))
+    free = y is None
+    y_mu = np.zeros((len(v), model.label_dim)) if free else np.asarray(y, dtype=np.float64)
 
     mus = _bottom_up(model, v, y_mu, sigmoid)
     history = []
@@ -225,7 +223,7 @@ def mean_field_states(model: DbmModel, data: Matrix, y: Matrix = None,
             new_mu = sigmoid(_layer_input(model, l, v, mus, y_mu))
             max_change = max(max_change, float(np.abs(new_mu - mus[l]).max()))
             mus[l] = new_mu
-        if model.label_dim and not clamp_labels:
+        if free and model.label_dim:
             new_y = softmax(_label_input(model, mus[-1]))
             max_change = max(max_change, float(np.abs(new_y - y_mu).max()))
             y_mu = new_y
@@ -276,7 +274,7 @@ def mean_field_train(model: DbmModel, batches, cfg: TrainConfig,
     def iteration(alpha, rho):
         data = [np.zeros_like(p) for p in params.params]
         for x, yb in zip(data_batches, label_batches):
-            mus, _ = mean_field_states(model, x, y=yb, clamp_labels=True)
+            mus, _ = mean_field_states(model, x, y=yb)
             for total, s in zip(data, _statistics(model, x, mus, yb)):
                 total += s
         _gibbs_sweep(model, rng)
@@ -285,7 +283,7 @@ def mean_field_train(model: DbmModel, batches, cfg: TrainConfig,
                     alpha, rho)
 
     run_epochs(replace(cfg, anneal=AnnealSchedule(AnnealKind.STEP),
-                       momentum=NO_MOMENTUM), params, iteration, hook)
+                       momentum=NO_MOMENTUM), params.params, iteration, hook)
     return model
 
 
@@ -294,7 +292,7 @@ def predict_dbm(model: DbmModel, data: Matrix) -> Matrix:
     initialized to zero."""
     if model.label_dim == 0:
         raise ConfigError("model was pretrained without labels")
-    _, y_mu = mean_field_states(model, data, y=None, clamp_labels=False)
+    _, y_mu = mean_field_states(model, data)
     return y_mu
 
 

@@ -131,7 +131,10 @@ def up_down_fine_tune(model: DbnModel, data, labels, cfg: TrainConfig,
             for i, layer in enumerate(model.recognition):
                 _residual_update(layer.w, layer.b_h, dream[i], dream[i + 1], lr)
 
-    run_epochs(cfg, params, epoch, hook)
+    # the wake-sleep updates change the directed arrays outside `params`
+    directed = [a for l in model.recognition for a in (l.w, l.b_h)]
+    run_epochs(cfg, params.params + directed + model.generative_w + model.generative_b,
+               epoch, hook)
     model.fine_tuned = model.fine_tuned or cfg.epochs > 0
     return model
 

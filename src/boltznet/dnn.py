@@ -35,9 +35,8 @@ class LayerStack:
 
 @dataclass
 class ForwardTrace:
-    """Pre-activations z(1..N) and activations a(0..N); a[0] is the input."""
+    """Activations a(0..N); a[0] is the input."""
 
-    z: list
     a: list
 
 
@@ -56,16 +55,15 @@ def pretrain_stack(sizes, batches, cfg: TrainConfig, pretrain: bool = True) -> L
 
 
 def forward(stack: LayerStack, batch: Matrix) -> ForwardTrace:
-    """Full forward pass keeping every pre-activation and activation."""
+    """Full forward pass keeping every activation."""
     a = np.asarray(batch, dtype=np.float64)
     if a.shape[1] != stack.layers[0].n_v:
         raise ShapeError(f"input width {a.shape[1]} != {stack.layers[0].n_v}")
-    zs, activations = [], [a]
+    activations = [a]
     for layer in stack.layers:
-        z = activations[-1] @ layer.w + layer.b_h
-        zs.append(z)
-        activations.append(activate(z, layer.activation))
-    return ForwardTrace(z=zs, a=activations)
+        activations.append(activate(activations[-1] @ layer.w + layer.b_h,
+                                    layer.activation))
+    return ForwardTrace(a=activations)
 
 
 def _output_delta(a_out: Matrix, target: Matrix, loss: LossKind,
@@ -113,7 +111,7 @@ def _backprop_epochs(stack: LayerStack, pairs, loss: LossKind, cfg: TrainConfig,
             grads = backprop_gradients(stack, noisy(x) if noisy else x, t, loss)
             params.step([dw for dw, _ in grads] + [db for _, db in grads], lr, rho)
 
-    run_epochs(cfg, params, epoch, hook)
+    run_epochs(cfg, params.params, epoch, hook)
 
 
 def backprop_fine_tune(stack: LayerStack, data, labels, loss: LossKind,

@@ -145,17 +145,17 @@ class ParamGroup:
             _momentum_step(param, grad, vel, lr, rho, spec)
 
 
-def run_epochs(cfg, params: ParamGroup, step, hook) -> None:
+def run_epochs(cfg, arrays, step, hook) -> None:
     """The training loop every model shares: for each of `cfg.epochs`
     epochs, anneal `cfg.lr`, pick the momentum, run `step(lr, rho)` over
-    the epoch's batches, check that every array in `params` is finite
-    (DivergenceError otherwise) and report `hook(epoch, lr, rho)`. A truthy
-    `step` result stops training after that epoch's report."""
+    the epoch's batches, check that every array `step` changes, listed in
+    `arrays`, is finite (DivergenceError otherwise) and report `hook(epoch,
+    lr, rho)`. A truthy `step` result stops training after that epoch's report."""
     for epoch in range(cfg.epochs):
         lr = anneal(cfg.lr, epoch, cfg.anneal)
         rho = momentum_coeff(epoch, cfg.momentum)
         stop = step(lr, rho)
-        if not all(np.isfinite(p).all() for p in params.params):
+        if not all(np.isfinite(a).all() for a in arrays):
             raise DivergenceError(f"non-finite parameters after epoch {epoch}")
         if hook is not None:
             hook(epoch, lr, rho)

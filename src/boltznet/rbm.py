@@ -176,16 +176,15 @@ def _cd_gradients(rbm: RbmLayer, batch: Matrix, h_probs_data: Matrix, h_drive: M
 
 
 def _cd_step(rbm: RbmLayer, batch: Matrix, k: int, dropout_rate: float, rng: Rng,
-             up_scale: float = 1.0, down_scale: float = 1.0,
-             linear_hidden: bool = False) -> CdGradients:
+             up_scale: float = 1.0, down_scale: float = 1.0) -> CdGradients:
     """One contrastive-divergence estimate on a batch.
 
     Data statistics use hidden probabilities; the Gibbs chain is driven by
     sampled binary states (masked by dropout on every downward pass); the
     reconstruction statistics use probabilities for both layers. up_scale /
-    down_scale support the asymmetric passes needed by DBM pretraining;
-    linear_hidden switches the hidden units to identity mean plus
-    unit-variance Gaussian noise.
+    down_scale support the asymmetric passes needed by DBM pretraining.
+    A layer with the IDENTITY activation has linear hidden units: identity
+    mean plus unit-variance Gaussian noise; any other has sigmoid units.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.shape[0] < 1:
@@ -195,12 +194,13 @@ def _cd_step(rbm: RbmLayer, batch: Matrix, k: int, dropout_rate: float, rng: Rng
     if k < 1:
         raise ConfigError("gibbs step count must be >= 1")
 
+    linear = rbm.activation is ActivationKind.IDENTITY
     def h_mean(v):
         z = up_scale * (v @ rbm.w) + rbm.b_h
-        return z if linear_hidden else sigmoid(z)
+        return z if linear else sigmoid(z)
 
     def h_sample(mean):
-        if linear_hidden:
+        if linear:
             return mean + rng.standard_normal(mean.shape)
         return sample_bernoulli(mean, rng)
 
@@ -221,8 +221,7 @@ def cd_step(rbm: RbmLayer, batch: Matrix, k: int, dropout_rate: float,
 
 
 def _train_rbm(rbm: RbmLayer, batches, cfg: TrainConfig, up_scale: float = 1.0,
-               down_scale: float = 1.0, linear_hidden: bool = False,
-               hook=None) -> RbmLayer:
+               down_scale: float = 1.0, hook=None) -> RbmLayer:
     data_batches = batch_part(batches, 0)
     rng = make_rng(cfg.seed)
     params = ParamGroup([rbm.w], [rbm.b_v, rbm.b_h], cfg.decay)
@@ -231,13 +230,12 @@ def _train_rbm(rbm: RbmLayer, batches, cfg: TrainConfig, up_scale: float = 1.0,
         max_grad = 0.0
         for data in data_batches:
             g = _cd_step(rbm, data, cfg.gibbs_steps, cfg.dropout_rate, rng,
-                         up_scale=up_scale, down_scale=down_scale,
-                         linear_hidden=linear_hidden)
+                         up_scale=up_scale, down_scale=down_scale)
             params.step([g.dw, g.db_v, g.db_h], lr, rho)
             max_grad = max(max_grad, g.max_abs())
         return max_grad < TRIVIAL_GRADIENT  # gradients trivial for a full epoch
 
-    run_epochs(cfg, params, epoch, hook)
+    run_epochs(cfg, params.params, epoch, hook)
     return rbm
 
 
@@ -251,8 +249,10 @@ def train_binary(rbm: RbmLayer, batches, cfg: TrainConfig, hook=None) -> RbmLaye
 def train_linear(rbm: RbmLayer, batches, cfg: TrainConfig, hook=None) -> RbmLayer:
     """CD training with linear-Gaussian hidden units: the hidden mean is the
     raw input and samples add unit-variance noise; the visible side is
-    unchanged. Updates the layer's arrays in place."""
-    return _train_rbm(rbm, batches, cfg, linear_hidden=True, hook=hook)
+    unchanged. Marks the layer IDENTITY, so its conditionals and saved
+    form match, and updates its arrays in place."""
+    rbm.activation = ActivationKind.IDENTITY
+    return _train_rbm(rbm, batches, cfg, hook=hook)
 
 
 def linear_hidden_sample(rbm: RbmLayer, v: Matrix, rng: Rng) -> Matrix:
@@ -295,7 +295,7 @@ def train_classifier_head(head: RbmLayer, features, labels, cfg: TrainConfig,
             _check_one_of_k(t)
             params.step(classifier_head_gradients(head, f, t), lr, rho)
 
-    run_epochs(cfg, params, epoch, hook)
+    run_epochs(cfg, params.params, epoch, hook)
     return head
 
 

@@ -13,7 +13,7 @@ from boltznet.data import make_batches, one_of_k
 from boltznet.dbm import pretrain_dbm
 from boltznet.dnn import pretrain_stack
 from boltznet.rbm import TrainConfig
-from boltznet.synth import write_mnist_style_dir
+from boltznet.synth import write_idx_labels, write_mnist_style_dir
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +115,19 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert run([f"run-{model}", "--layers", layers, "--data-dir", tiny_data_dir,
                     "--out-dir", out]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, count", [("t10k-labels-idx1-ubyte", 30),
+                                             ("train-labels-idx1-ubyte", 150)],
+                             ids=["test-labels", "train-labels"])
+    def test_image_label_count_mismatch_is_a_data_error(self, tmp_path, capsys,
+                                                        name, count):
+        data, out = tmp_path / "d", tmp_path / "o"
+        write_mnist_style_dir(data, n_train=200, n_test=40, seed=2)
+        write_idx_labels(data / name, np.zeros(count))
+        assert run(["run-dbn", "--layers", "784,16,12", "--epochs", "1",
+                    "--batches", "8", "--data-dir", data, "--out-dir", out]) == 2
+        assert name in capsys.readouterr().err
         assert not out.exists()
 
     def test_env_var_fallback(self, tiny_data_dir, tmp_path, monkeypatch):
@@ -247,6 +260,26 @@ class TestRuns:
         assert code == 0
         records = parse_metrics(out / "metrics.txt")
         assert [r["record"] for r in records] == ["summary"]
+
+    def test_bimodal_without_fine_tuning_writes_summary_only(self, tiny_data_dir,
+                                                              tmp_path):
+        out = tmp_path / "o"
+        code = run(["run-bimodal", "--layers", "784,16,8", "--epochs", "2",
+                    "--batches", "8", "--fine-tune", "0",
+                    "--data-dir", tiny_data_dir, "--out-dir", out])
+        assert code == 0
+        records = parse_metrics(out / "metrics.txt")
+        assert [r["record"] for r in records] == ["summary"]
+
+    def test_bimodal_clamps_the_batch_count_to_the_rows(self, tiny_data_dir, tmp_path):
+        # like every other runner: 100 batches of a 20-row subset become 20
+        out = tmp_path / "o"
+        code = run(["run-bimodal", "--layers", "784,16,8", "--epochs", "1",
+                    "--subset", "20", "--batches", "100",
+                    "--data-dir", tiny_data_dir, "--out-dir", out])
+        assert code == 0
+        assert [r["record"] for r in parse_metrics(out / "metrics.txt")] == \
+            ["epoch", "summary"]
 
     def test_dae_run_writes_reconstruction(self, tiny_data_dir, tmp_path):
         out = tmp_path / "o"

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from boltznet.core import DomainError, ShapeError, make_rng
-from boltznet.data import (FormatError, corrupt_batches, make_batches, one_of_k,
-                           read_cifar10, read_f32be_matrix, read_mnist_images,
-                           read_mnist_labels, shuffle_paired)
+from boltznet.data import (FormatError, make_batches, one_of_k, read_cifar10,
+                           read_f32be_matrix, read_mnist_images, read_mnist_labels,
+                           shuffle_paired)
 from boltznet.synth import write_cifar_batch, write_idx_images, write_idx_labels
 
 
@@ -174,29 +174,6 @@ class TestBatches:
     def test_too_many_batches_rejected(self):
         with pytest.raises(DomainError):
             make_batches(np.zeros((3, 2)), None, 4)
-
-
-class TestCorruptBatches:
-    def test_rate_zero_identity(self):
-        data = make_rng(8).random((20, 5))
-        batches = make_batches(data, None, 4)
-        out = corrupt_batches(batches, 0.0, make_rng(9))
-        for (a, _), (b, _) in zip(batches, out):
-            np.testing.assert_array_equal(a, b)
-
-    def test_labels_untouched(self):
-        rng = make_rng(10)
-        data, labels = rng.random((20, 5)), rng.random((20, 2))
-        batches = make_batches(data, labels, 4)
-        out = corrupt_batches(batches, 0.5, make_rng(11))
-        for (_, la), (_, lb) in zip(batches, out):
-            np.testing.assert_array_equal(la, lb)
-
-    def test_kept_fraction(self):
-        data = np.ones((100, 1000))
-        out = corrupt_batches(make_batches(data, None, 2), 0.3, make_rng(42))
-        kept = np.mean([b[0].mean() for b in out])
-        assert abs(kept - 0.7) < 0.01
 
 
 class TestReaderScaling:

@@ -217,6 +217,14 @@ class TestMeanField:
         print(f"non-monotone mean-field change sequences: {failures}/100")
         assert failures <= 20
 
+    def test_given_labels_are_clamped(self):
+        batches = toy_batches(classes=3)
+        model = pretrain_dbm([4, 3, 2], batches, TrainConfig(epochs=1, seed=8),
+                             labels=batches)
+        x, y = batches[0]
+        _, y_mu = mean_field_states(model, x, y)
+        np.testing.assert_array_equal(y_mu, y)
+
 
 class TestTraining:
     def test_requires_pretrained_chains(self):
@@ -288,7 +296,7 @@ def accumulator_mean_field_train(model, batches, iterations, lr, seed):
         acc_bv = np.zeros_like(model.visible_bias)
         acc_by = np.zeros_like(model.label_bias) if model.label_dim else None
         for x, yb in zip(data_batches, label_batches):
-            mus, _ = mean_field_states(model, x, y=yb, clamp_labels=True)
+            mus, _ = mean_field_states(model, x, y=yb)
             for l, lower in enumerate(below(x, mus, yb)):
                 acc_w[l] += lower.T @ mus[l]
                 acc_b[l] += mus[l].sum(axis=0, keepdims=True)

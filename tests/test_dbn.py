@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from boltznet.core import ConfigError, make_rng, sigmoid
+from boltznet import dbn as dbn_mod
+from boltznet.core import ConfigError, DivergenceError, make_rng, sigmoid
 from boltznet.data import make_batches, one_of_k
 from boltznet.dbn import (DbnModel, classify_dbn, predict_dbn, pretrain_dbn,
                           up_down_fine_tune)
@@ -100,6 +101,26 @@ class TestUpDown:
         assert not np.allclose(model.generative_w[0], g0)
         assert not np.allclose(model.recognition[0].w.T, model.generative_w[0])
         assert model.fine_tuned
+
+    def test_divergence_in_a_directed_weight_stops_its_epoch(self, monkeypatch):
+        # the wake-sleep arrays are checked with the top RBM's after each epoch
+        batches = toy_data(dim=6, num_batches=2)
+        model = pretrain_dbn([6, 5, 4, 3], batches, batches, TrainConfig(epochs=1, seed=9))
+        update, updated = dbn_mod._residual_update, []
+
+        def planting(w, b, source, target, lr):
+            update(w, b, source, target, lr)
+            updated.append(w)
+            if len(updated) == 8:  # the last update of epoch 0: 2 batches x 4 arrays
+                w[0, 0] = np.inf
+
+        monkeypatch.setattr(dbn_mod, "_residual_update", planting)
+        hooks = []
+        with pytest.raises(DivergenceError, match="after epoch 0"):
+            up_down_fine_tune(model, batches, batches, TrainConfig(epochs=3, seed=10),
+                              hook=lambda e, lr, rho: hooks.append(e))
+        assert updated[7] is model.recognition[1].w
+        assert hooks == []
 
 
 class TestClassify:

@@ -178,6 +178,12 @@ def idx_images_fields():
     return [struct.pack(">I", v) for v in (2051, 2, 2, 3)] + [pixels.tobytes()]
 
 
+def idx_huge_header_fields():
+    # no images, but each declared side is 2^32 - 1; the empty last field
+    # puts the whole header among the truncations
+    return [struct.pack(">I", v) for v in (2051, 0, 2**32 - 1, 2**32 - 1)] + [b""]
+
+
 def idx_labels_fields():
     return [struct.pack(">I", v) for v in (2049, 3)] + [bytes([3, 1, 9])]
 
@@ -225,9 +231,10 @@ class TestCorruption:
 
     @pytest.mark.parametrize("fields, read, sound", [
         (idx_images_fields(), read_mnist_images, sound_pixels),
+        (idx_huge_header_fields(), read_mnist_images, sound_pixels),
         (idx_labels_fields(), read_mnist_labels, sound_labels),
         (cifar_fields(), lambda path: read_cifar10([path] * 6), sound_cifar),
-    ], ids=["idx-images", "idx-labels", "cifar10"])
+    ], ids=["idx-images", "idx-huge-header", "idx-labels", "cifar10"])
     def test_data_file(self, tmp_path, fields, read, sound):
         self.check_all(tmp_path / "f", fields, 41, read, sound)
 

@@ -174,7 +174,7 @@ class TestRunEpochs:
         cfg = TrainConfig(epochs=3, lr=0.4, anneal=AnnealSchedule(AnnealKind.DIVIDE, 1.0),
                           momentum=MomentumSchedule(0.5, 0.9, 1))
         seen = []
-        run_epochs(cfg, ParamGroup([], [], NO_DECAY),
+        run_epochs(cfg, [],
                    lambda lr, rho: seen.append(("step", lr, rho)),
                    lambda e, lr, rho: seen.append(("hook", e, lr, rho)))
         assert seen == [("step", 0.4, 0.5), ("hook", 0, 0.4, 0.5),
@@ -183,7 +183,7 @@ class TestRunEpochs:
 
     def test_truthy_step_stops_after_that_epochs_report(self):
         hooks = []
-        run_epochs(TrainConfig(epochs=5), ParamGroup([], [], NO_DECAY),
+        run_epochs(TrainConfig(epochs=5), [],
                    lambda lr, rho: len(hooks) == 1,
                    lambda e, lr, rho: hooks.append(e))
         assert hooks == [0, 1]
@@ -197,6 +197,6 @@ class TestRunEpochs:
                 w[0, 1] = np.inf
 
         with pytest.raises(DivergenceError, match="non-finite parameters after epoch 1"):
-            run_epochs(TrainConfig(epochs=3), ParamGroup([w], [], NO_DECAY), step,
+            run_epochs(TrainConfig(epochs=3), [w], step,
                        lambda e, lr, rho: hooks.append(e))
         assert hooks == [0]

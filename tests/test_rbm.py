@@ -229,6 +229,20 @@ class TestTrainLinear:
                      TrainConfig(epochs=5, lr=0.01, seed=3))
         assert np.all(np.isfinite(rbm.w))
 
+    def test_trained_layer_is_linear_before_and_after_reload(self, tmp_path):
+        from boltznet.dnn import LayerStack
+        from boltznet.model_io import load_model, save_model
+
+        rbm = random_rbm(4, 2, seed=17, scale=0.1)
+        train_linear(rbm, make_batches(make_rng(18).random((32, 4)), None, 4),
+                     TrainConfig(epochs=2, lr=0.01, seed=3))
+        save_model(tmp_path / "m.mdlr", LayerStack([rbm]))
+        v = make_rng(19).random((5, 4))
+        for layer in (rbm, load_model(tmp_path / "m.mdlr").layers[0]):
+            assert layer.activation is ActivationKind.IDENTITY
+            np.testing.assert_array_equal(hidden_given_visible(layer, v),
+                                          v @ rbm.w + rbm.b_h)
+
 
 class TestClassifierHead:
     def make_toy(self):
