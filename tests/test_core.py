@@ -4,7 +4,7 @@ import pytest
 from boltznet.core import (ActivationKind, ConfigError, DivergenceError, DomainError,
                            LossKind, ShapeError, activate, activation_derivative,
                            classification_report, loss, loss_derivative,
-                           make_rng, matrix, sample_bernoulli)
+                           make_rng, matrix, sample_bernoulli, sigmoid)
 
 SIG = ActivationKind.SIGMOID
 
@@ -46,6 +46,45 @@ class TestActivate:
     def test_shapes_preserved(self, kind):
         z = make_rng(2).normal(size=(3, 5))
         assert activate(z, kind).shape == (3, 5)
+
+
+def masked_sigmoid(z):
+    """The sigmoid split by sign with boolean-mask gathers and scatters, so
+    exp never overflows: the reference the in-place kernel must equal."""
+    out = np.empty_like(z, dtype=np.float64)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+class TestSigmoidReference:
+    EDGES = [800.0, -800.0, 40.0, -40.0, 0.0, -0.0, np.inf, -np.inf,
+             1e-300, -1e-300, 5e-324, -5e-324]
+
+    @pytest.mark.parametrize("scale", [1.0, 5.0, 40.0, 800.0])
+    def test_bitwise_on_random_normals(self, scale):
+        z = make_rng(31).normal(0.0, scale, (60, 70))
+        z[0, :len(self.EDGES)] = self.EDGES
+        got, want = sigmoid(z), masked_sigmoid(z)
+        assert got.dtype == np.float64 and got.shape == z.shape
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_bitwise_on_edge_values(self):
+        z = matrix(self.EDGES)
+        np.testing.assert_array_equal(sigmoid(z).view(np.int64),
+                                      masked_sigmoid(z).view(np.int64))
+
+    def test_input_is_not_modified(self):
+        z = make_rng(32).normal(0.0, 5.0, (4, 6))
+        before = z.copy()
+        sigmoid(z)
+        np.testing.assert_array_equal(z.view(np.int64), before.view(np.int64))
+
+    def test_nan_maps_to_nan(self):
+        out = sigmoid(matrix([np.nan, -np.nan, 0.0]))
+        assert np.isnan(out[0, 0]) and np.isnan(out[0, 1]) and out[0, 2] == 0.5
 
 
 class TestActivationDerivative:

@@ -3,9 +3,10 @@ import copy
 import numpy as np
 import pytest
 
-from boltznet.core import ConfigError, DomainError, make_rng, sigmoid
+from boltznet.core import ConfigError, DomainError, make_rng, sigmoid, softmax
 from boltznet.data import make_batches, one_of_k
-from boltznet.dbm import (DbmModel, classify_dbm, dbm_energy, mean_field_states,
+from boltznet.dbm import (MEAN_FIELD_MAX_SWEEPS, MEAN_FIELD_TOL, DbmModel,
+                          classify_dbm, dbm_energy, mean_field_states,
                           mean_field_train, predict_dbm, pretrain_dbm)
 from boltznet.oracle import dbm_joint, exact_partition
 from boltznet.rbm import TrainConfig
@@ -224,6 +225,74 @@ class TestMeanField:
         x, y = batches[0]
         _, y_mu = mean_field_states(model, x, y)
         np.testing.assert_array_equal(y_mu, y)
+
+
+def per_sweep_mean_field(model, v, y=None, tol=MEAN_FIELD_TOL,
+                         max_sweeps=MEAN_FIELD_MAX_SWEEPS):
+    """The mean-field settle written out with the clamped visible drive
+    v @ W1 recomputed in the doubled bottom-up pass and in every sweep."""
+    n = model.n_layers
+    free = y is None
+    y_mu = np.zeros((len(v), model.label_dim)) if free else y
+
+    def layer_input(l, hs, y_mu):
+        below = v if l == 0 else hs[l - 1]
+        if l == n - 1 and model.label_dim:
+            below = np.hstack([below, y_mu])
+        z = below @ model.weights[l]
+        if l == n - 1:
+            return z + model.hidden_biases[l]
+        if len(hs) <= l + 1:
+            return 2.0 * z + model.hidden_biases[l]
+        return (z + model.hidden_biases[l]
+                + hs[l + 1] @ model.weights[l + 1][:model.weights[l].shape[1]].T)
+
+    mus = []
+    for l in range(n):
+        mus.append(sigmoid(layer_input(l, mus, y_mu)))
+    history = []
+    for _ in range(max_sweeps):
+        max_change = 0.0
+        for l in range(n):
+            new_mu = sigmoid(layer_input(l, mus, y_mu))
+            max_change = max(max_change, float(np.abs(new_mu - mus[l]).max()))
+            mus[l] = new_mu
+        if free and model.label_dim:
+            top_rows = model.weights[-1].shape[0] - model.label_dim
+            new_y = softmax(mus[-1] @ model.weights[-1][top_rows:].T
+                            + model.label_bias)
+            max_change = max(max_change, float(np.abs(new_y - y_mu).max()))
+            y_mu = new_y
+        history.append(max_change)
+        if max_change < tol:
+            break
+    return mus, y_mu, history
+
+
+class TestMeanFieldReference:
+    @pytest.mark.parametrize("sizes, classes, clamp", [
+        ([5, 4, 3], 3, False), ([5, 4, 3], 3, True), ([5, 4, 3, 2], 0, False)],
+        ids=["labelled-free", "labelled-clamped", "unlabelled"])
+    @pytest.mark.parametrize("tol, max_sweeps", [
+        (MEAN_FIELD_TOL, MEAN_FIELD_MAX_SWEEPS), (0.0, 7)], ids=["settle", "fixed"])
+    def test_matches_per_sweep_visible_drive_bitwise(self, sizes, classes, clamp,
+                                                     tol, max_sweeps):
+        batches = toy_batches(seed=33, n=24, dim=5, num_batches=3, classes=classes)
+        model = pretrain_dbm(sizes, batches, TrainConfig(epochs=3, lr=0.5, seed=34),
+                             labels=batches if classes else None)
+        for w in model.weights:
+            w *= 4.0  # couple the layers strongly enough to need several sweeps
+        x, yb = batches[1]
+        y = yb if clamp else None
+        got = mean_field_states(model, x, y, tol=tol, max_sweeps=max_sweeps,
+                                return_history=True)
+        want = per_sweep_mean_field(model, x, y, tol=tol, max_sweeps=max_sweeps)
+        assert len(want[2]) > 2
+        for g, w in zip(got[0], want[0], strict=True):
+            np.testing.assert_array_equal(g.view(np.int64), w.view(np.int64))
+        np.testing.assert_array_equal(np.asarray(got[1]).view(np.int64),
+                                      np.asarray(want[1]).view(np.int64))
+        assert got[2] == want[2]
 
 
 class TestTraining:
