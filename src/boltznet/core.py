@@ -72,12 +72,13 @@ def matrix(values) -> Matrix:
 
 
 def sigmoid(z: Matrix) -> Matrix:
-    # split by sign so exp never overflows
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    # e = exp(-|z|) never overflows: 1/(1+e) where z >= 0, e/(1+e) below
+    e = np.abs(z, dtype=np.float64)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 

@@ -72,8 +72,12 @@ class DbmModel:
 
     def check(self) -> "DbmModel":
         """Raise ShapeError unless the weights chain (the top one with the
-        label rows) and every bias and persistent chain fits its units."""
+        label rows) and every bias and persistent chain fits its units.
+        Labels need a hidden layer below the top: the settle reuses v @ W1
+        as layer 1's whole bottom-up input."""
         _check_chain([w.shape for w in self.weights], self.label_dim)
+        if self.label_dim and self.n_layers < 2:
+            raise ShapeError("a DBM with labels needs at least two hidden layers")
         k = 1 if self.label_dim else 0
         widths = self.sizes + [self.label_dim] * k
         biases = [self.visible_bias, *self.hidden_biases] + [self.label_bias] * k
@@ -111,12 +115,18 @@ def _statistics(model: DbmModel, v: Matrix, hs, y: Matrix) -> list:
     return stats
 
 
-def _layer_input(model: DbmModel, l: int, v: Matrix, hs, y: Matrix) -> Matrix:
+def _layer_input(model: DbmModel, l: int, v: Matrix, hs, y: Matrix,
+                 vw: Matrix = None) -> Matrix:
     """Total input to hidden layer l: bottom-up from the state below it plus
     top-down from layer l+1 through the rows of its weight that face layer
     l (never the label rows). While `hs` holds no state for layer l+1 yet,
-    as in a bottom-up pass, the bottom-up input is doubled in its place."""
-    z = _state_below(model, l, v, hs, y) @ model.weights[l]
+    as in a bottom-up pass, the bottom-up input is doubled in its place.
+    `vw`, when given, is the bottom-up product v @ W1 already computed for
+    a clamped v, and stands in for it at layer 0."""
+    if l == 0 and vw is not None:
+        z = vw
+    else:
+        z = _state_below(model, l, v, hs, y) @ model.weights[l]
     if l == model.n_layers - 1:
         return z + model.hidden_biases[l]
     if len(hs) <= l + 1:
@@ -130,11 +140,11 @@ def _label_input(model: DbmModel, h_top: Matrix) -> Matrix:
     return h_top @ model.weights[-1][model.top_feature_rows():].T + model.label_bias
 
 
-def _bottom_up(model: DbmModel, v: Matrix, y: Matrix, settle) -> list:
+def _bottom_up(model: DbmModel, v: Matrix, y: Matrix, settle, vw: Matrix = None) -> list:
     """One bottom-up pass; `settle` maps each layer's input to its state."""
     hs = []
     for l in range(model.n_layers):
-        hs.append(settle(_layer_input(model, l, v, hs, y)))
+        hs.append(settle(_layer_input(model, l, v, hs, y, vw)))
     return hs
 
 
@@ -209,23 +219,28 @@ def mean_field_states(model: DbmModel, data: Matrix, y: Matrix = None,
     then iterates the fixed-point updates with the stored weights in both
     directions until the largest change drops below `tol` or the sweep
     budget runs out. Returns (mu_list, label_mu), plus the per-sweep
-    max-change sequence when `return_history` is set.
+    max-change sequence when `return_history` is set. The visible units
+    stay clamped, so their drive v @ W1 is computed once per call. Zero
+    rows settle in one sweep to zero-row means.
     """
     v = np.asarray(data, dtype=np.float64)
+    if v.shape[1] != model.sizes[0]:
+        raise ShapeError(f"input width {v.shape[1]} != {model.sizes[0]}")
+    vw = v @ model.weights[0]
     free = y is None
     y_mu = np.zeros((len(v), model.label_dim)) if free else np.asarray(y, dtype=np.float64)
 
-    mus = _bottom_up(model, v, y_mu, sigmoid)
+    mus = _bottom_up(model, v, y_mu, sigmoid, vw)
     history = []
     for _ in range(max_sweeps):
         max_change = 0.0
         for l in range(model.n_layers):
-            new_mu = sigmoid(_layer_input(model, l, v, mus, y_mu))
-            max_change = max(max_change, float(np.abs(new_mu - mus[l]).max()))
+            new_mu = sigmoid(_layer_input(model, l, v, mus, y_mu, vw))
+            max_change = max(max_change, float(np.abs(new_mu - mus[l]).max(initial=0.0)))
             mus[l] = new_mu
         if free and model.label_dim:
             new_y = softmax(_label_input(model, mus[-1]))
-            max_change = max(max_change, float(np.abs(new_y - y_mu).max()))
+            max_change = max(max_change, float(np.abs(new_y - y_mu).max(initial=0.0)))
             y_mu = new_y
         history.append(max_change)
         if max_change < tol:

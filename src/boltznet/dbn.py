@@ -148,6 +148,10 @@ def predict_dbn(model: DbnModel, data: Matrix) -> Matrix:
     """
     if model.label_dim == 0:
         raise ConfigError("model was pretrained without labels")
+    data = np.asarray(data, dtype=np.float64)
+    width = model.recognition[0].n_v if model.recognition else model.feature_dim
+    if data.shape[1] != width:
+        raise ShapeError(f"input width {data.shape[1]} != {width}")
     feats = model.recognition_pass(data)
     top_v = np.hstack([feats, np.zeros((feats.shape[0], model.label_dim))])
     h = sigmoid(top_v @ model.top.w + model.top.b_h)

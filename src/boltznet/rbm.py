@@ -255,13 +255,6 @@ def train_linear(rbm: RbmLayer, batches, cfg: TrainConfig, hook=None) -> RbmLaye
     return _train_rbm(rbm, batches, cfg, hook=hook)
 
 
-def linear_hidden_sample(rbm: RbmLayer, v: Matrix, rng: Rng) -> Matrix:
-    """Linear-unit hidden sample: the raw total input plus unit-variance
-    Gaussian noise."""
-    z = np.asarray(v, dtype=np.float64) @ rbm.w + rbm.b_h
-    return z + rng.standard_normal(z.shape)
-
-
 def _check_one_of_k(t: Matrix) -> None:
     if not np.all((t == 0.0) | (t == 1.0)) or not np.allclose(t.sum(axis=1), 1.0):
         raise DomainError("labels must be one-of-K rows")

@@ -3,7 +3,8 @@ import copy
 import numpy as np
 import pytest
 
-from boltznet.core import ConfigError, DomainError, make_rng, sigmoid, softmax
+from boltznet.core import (ConfigError, DomainError, ShapeError, make_rng, sigmoid,
+                           softmax)
 from boltznet.data import make_batches, one_of_k
 from boltznet.dbm import (MEAN_FIELD_MAX_SWEEPS, MEAN_FIELD_TOL, DbmModel,
                           classify_dbm, dbm_energy, mean_field_states,
@@ -446,3 +447,23 @@ class TestClassify:
         model = random_dbm([4, 3, 2], seed=22)
         with pytest.raises(ConfigError):
             predict_dbm(model, np.zeros((1, 4)))
+
+    def test_zero_rows_give_empty_means(self):
+        batches = toy_batches(classes=3)
+        model = pretrain_dbm([4, 3, 2], batches, TrainConfig(epochs=1, seed=27),
+                             labels=batches)
+        x = np.zeros((0, 4))
+        assert predict_dbm(model, x).shape == (0, 3)
+        for y in (None, np.zeros((0, 3))):
+            mus, y_mu = mean_field_states(model, x, y)
+            assert [m.shape for m in mus] == [(0, 3), (0, 2)]
+            assert y_mu.shape == (0, 3)
+
+    def test_wrong_input_width_is_shape_error(self):
+        batches = toy_batches(classes=3)
+        model = pretrain_dbm([4, 3, 2], batches, TrainConfig(epochs=0, seed=28),
+                             labels=batches)
+        with pytest.raises(ShapeError, match="input width 3 != 4"):
+            predict_dbm(model, np.zeros((2, 3)))
+        with pytest.raises(ShapeError, match="input width 5 != 4"):
+            mean_field_states(model, np.zeros((2, 5)))

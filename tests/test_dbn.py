@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from boltznet import dbn as dbn_mod
-from boltznet.core import ConfigError, DivergenceError, make_rng, sigmoid
+from boltznet.core import ConfigError, DivergenceError, ShapeError, make_rng, sigmoid
 from boltznet.data import make_batches, one_of_k
 from boltznet.dbn import (DbnModel, classify_dbn, predict_dbn, pretrain_dbn,
                           up_down_fine_tune)
@@ -155,6 +155,13 @@ class TestClassify:
         model = random_dbn(seed=15)
         with pytest.raises(ConfigError):
             predict_dbn(model, np.zeros((1, 3)))
+
+    def test_wrong_input_width_is_shape_error(self):
+        batches = toy_data(classes=3)
+        model = pretrain_dbn([4, 3, 2], batches, batches, TrainConfig(epochs=0, seed=16))
+        with pytest.raises(ShapeError, match="input width 3 != 4"):
+            predict_dbn(model, np.zeros((2, 3)))
+        assert predict_dbn(model, np.zeros((0, 4))).shape == (0, 3)
 
 
 class TestVariationalBound:

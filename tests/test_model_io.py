@@ -117,9 +117,11 @@ class TestCraftedContainers:
         crafted_container(0, [(6, 4), (5, 3)]),
         crafted_container(3, [(4, 3), (5, 2)], struct.pack("<BQ", SEC_LABEL_DIM, 9)
                           + _pack_section(SEC_LABEL_BIAS, [np.zeros((1, 9))])),
+        crafted_container(3, [(5, 3)], struct.pack("<BQ", SEC_LABEL_DIM, 2)
+                          + _pack_section(SEC_LABEL_BIAS, [np.zeros((1, 2))])),
     ], ids=["bimodal-without-modal-section", "dbm-labels-without-label-bias",
             "dbm-without-layers", "stack-layers-not-chained",
-            "dbm-label-dim-exceeds-top-rows"])
+            "dbm-label-dim-exceeds-top-rows", "dbm-labels-on-its-only-layer"])
     def test_rejected_with_format_error(self, tmp_path, raw):
         (tmp_path / "m.mdlr").write_bytes(raw)
         with pytest.raises(FormatError):
