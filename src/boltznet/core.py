@@ -71,6 +71,14 @@ def matrix(values) -> Matrix:
     return m
 
 
+def as_rows(data, width: int) -> Matrix:
+    """`data` as float64 rows; ShapeError unless each row is `width` wide."""
+    rows = np.asarray(data, dtype=np.float64)
+    if rows.shape[1] != width:
+        raise ShapeError(f"input width {rows.shape[1]} != {width}")
+    return rows
+
+
 def sigmoid(z: Matrix) -> Matrix:
     # e = exp(-|z|) never overflows: 1/(1+e) where z >= 0, e/(1+e) below
     e = np.abs(z, dtype=np.float64)

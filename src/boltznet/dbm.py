@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import (ClassificationReport, ConfigError, Matrix,
-                   ShapeError, classification_report, label_indices, make_rng,
+                   ShapeError, as_rows, classification_report, label_indices, make_rng,
                    sample_bernoulli, sigmoid, softmax)
 from .data import batch_part
 from .optim import (NO_DECAY, NO_MOMENTUM, AnnealKind, AnnealSchedule, ParamGroup,
@@ -115,18 +115,14 @@ def _statistics(model: DbmModel, v: Matrix, hs, y: Matrix) -> list:
     return stats
 
 
-def _layer_input(model: DbmModel, l: int, v: Matrix, hs, y: Matrix,
-                 vw: Matrix = None) -> Matrix:
+def _layer_input(model: DbmModel, l: int, vw: Matrix, hs, y: Matrix) -> Matrix:
     """Total input to hidden layer l: bottom-up from the state below it plus
     top-down from layer l+1 through the rows of its weight that face layer
-    l (never the label rows). While `hs` holds no state for layer l+1 yet,
-    as in a bottom-up pass, the bottom-up input is doubled in its place.
-    `vw`, when given, is the bottom-up product v @ W1 already computed for
-    a clamped v, and stands in for it at layer 0."""
-    if l == 0 and vw is not None:
-        z = vw
-    else:
-        z = _state_below(model, l, v, hs, y) @ model.weights[l]
+    l (never the label rows). `vw` is the visible drive v @ W1, layer 0's
+    bottom-up input, computed once by the caller. While `hs` holds no state
+    for layer l+1 yet, as in a bottom-up pass, the bottom-up input is
+    doubled in its place."""
+    z = vw if l == 0 else _state_below(model, l, None, hs, y) @ model.weights[l]
     if l == model.n_layers - 1:
         return z + model.hidden_biases[l]
     if len(hs) <= l + 1:
@@ -140,11 +136,12 @@ def _label_input(model: DbmModel, h_top: Matrix) -> Matrix:
     return h_top @ model.weights[-1][model.top_feature_rows():].T + model.label_bias
 
 
-def _bottom_up(model: DbmModel, v: Matrix, y: Matrix, settle, vw: Matrix = None) -> list:
-    """One bottom-up pass; `settle` maps each layer's input to its state."""
+def _bottom_up(model: DbmModel, vw: Matrix, y: Matrix, settle) -> list:
+    """One bottom-up pass from the visible drive `vw`; `settle` maps each
+    layer's input to its state."""
     hs = []
     for l in range(model.n_layers):
-        hs.append(settle(_layer_input(model, l, v, hs, y, vw)))
+        hs.append(settle(_layer_input(model, l, vw, hs, y)))
     return hs
 
 
@@ -204,7 +201,7 @@ def _init_chains(model: DbmModel, data, labels, rng) -> None:
         else:
             model.chain_y = sample_bernoulli(
                 np.full((v0.shape[0], model.label_dim), 0.5), rng)
-    model.chain_h = _bottom_up(model, model.chain_v, model.chain_y,
+    model.chain_h = _bottom_up(model, model.chain_v @ model.weights[0], model.chain_y,
                                lambda z: sample_bernoulli(sigmoid(z), rng))
 
 
@@ -223,19 +220,17 @@ def mean_field_states(model: DbmModel, data: Matrix, y: Matrix = None,
     stay clamped, so their drive v @ W1 is computed once per call. Zero
     rows settle in one sweep to zero-row means.
     """
-    v = np.asarray(data, dtype=np.float64)
-    if v.shape[1] != model.sizes[0]:
-        raise ShapeError(f"input width {v.shape[1]} != {model.sizes[0]}")
+    v = as_rows(data, model.sizes[0])
     vw = v @ model.weights[0]
     free = y is None
     y_mu = np.zeros((len(v), model.label_dim)) if free else np.asarray(y, dtype=np.float64)
 
-    mus = _bottom_up(model, v, y_mu, sigmoid, vw)
+    mus = _bottom_up(model, vw, y_mu, sigmoid)
     history = []
     for _ in range(max_sweeps):
         max_change = 0.0
         for l in range(model.n_layers):
-            new_mu = sigmoid(_layer_input(model, l, v, mus, y_mu, vw))
+            new_mu = sigmoid(_layer_input(model, l, vw, mus, y_mu))
             max_change = max(max_change, float(np.abs(new_mu - mus[l]).max(initial=0.0)))
             mus[l] = new_mu
         if free and model.label_dim:
@@ -254,8 +249,9 @@ def _gibbs_sweep(model: DbmModel, rng) -> None:
     """One sequential Gibbs sweep over every persistent chain."""
     model.chain_v = sample_bernoulli(
         sigmoid(model.chain_h[0] @ model.weights[0].T + model.visible_bias), rng)
+    vw = model.chain_v @ model.weights[0]
     for l in range(model.n_layers):
-        z = _layer_input(model, l, model.chain_v, model.chain_h, model.chain_y)
+        z = _layer_input(model, l, vw, model.chain_h, model.chain_y)
         model.chain_h[l] = sample_bernoulli(sigmoid(z), rng)
     if model.label_dim:
         model.chain_y = _sample_one_of_k(softmax(_label_input(model, model.chain_h[-1])),

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (ClassificationReport, ConfigError, Matrix, ShapeError,
+from .core import (ClassificationReport, ConfigError, Matrix, ShapeError, as_rows,
                    classification_report, label_indices, make_rng, sample_bernoulli,
                    sigmoid)
 from .data import batch_part
@@ -55,7 +55,7 @@ class DbnModel:
 
     def recognition_pass(self, data: Matrix) -> Matrix:
         """Deterministic upward pass through the lower layers."""
-        h = np.asarray(data, dtype=np.float64)
+        h = as_rows(data, self.recognition[0].n_v if self.recognition else self.feature_dim)
         for layer in self.recognition:
             h = sigmoid(h @ layer.w + layer.b_h)
         return h
@@ -148,10 +148,6 @@ def predict_dbn(model: DbnModel, data: Matrix) -> Matrix:
     """
     if model.label_dim == 0:
         raise ConfigError("model was pretrained without labels")
-    data = np.asarray(data, dtype=np.float64)
-    width = model.recognition[0].n_v if model.recognition else model.feature_dim
-    if data.shape[1] != width:
-        raise ShapeError(f"input width {data.shape[1]} != {width}")
     feats = model.recognition_pass(data)
     top_v = np.hstack([feats, np.zeros((feats.shape[0], model.label_dim))])
     h = sigmoid(top_v @ model.top.w + model.top.b_h)

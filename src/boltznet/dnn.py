@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ActivationKind, ClassificationReport, ConfigError, LossKind,
-                   Matrix, ShapeError, activate, activation_derivative,
+                   Matrix, ShapeError, activate, activation_derivative, as_rows,
                    classification_report, label_indices)
 from .data import batch_part
 from .optim import ParamGroup, run_epochs
@@ -56,10 +56,7 @@ def pretrain_stack(sizes, batches, cfg: TrainConfig, pretrain: bool = True) -> L
 
 def forward(stack: LayerStack, batch: Matrix) -> ForwardTrace:
     """Full forward pass keeping every activation."""
-    a = np.asarray(batch, dtype=np.float64)
-    if a.shape[1] != stack.layers[0].n_v:
-        raise ShapeError(f"input width {a.shape[1]} != {stack.layers[0].n_v}")
-    activations = [a]
+    activations = [as_rows(batch, stack.layers[0].n_v)]
     for layer in stack.layers:
         activations.append(activate(activations[-1] @ layer.w + layer.b_h,
                                     layer.activation))

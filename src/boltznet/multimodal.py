@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .autoencoder import AeModel, build_symmetric, fine_tune_mse, reconstruct
-from .core import ConfigError, Matrix, ShapeError, make_rng
+from .core import ConfigError, Matrix, ShapeError, as_rows, make_rng
 from .data import make_batches, shuffle_paired
 from .rbm import TrainConfig
 
@@ -89,9 +89,7 @@ def _joined_batches(scale_a: ModalScale, scale_b: ModalScale, data_a: Matrix,
 def predict_modal(model: BimodalAe, given_a: Matrix) -> Matrix:
     """Predict modality b from modality a by reconstructing with the b
     slots zero-filled. The output is in modality b's original scale."""
-    given_a = np.asarray(given_a, dtype=np.float64)
-    if given_a.shape[1] != model.dim_a:
-        raise ShapeError(f"input width {given_a.shape[1]} != {model.dim_a}")
+    given_a = as_rows(given_a, model.dim_a)
     x = np.hstack([model.scale_a.forward(given_a),
                    np.zeros((given_a.shape[0], model.dim_b))])
     recon = reconstruct(model.ae, x)
