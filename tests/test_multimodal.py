@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
+from boltznet.autoencoder import build_symmetric, fine_tune_mse
 from boltznet.core import ConfigError, ShapeError, make_rng
-from boltznet.multimodal import modal_error_rate, predict_modal, train_bimodal
+from boltznet.data import make_batches, shuffle_paired
+from boltznet.multimodal import (ModalScale, modal_error_rate, predict_modal,
+                                 train_bimodal)
 from boltznet.rbm import TrainConfig
 
 
@@ -43,6 +48,34 @@ class TestTrainBimodal:
         a = smooth_patterns(50, 10, seed=5)
         with pytest.raises(ShapeError):
             train_bimodal(a, a, [21, 10], quick_cfg(), denoise_rate=0.3)
+
+
+class TestBimodalReference:
+    def test_matches_hand_built_composition_bitwise(self):
+        # the bimodal model is exactly: scale each modality, join, shuffle
+        # with the config's seed, batch, pretrain symmetrically, fine-tune
+        a = smooth_patterns(30, 5, seed=17)
+        b = smooth_patterns(30, 3, seed=18, basis_seed=101) * 4.0 - 1.0
+        cfg = TrainConfig(epochs=2, lr=0.2, num_batches=4, seed=19)
+        model = train_bimodal(a, b, [8, 5, 3], cfg, denoise_rate=0.3,
+                              fine_tune_epochs=3)
+
+        scale_a = ModalScale(float(a.min()), float(a.max()))
+        scale_b = ModalScale(float(b.min()), float(b.max()))
+        joined = np.hstack([scale_a.forward(a), scale_b.forward(b)])
+        joined, _ = shuffle_paired(joined, joined, make_rng(19))
+        batches = make_batches(joined, None, 4)
+        ref = build_symmetric([8, 5, 3], batches, cfg, denoise_rate=0.3)
+        fine_tune_mse(ref, batches, replace(cfg, epochs=3))
+
+        assert (model.dim_a, model.dim_b) == (5, 3)
+        assert (model.scale_a, model.scale_b) == (scale_a, scale_b)
+        assert model.ae.denoise_rate == 0.3
+        assert len(model.ae.stack.layers) == len(ref.stack.layers) == 4
+        for got, want in zip(model.ae.stack.layers, ref.stack.layers):
+            assert got.activation == want.activation
+            for name in ("w", "b_v", "b_h"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
 class TestPredictModal:
