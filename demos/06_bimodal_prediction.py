@@ -7,6 +7,8 @@ the reconstruction. Here modality b is a noisy linear mixture of the same
 latent factors as modality a, so it is genuinely predictable.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 import boltznet as bn
@@ -28,9 +30,9 @@ train_a, train_b = sample(1500, seed=7)
 test_a, test_b = sample(300, seed=8)
 
 print("training the bimodal autoencoder (denoise rate 0.3)...")
-model = mm.train_bimodal(train_a, train_b, [36, 24],
-                         bn.TrainConfig(epochs=8, lr=0.3, num_batches=30, seed=3),
-                         denoise_rate=0.3, fine_tune_epochs=200)
+cfg = bn.TrainConfig(epochs=8, lr=0.3, seed=3)
+model, batches = mm.build_bimodal(train_a, train_b, [36, 24], cfg, 30, denoise_rate=0.3)
+bn.fine_tune_mse(model.ae, batches, replace(cfg, epochs=200))
 print(f"modal split: {model.dim_a} + {model.dim_b} inputs")
 
 pred_b = mm.predict_modal(model, test_a)

@@ -20,14 +20,13 @@ from .rbm import (CdGradients, RbmLayer, TrainConfig, cd_step, classify_rbm,
                   energy, free_energy, hidden_given_visible,
                   train_binary, train_classifier_head, train_linear,
                   visible_given_hidden)
-from .dnn import (ForwardTrace, LayerStack, backprop_fine_tune, classify_dnn,
-                  forward, pretrain_stack)
+from .dnn import LayerStack, backprop_fine_tune, classify_dnn, forward, pretrain_stack
 from .dbn import DbnModel, classify_dbn, pretrain_dbn, up_down_fine_tune
 from .autoencoder import (AeModel, build_symmetric, corrupt, fine_tune_mse,
                           reconstruct, reconstruction_error)
 from .dbm import (DbmModel, classify_dbm, dbm_energy, mean_field_states,
                   mean_field_train, pretrain_dbm)
-from .multimodal import BimodalAe, modal_error_rate, predict_modal, train_bimodal
+from .multimodal import BimodalAe, build_bimodal, modal_error_rate, predict_modal
 from .data import (BatchedDataset, FormatError, make_batches, one_of_k, read_cifar10,
                    read_f32be_matrix, read_mnist_images, read_mnist_labels,
                    shuffle_paired)

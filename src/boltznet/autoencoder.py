@@ -85,7 +85,7 @@ def fine_tune_mse(model: AeModel, clean, cfg: TrainConfig, hook=None) -> AeModel
 def reconstruct(model: AeModel, data: Matrix) -> Matrix:
     """Full forward pass; output has the input's shape."""
     data = np.asarray(data, dtype=np.float64)
-    out = forward(model.stack, data).a[-1]
+    out = forward(model.stack, data)[-1]
     if out.shape != data.shape:
         raise ShapeError("reconstruction shape does not match the input")
     return out

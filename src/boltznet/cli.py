@@ -129,7 +129,6 @@ class ExperimentConfig:
     def train_config(self) -> rbm_mod.TrainConfig:
         return rbm_mod.TrainConfig(
             epochs=self.epochs,
-            num_batches=self.num_batches,
             lr=self.lr,
             anneal=AnnealSchedule(_ANNEAL_KINDS[self.anneal], self.anneal_k),
             momentum=MomentumSchedule(self.momentum_early, self.momentum_late,
@@ -402,16 +401,16 @@ def _run_dbm(cfg, batches, train_x, test_x, test_y, out_dir):
 
 
 def _run_bimodal(cfg, batches, train_x, test_x, test_y, out_dir):
-    tc = replace(cfg.train_config(), num_batches=len(batches))
+    tc = cfg.train_config()
     half = train_x.shape[1] // 2
-    data_a, data_b = train_x[:, :half], train_x[:, half:]
     denoise = cfg.denoise if cfg.denoise > 0 else 0.3
-    # pretrain only, then fine-tune here so each epoch can be probed
-    model = mm.train_bimodal(data_a, data_b, cfg.layers, tc,
-                             denoise_rate=denoise, fine_tune_epochs=0)
-    joined, joined_batches = mm._joined_batches(model.scale_a, model.scale_b,
-                                                data_a, data_b, tc)
-    recorder = _Recorder(lambda: {"loss": ae.reconstruction_error(model.ae, joined[:50])})
+    model, joined_batches = mm.build_bimodal(train_x[:, :half], train_x[:, half:],
+                                             cfg.layers, tc, len(batches),
+                                             denoise_rate=denoise)
+    # the first 50 joined rows, which may span several batches
+    rows = [x for x, _ in joined_batches]
+    probe_x = np.vstack(rows[:math.ceil(50 / len(rows[0]))])[:50]
+    recorder = _Recorder(lambda: {"loss": ae.reconstruction_error(model.ae, probe_x)})
     if cfg.fine_tune:
         ae.fine_tune_mse(model.ae, joined_batches, tc, hook=recorder.hook)
     pred_b = mm.predict_modal(model, test_x[:, :half])

@@ -72,8 +72,11 @@ def matrix(values) -> Matrix:
 
 
 def as_rows(data, width: int) -> Matrix:
-    """`data` as float64 rows; ShapeError unless each row is `width` wide."""
+    """`data` as float64 rows; ShapeError unless it is 2-D and each row is
+    `width` wide."""
     rows = np.asarray(data, dtype=np.float64)
+    if rows.ndim != 2:
+        raise ShapeError(f"input must be 2-D rows, got shape {rows.shape}")
     if rows.shape[1] != width:
         raise ShapeError(f"input width {rows.shape[1]} != {width}")
     return rows

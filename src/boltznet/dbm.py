@@ -223,7 +223,9 @@ def mean_field_states(model: DbmModel, data: Matrix, y: Matrix = None,
     v = as_rows(data, model.sizes[0])
     vw = v @ model.weights[0]
     free = y is None
-    y_mu = np.zeros((len(v), model.label_dim)) if free else np.asarray(y, dtype=np.float64)
+    y_mu = np.zeros((len(v), model.label_dim)) if free else as_rows(y, model.label_dim)
+    if len(y_mu) != len(v):
+        raise ShapeError(f"{len(y_mu)} label rows for {len(v)} data rows")
 
     mus = _bottom_up(model, vw, y_mu, sigmoid)
     history = []

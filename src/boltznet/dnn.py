@@ -33,13 +33,6 @@ class LayerStack:
         return self
 
 
-@dataclass
-class ForwardTrace:
-    """Activations a(0..N); a[0] is the input."""
-
-    a: list
-
-
 def pretrain_stack(sizes, batches, cfg: TrainConfig, pretrain: bool = True) -> LayerStack:
     """Build a classifier stack: hidden layers greedily pretrained as RBMs
     (or randomly initialized when pretrain is false) plus a randomly
@@ -54,13 +47,13 @@ def pretrain_stack(sizes, batches, cfg: TrainConfig, pretrain: bool = True) -> L
     return LayerStack(layers=hidden + [head]).check()
 
 
-def forward(stack: LayerStack, batch: Matrix) -> ForwardTrace:
-    """Full forward pass keeping every activation."""
+def forward(stack: LayerStack, batch: Matrix) -> list:
+    """Full forward pass keeping every activation a(0..N); a[0] is the input."""
     activations = [as_rows(batch, stack.layers[0].n_v)]
     for layer in stack.layers:
         activations.append(activate(activations[-1] @ layer.w + layer.b_h,
                                     layer.activation))
-    return ForwardTrace(a=activations)
+    return activations
 
 
 def _output_delta(a_out: Matrix, target: Matrix, loss: LossKind,
@@ -79,19 +72,19 @@ def _output_delta(a_out: Matrix, target: Matrix, loss: LossKind,
 def backprop_gradients(stack: LayerStack, batch: Matrix, target: Matrix,
                        loss: LossKind):
     """Per-layer (dW, db) for the row-averaged loss on one batch."""
-    trace = forward(stack, batch)
+    a = forward(stack, batch)
     m = batch.shape[0]
-    delta = _output_delta(trace.a[-1], target, loss, stack.layers[-1].activation)
+    delta = _output_delta(a[-1], target, loss, stack.layers[-1].activation)
     grads = [None] * len(stack.layers)
     for l in range(len(stack.layers) - 1, -1, -1):
         layer = stack.layers[l]
-        dw = trace.a[l].T @ delta / m
+        dw = a[l].T @ delta / m
         db = delta.mean(axis=0, keepdims=True)
         grads[l] = (dw, db)
         if l > 0:
             below = stack.layers[l - 1]
             delta = (delta @ layer.w.T) * activation_derivative(
-                trace.a[l], below.activation)
+                a[l], below.activation)
     return grads
 
 
@@ -124,7 +117,7 @@ def backprop_fine_tune(stack: LayerStack, data, labels, loss: LossKind,
 
 
 def predict(stack: LayerStack, data: Matrix) -> np.ndarray:
-    return forward(stack, data).a[-1]
+    return forward(stack, data)[-1]
 
 
 def classify_dnn(stack: LayerStack, data: Matrix, labels: Matrix) -> ClassificationReport:

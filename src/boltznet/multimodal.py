@@ -6,11 +6,11 @@ from the other by zero-filling its slots.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .autoencoder import AeModel, build_symmetric, fine_tune_mse, reconstruct
+from .autoencoder import AeModel, build_symmetric, reconstruct
 from .core import ConfigError, Matrix, ShapeError, as_rows, make_rng
 from .data import make_batches, shuffle_paired
 from .rbm import TrainConfig
@@ -47,14 +47,15 @@ class BimodalAe:
         return self
 
 
-def train_bimodal(data_a: Matrix, data_b: Matrix, sizes_half, cfg: TrainConfig,
-                  denoise_rate: float = 0.3, fine_tune_epochs: int = None) -> BimodalAe:
-    """Scale each modality to [0, 1], concatenate row-aligned samples, and
-    train a denoising autoencoder on the result.
+def build_bimodal(data_a: Matrix, data_b: Matrix, sizes_half, cfg: TrainConfig,
+                  num_batches: int, denoise_rate: float = 0.3):
+    """Scale each modality to [0, 1], join row-aligned samples, shuffle
+    them with `cfg.seed`, split them into `num_batches` batches and pretrain
+    a symmetric denoising autoencoder on them: (model, batches).
 
     Corruption is what teaches the network to fill in missing values, so a
-    zero denoise rate is rejected. Pretraining runs `cfg.epochs` epochs and
-    fine-tuning `fine_tune_epochs` (default: the same count).
+    zero denoise rate is rejected. Fine-tune with
+    `fine_tune_mse(model.ae, batches, cfg)`.
     """
     data_a = np.asarray(data_a, dtype=np.float64)
     data_b = np.asarray(data_b, dtype=np.float64)
@@ -68,22 +69,12 @@ def train_bimodal(data_a: Matrix, data_b: Matrix, sizes_half, cfg: TrainConfig,
 
     scale_a = ModalScale(float(data_a.min()), float(data_a.max()))
     scale_b = ModalScale(float(data_b.min()), float(data_b.max()))
-    _, batches = _joined_batches(scale_a, scale_b, data_a, data_b, cfg)
-
-    ae = build_symmetric(sizes_half, batches, cfg, denoise_rate=denoise_rate)
-    fine_tune_mse(ae, batches, cfg if fine_tune_epochs is None
-                  else replace(cfg, epochs=fine_tune_epochs))
-    return BimodalAe(ae=ae, dim_a=dim_a, dim_b=dim_b,
-                     scale_a=scale_a, scale_b=scale_b)
-
-
-def _joined_batches(scale_a: ModalScale, scale_b: ModalScale, data_a: Matrix,
-                    data_b: Matrix, cfg: TrainConfig):
-    """Scale both modalities to [0, 1], join them row by row, shuffle with
-    the config's seed and split into its batches: (joined rows, batches)."""
     joined = np.hstack([scale_a.forward(data_a), scale_b.forward(data_b)])
     joined, _ = shuffle_paired(joined, joined, make_rng(cfg.seed))
-    return joined, make_batches(joined, None, cfg.num_batches)
+    batches = make_batches(joined, None, num_batches)
+    ae = build_symmetric(sizes_half, batches, cfg, denoise_rate=denoise_rate)
+    model = BimodalAe(ae=ae, dim_a=dim_a, dim_b=dim_b, scale_a=scale_a, scale_b=scale_b)
+    return model, batches
 
 
 def predict_modal(model: BimodalAe, given_a: Matrix) -> Matrix:

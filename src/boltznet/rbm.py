@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import (ActivationKind, ClassificationReport, ConfigError, DomainError,
-                   Matrix, Rng, ShapeError, activate, classification_report,
+                   Matrix, Rng, ShapeError, activate, as_rows, classification_report,
                    label_indices, make_rng, sample_bernoulli, sigmoid)
 from .data import _join_labels, batch_part
 from .optim import (AnnealSchedule, MomentumSchedule, ParamGroup, WeightDecaySpec,
@@ -90,7 +90,6 @@ class CdGradients:
 @dataclass
 class TrainConfig:
     epochs: int
-    num_batches: int = 1
     lr: float = 0.1
     anneal: AnnealSchedule = field(default_factory=AnnealSchedule)
     momentum: MomentumSchedule = field(default_factory=MomentumSchedule)
@@ -112,18 +111,12 @@ class TrainConfig:
 
 def hidden_given_visible(rbm: RbmLayer, v: Matrix) -> Matrix:
     """P(h_j = 1 | v) per row: activation(v W + b_h)."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape[1] != rbm.n_v:
-        raise ShapeError(f"visible width {v.shape[1]} != {rbm.n_v}")
-    return activate(v @ rbm.w + rbm.b_h, rbm.activation)
+    return activate(as_rows(v, rbm.n_v) @ rbm.w + rbm.b_h, rbm.activation)
 
 
 def visible_given_hidden(rbm: RbmLayer, h: Matrix) -> Matrix:
     """P(v_i = 1 | h) per row: sigmoid(h W^T + b_v) via the tied weights."""
-    h = np.asarray(h, dtype=np.float64)
-    if h.shape[1] != rbm.n_h:
-        raise ShapeError(f"hidden width {h.shape[1]} != {rbm.n_h}")
-    return sigmoid(h @ rbm.w.T + rbm.b_v)
+    return sigmoid(as_rows(h, rbm.n_h) @ rbm.w.T + rbm.b_v)
 
 
 def _check_binary(x: Matrix, name: str) -> Matrix:
@@ -146,15 +139,13 @@ def energy(rbm: RbmLayer, v: Matrix, h: Matrix) -> float:
 def free_energy(rbm: RbmLayer, x: Matrix) -> float:
     """Effective energy of a visible state with hidden units marginalized:
     F(x) = -sum_i b_v_i x_i - sum_j log(1 + exp(b_h_j + sum_k W_kj x_k))."""
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    if x.shape[1] != rbm.n_v:
-        raise ShapeError(f"visible width {x.shape[1]} != {rbm.n_v}")
+    x = as_rows(np.reshape(x, (1, -1)), rbm.n_v)
     z = x @ rbm.w + rbm.b_h
     return (-(x @ rbm.b_v.T)).item() - float(np.logaddexp(0.0, z).sum())
 
 
 def mean_free_energy(rbm: RbmLayer, data: Matrix) -> float:
-    data = np.asarray(data, dtype=np.float64)
+    data = as_rows(data, rbm.n_v)
     z = data @ rbm.w + rbm.b_h
     per_row = -(data * rbm.b_v).sum(axis=1) - np.logaddexp(0.0, z).sum(axis=1)
     return float(per_row.mean())
@@ -186,11 +177,9 @@ def _cd_step(rbm: RbmLayer, batch: Matrix, k: int, dropout_rate: float, rng: Rng
     A layer with the IDENTITY activation has linear hidden units: identity
     mean plus unit-variance Gaussian noise; any other has sigmoid units.
     """
-    batch = np.asarray(batch, dtype=np.float64)
+    batch = as_rows(batch, rbm.n_v)
     if batch.shape[0] < 1:
         raise DomainError("empty batch")
-    if batch.shape[1] != rbm.n_v:
-        raise ShapeError(f"batch width {batch.shape[1]} != {rbm.n_v}")
     if k < 1:
         raise ConfigError("gibbs step count must be >= 1")
 

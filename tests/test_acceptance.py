@@ -367,16 +367,17 @@ def test_bimodal_substitute_property():
     # stands in for the non-reproducible AvLetters figure: a bimodal
     # autoencoder trained on an identity modality pair predicts the missing
     # modality with small error
-    from boltznet.multimodal import modal_error_rate, predict_modal, train_bimodal
+    from boltznet.multimodal import build_bimodal, modal_error_rate, predict_modal
 
     t0 = time.monotonic()
     basis = make_rng(100).random((6, 20))
     coef = make_rng(7).random((1500, 6))
     coef /= coef.sum(axis=1, keepdims=True)
     data_a = coef @ basis
-    model = train_bimodal(data_a, data_a.copy(), [40, 30],
-                          TrainConfig(epochs=8, lr=0.3, num_batches=30, seed=3),
-                          denoise_rate=0.3, fine_tune_epochs=200)
+    cfg = TrainConfig(epochs=8, lr=0.3, seed=3)
+    model, batches = build_bimodal(data_a, data_a.copy(), [40, 30], cfg, 30,
+                                   denoise_rate=0.3)
+    ae.fine_tune_mse(model.ae, batches, replace(cfg, epochs=200))
     tc = make_rng(8).random((300, 6))
     tc /= tc.sum(axis=1, keepdims=True)
     test_a = tc @ basis

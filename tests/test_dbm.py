@@ -467,3 +467,12 @@ class TestClassify:
             predict_dbm(model, np.zeros((2, 3)))
         with pytest.raises(ShapeError, match="input width 5 != 4"):
             mean_field_states(model, np.zeros((2, 5)))
+        for bad in (np.zeros(4), np.zeros((2, 4, 3))):
+            with pytest.raises(ShapeError, match="2-D rows"):
+                predict_dbm(model, bad)
+        # clamped labels must be label_dim wide, one row per data row
+        x = np.zeros((8, 4))
+        with pytest.raises(ShapeError, match="input width 2 != 3"):
+            mean_field_states(model, x, np.zeros((8, 2)))
+        with pytest.raises(ShapeError, match="7 label rows for 8 data rows"):
+            mean_field_states(model, x, np.zeros((7, 3)))

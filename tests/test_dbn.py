@@ -161,6 +161,9 @@ class TestClassify:
         model = pretrain_dbn([4, 3, 2], batches, batches, TrainConfig(epochs=0, seed=16))
         with pytest.raises(ShapeError, match="input width 3 != 4"):
             predict_dbn(model, np.zeros((2, 3)))
+        for bad in (np.zeros(4), np.zeros((2, 4, 3))):
+            with pytest.raises(ShapeError, match="2-D rows"):
+                predict_dbn(model, bad)
         assert predict_dbn(model, np.zeros((0, 4))).shape == (0, 3)
 
 

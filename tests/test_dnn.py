@@ -63,7 +63,7 @@ class TestForward:
         layers = [RbmLayer(w=np.zeros((4, 3)), b_v=np.zeros((1, 4)),
                            b_h=np.zeros((1, 3)))]
         trace = forward(LayerStack(layers), make_rng(0).random((6, 4)))
-        assert np.all(trace.a[-1] == 0.5)
+        assert np.all(trace[-1] == 0.5)
 
     def test_single_layer_matches_rbm_conditional(self):
         rng = make_rng(4)
@@ -71,18 +71,22 @@ class TestForward:
                          b_h=rng.normal(size=(1, 3)))
         x = rng.random((5, 4))
         trace = forward(LayerStack([layer]), x)
-        np.testing.assert_array_equal(trace.a[-1], hidden_given_visible(layer, x))
+        np.testing.assert_array_equal(trace[-1], hidden_given_visible(layer, x))
 
     def test_trace_shapes(self):
         stack = randomized_stack([5, 6, 4, 3], seed=5)
         x = make_rng(6).random((7, 5))
         trace = forward(stack, x)
-        assert [a.shape for a in trace.a] == [(7, 5), (7, 6), (7, 4), (7, 3)]
+        assert [a.shape for a in trace] == [(7, 5), (7, 6), (7, 4), (7, 3)]
 
     def test_width_mismatch(self):
         stack = randomized_stack([5, 4, 3], seed=7)
         with pytest.raises(ShapeError):
             forward(stack, np.zeros((2, 9)))
+        # a single row and a 3-D array are not rows, even when shape[1] fits
+        for bad in (np.zeros(5), np.zeros((2, 5, 3))):
+            with pytest.raises(ShapeError, match="2-D rows"):
+                predict(stack, bad)
 
 
 class TestBackprop:

@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from boltznet.autoencoder import AeModel, build_symmetric, reconstruct
+from boltznet.autoencoder import AeModel, build_symmetric, fine_tune_mse, reconstruct
 from boltznet.core import ActivationKind, make_rng
 from boltznet.data import (FormatError, make_batches, one_of_k, read_cifar10,
                            read_mnist_images, read_mnist_labels)
@@ -13,7 +13,7 @@ from boltznet.dnn import LayerStack, predict, pretrain_stack
 from boltznet.model_io import (_KINDS, SEC_DENOISE, SEC_GENERATIVE, SEC_KIND,
                                SEC_LABEL_BIAS, SEC_LABEL_DIM, _pack_layer, _pack_section,
                                load_model, save_model)
-from boltznet.multimodal import BimodalAe, predict_modal, train_bimodal
+from boltznet.multimodal import BimodalAe, build_bimodal, predict_modal
 from boltznet.rbm import RbmLayer, TrainConfig
 
 
@@ -72,14 +72,16 @@ def tiny_models():
     batches = toy_batches(n=12, num_batches=2)
     cfg = TrainConfig(epochs=1, seed=11)
     rng = make_rng(12)
+    bimodal_cfg = TrainConfig(epochs=1, seed=13)
+    bimodal, bimodal_batches = build_bimodal(rng.random((12, 3)), rng.random((12, 2)),
+                                             [5, 3], bimodal_cfg, 2)
+    fine_tune_mse(bimodal.ae, bimodal_batches, bimodal_cfg)
     return {
         "stack": pretrain_stack([4, 3, 2], batches, cfg),
         "dbn": pretrain_dbn([4, 3, 2], batches, batches, cfg),
         "ae": build_symmetric([4, 3], batches, cfg, denoise_rate=0.2),
         "dbm": pretrain_dbm([4, 3, 2], batches, cfg, labels=batches),
-        "bimodal": train_bimodal(rng.random((12, 3)), rng.random((12, 2)), [5, 3],
-                                 TrainConfig(epochs=1, num_batches=2, seed=13),
-                                 fine_tune_epochs=1),
+        "bimodal": bimodal,
     }
 
 
@@ -291,9 +293,9 @@ class TestRoundTrips:
         rng = make_rng(5)
         a = rng.random((40, 6))
         b = rng.random((40, 4))
-        model = train_bimodal(a, b, [10, 5],
-                              TrainConfig(epochs=1, lr=0.2, num_batches=4, seed=6),
-                              denoise_rate=0.3, fine_tune_epochs=1)
+        cfg = TrainConfig(epochs=1, lr=0.2, seed=6)
+        model, batches = build_bimodal(a, b, [10, 5], cfg, 4, denoise_rate=0.3)
+        fine_tune_mse(model.ae, batches, cfg)
         save_model(tmp_path / "m", model)
         loaded = load_model(tmp_path / "m")
         assert (loaded.dim_a, loaded.dim_b) == (6, 4)

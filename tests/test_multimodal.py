@@ -6,8 +6,8 @@ from dataclasses import replace
 from boltznet.autoencoder import build_symmetric, fine_tune_mse
 from boltznet.core import ConfigError, ShapeError, make_rng
 from boltznet.data import make_batches, shuffle_paired
-from boltznet.multimodal import (ModalScale, modal_error_rate, predict_modal,
-                                 train_bimodal)
+from boltznet.multimodal import (ModalScale, build_bimodal, modal_error_rate,
+                                 predict_modal)
 from boltznet.rbm import TrainConfig
 
 
@@ -21,33 +21,33 @@ def smooth_patterns(n, dim, seed, parts=6, basis_seed=100):
 
 
 def quick_cfg(epochs=2, seed=3):
-    return TrainConfig(epochs=epochs, lr=0.2, num_batches=10, seed=seed)
+    return TrainConfig(epochs=epochs, lr=0.2, seed=seed)
 
 
 class TestTrainBimodal:
     def test_dimension_bookkeeping(self):
         a = smooth_patterns(100, 26, seed=0)
         b = smooth_patterns(100, 14, seed=1)
-        model = train_bimodal(a, b, [40, 20], quick_cfg(), denoise_rate=0.3,
-                              fine_tune_epochs=1)
+        model, batches = build_bimodal(a, b, [40, 20], quick_cfg(), 10, denoise_rate=0.3)
+        fine_tune_mse(model.ae, batches, quick_cfg(epochs=1))
         assert model.dim_a == 26 and model.dim_b == 14
         assert model.ae.sizes[0] == 40
 
     def test_rejects_zero_denoise_rate(self):
         a = smooth_patterns(50, 10, seed=2)
         with pytest.raises(ConfigError):
-            train_bimodal(a, a, [20, 10], quick_cfg(), denoise_rate=0.0)
+            build_bimodal(a, a, [20, 10], quick_cfg(), 10, denoise_rate=0.0)
 
     def test_rejects_row_mismatch(self):
         a = smooth_patterns(50, 10, seed=3)
         b = smooth_patterns(40, 10, seed=4)
         with pytest.raises(ShapeError):
-            train_bimodal(a, b, [20, 10], quick_cfg(), denoise_rate=0.3)
+            build_bimodal(a, b, [20, 10], quick_cfg(), 10, denoise_rate=0.3)
 
     def test_rejects_wrong_first_size(self):
         a = smooth_patterns(50, 10, seed=5)
         with pytest.raises(ShapeError):
-            train_bimodal(a, a, [21, 10], quick_cfg(), denoise_rate=0.3)
+            build_bimodal(a, a, [21, 10], quick_cfg(), 10, denoise_rate=0.3)
 
 
 class TestBimodalReference:
@@ -56,9 +56,9 @@ class TestBimodalReference:
         # with the config's seed, batch, pretrain symmetrically, fine-tune
         a = smooth_patterns(30, 5, seed=17)
         b = smooth_patterns(30, 3, seed=18, basis_seed=101) * 4.0 - 1.0
-        cfg = TrainConfig(epochs=2, lr=0.2, num_batches=4, seed=19)
-        model = train_bimodal(a, b, [8, 5, 3], cfg, denoise_rate=0.3,
-                              fine_tune_epochs=3)
+        cfg = TrainConfig(epochs=2, lr=0.2, seed=19)
+        model, model_batches = build_bimodal(a, b, [8, 5, 3], cfg, 4, denoise_rate=0.3)
+        fine_tune_mse(model.ae, model_batches, replace(cfg, epochs=3))
 
         scale_a = ModalScale(float(a.min()), float(a.max()))
         scale_b = ModalScale(float(b.min()), float(b.max()))
@@ -82,25 +82,25 @@ class TestPredictModal:
     def test_output_shape(self):
         a = smooth_patterns(80, 12, seed=6)
         b = smooth_patterns(80, 8, seed=7)
-        model = train_bimodal(a, b, [20, 10], quick_cfg(), denoise_rate=0.3,
-                              fine_tune_epochs=1)
+        model, batches = build_bimodal(a, b, [20, 10], quick_cfg(), 10, denoise_rate=0.3)
+        fine_tune_mse(model.ae, batches, quick_cfg(epochs=1))
         pred = predict_modal(model, a[:17])
         assert pred.shape == (17, 8)
 
     def test_zero_filled_modality_never_leaks(self):
         a = smooth_patterns(60, 10, seed=8)
         b = smooth_patterns(60, 10, seed=9)
-        model = train_bimodal(a, b, [20, 12], quick_cfg(), denoise_rate=0.3,
-                              fine_tune_epochs=1)
+        model, batches = build_bimodal(a, b, [20, 12], quick_cfg(), 10, denoise_rate=0.3)
+        fine_tune_mse(model.ae, batches, quick_cfg(epochs=1))
         first = predict_modal(model, a[:5])
         second = predict_modal(model, a[:5])  # nothing persists between calls
         np.testing.assert_array_equal(first, second)
 
     def test_untrained_model_outputs_constant_pattern(self):
         a = smooth_patterns(60, 10, seed=10)
-        model = train_bimodal(a, a.copy(), [20, 8],
-                              TrainConfig(epochs=0, lr=0.2, num_batches=10, seed=1),
-                              denoise_rate=0.3, fine_tune_epochs=0)
+        model, _ = build_bimodal(a, a.copy(), [20, 8],
+                                 TrainConfig(epochs=0, lr=0.2, seed=1), 10,
+                                 denoise_rate=0.3)
         for layer in model.ae.stack.layers:
             layer.w[:] = 0.0
         pred = predict_modal(model, a[:4])
@@ -110,9 +110,9 @@ class TestPredictModal:
     def test_identity_modality_learned(self):
         # modality b is a copy of modality a; the trained network fills it in
         a = smooth_patterns(1500, 20, seed=7)
-        model = train_bimodal(a, a.copy(), [40, 30],
-                              TrainConfig(epochs=8, lr=0.3, num_batches=30, seed=3),
-                              denoise_rate=0.3, fine_tune_epochs=200)
+        cfg = TrainConfig(epochs=8, lr=0.3, seed=3)
+        model, batches = build_bimodal(a, a.copy(), [40, 30], cfg, 30, denoise_rate=0.3)
+        fine_tune_mse(model.ae, batches, replace(cfg, epochs=200))
         test_a = smooth_patterns(300, 20, seed=8)
         pred = predict_modal(model, test_a)
         assert np.abs(pred - test_a).mean() < 0.05
@@ -120,10 +120,13 @@ class TestPredictModal:
 
     def test_width_mismatch(self):
         a = smooth_patterns(50, 10, seed=11)
-        model = train_bimodal(a, a.copy(), [20, 8], quick_cfg(),
-                              denoise_rate=0.3, fine_tune_epochs=0)
+        model, _ = build_bimodal(a, a.copy(), [20, 8], quick_cfg(), 10,
+                                 denoise_rate=0.3)
         with pytest.raises(ShapeError):
             predict_modal(model, np.zeros((2, 9)))
+        for bad in (np.zeros(10), np.zeros((2, 10, 3))):
+            with pytest.raises(ShapeError, match="2-D rows"):
+                predict_modal(model, bad)
 
 
 class TestModalErrorRate:

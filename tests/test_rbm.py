@@ -56,6 +56,11 @@ class TestConditionals:
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
             hidden_given_visible(zero_rbm(3, 2), np.ones((1, 4)))
+        with pytest.raises(ShapeError, match="2-D rows"):
+            hidden_given_visible(zero_rbm(3, 2), np.ones(3))
+        for bad in (np.ones((1, 4)), np.ones(3)):
+            with pytest.raises(ShapeError):
+                mean_free_energy(zero_rbm(3, 2), bad)
 
 
 class TestEnergy:
