@@ -48,7 +48,7 @@ class BimodalAe:
 
 
 def build_bimodal(data_a: Matrix, data_b: Matrix, sizes_half, cfg: TrainConfig,
-                  num_batches: int, denoise_rate: float = 0.3):
+                  num_batches: int, denoise_rate: float = 0.3) -> tuple[BimodalAe, list]:
     """Scale each modality to [0, 1], join row-aligned samples, shuffle
     them with `cfg.seed`, split them into `num_batches` batches and pretrain
     a symmetric denoising autoencoder on them: (model, batches).
