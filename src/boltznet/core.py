@@ -71,13 +71,13 @@ def matrix(values) -> Matrix:
     return m
 
 
-def as_rows(data, width: int) -> Matrix:
-    """`data` as float64 rows; ShapeError unless it is 2-D and each row is
-    `width` wide."""
+def as_rows(data, width: int = None) -> Matrix:
+    """`data` as float64 rows; ShapeError unless it is 2-D and, when `width`
+    is given, each row is `width` wide."""
     rows = np.asarray(data, dtype=np.float64)
     if rows.ndim != 2:
         raise ShapeError(f"input must be 2-D rows, got shape {rows.shape}")
-    if rows.shape[1] != width:
+    if width is not None and rows.shape[1] != width:
         raise ShapeError(f"input width {rows.shape[1]} != {width}")
     return rows
 

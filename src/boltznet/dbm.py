@@ -127,8 +127,9 @@ def _layer_input(model: DbmModel, l: int, vw: Matrix, hs, y: Matrix) -> Matrix:
         return z + model.hidden_biases[l]
     if len(hs) <= l + 1:
         return 2.0 * z + model.hidden_biases[l]
-    return (z + model.hidden_biases[l]
-            + hs[l + 1] @ model.weights[l + 1][:model.weights[l].shape[1]].T)
+    total = z + model.hidden_biases[l]
+    total += hs[l + 1] @ model.weights[l + 1][:model.weights[l].shape[1]].T
+    return total
 
 
 def _label_input(model: DbmModel, h_top: Matrix) -> Matrix:
@@ -214,11 +215,12 @@ def mean_field_states(model: DbmModel, data: Matrix, y: Matrix = None,
 
     Starts from a bottom-up pass with doubled weights (top layer undoubled),
     then iterates the fixed-point updates with the stored weights in both
-    directions until the largest change drops below `tol` or the sweep
-    budget runs out. Returns (mu_list, label_mu), plus the per-sweep
-    max-change sequence when `return_history` is set. The visible units
-    stay clamped, so their drive v @ W1 is computed once per call. Zero
-    rows settle in one sweep to zero-row means.
+    directions. Each row stops once its own largest change (hidden layers and
+    free labels) drops below `tol` or the sweep budget runs out, so its means
+    do not depend on its batchmates. Returns (mu_list, label_mu), plus each
+    sweep's largest change over the rows still settling when `return_history`
+    is set. The visible units stay clamped, so their drive v @ W1 is computed
+    once per call. Zero rows settle in one sweep to zero-row means.
     """
     v = as_rows(data, model.sizes[0])
     vw = v @ model.weights[0]
@@ -228,23 +230,44 @@ def mean_field_states(model: DbmModel, data: Matrix, y: Matrix = None,
         raise ShapeError(f"{len(y_mu)} label rows for {len(v)} data rows")
 
     mus = _bottom_up(model, vw, y_mu, sigmoid)
+    rows = np.arange(len(v))
+    change = np.zeros((model.n_layers + 1, len(v)))  # per layer, then labels, per row
+    settled = []  # (row indices, means per hidden layer + labels) as rows stop
     history = []
-    for _ in range(max_sweeps):
-        max_change = 0.0
+    for sweep in range(max_sweeps):
         for l in range(model.n_layers):
-            new_mu = sigmoid(_layer_input(model, l, vw, mus, y_mu))
-            max_change = max(max_change, float(np.abs(new_mu - mus[l]).max(initial=0.0)))
-            mus[l] = new_mu
+            mus[l] = _advance(mus[l], sigmoid(_layer_input(model, l, vw, mus, y_mu)),
+                              change[l])
         if free and model.label_dim:
-            new_y = softmax(_label_input(model, mus[-1]))
-            max_change = max(max_change, float(np.abs(new_y - y_mu).max(initial=0.0)))
-            y_mu = new_y
-        history.append(max_change)
-        if max_change < tol:
+            y_mu = _advance(y_mu, softmax(_label_input(model, mus[-1])), change[-1])
+        history.append(float(change.max(initial=0.0)))
+        if history[-1] < tol or sweep == max_sweeps - 1:
             break
+        # a lone row has just had its own test; of several, some may stop
+        if len(rows) > 1 and (done := change.max(axis=0) < tol).any():
+            settled.append((rows[done], [m[done] for m in [*mus, y_mu]]))
+            keep = ~done
+            rows, vw, y_mu, change = rows[keep], vw[keep], y_mu[keep], change[:, keep]
+            mus = [m[keep] for m in mus]
+    settled.append((rows, [*mus, y_mu]))
+    if len(settled) > 1:
+        parts = [np.empty((len(v), m.shape[1])) for m in settled[0][1]]
+        for idx, means in settled:
+            for full, m in zip(parts, means):
+                full[idx] = m
+        mus, y_mu = parts[:-1], parts[-1]
     if return_history:
         return mus, y_mu, history
     return mus, y_mu
+
+
+def _advance(old: Matrix, new: Matrix, change: np.ndarray) -> Matrix:
+    """`new`, once each row's largest |new - old| is written to `change`. The
+    difference is taken in `old`'s buffer, which the caller drops."""
+    np.subtract(new, old, out=old)
+    np.abs(old, out=old)
+    old.max(axis=1, initial=0.0, out=change)
+    return new
 
 
 def _gibbs_sweep(model: DbmModel, rng) -> None:

@@ -57,8 +57,7 @@ def build_bimodal(data_a: Matrix, data_b: Matrix, sizes_half, cfg: TrainConfig,
     zero denoise rate is rejected. Fine-tune with
     `fine_tune_mse(model.ae, batches, cfg)`.
     """
-    data_a = np.asarray(data_a, dtype=np.float64)
-    data_b = np.asarray(data_b, dtype=np.float64)
+    data_a, data_b = as_rows(data_a), as_rows(data_b)
     if data_a.shape[0] != data_b.shape[0]:
         raise ShapeError("modalities must be row-aligned (same samples)")
     if denoise_rate <= 0.0:
@@ -92,8 +91,7 @@ def modal_error_rate(pred: Matrix, truth: Matrix) -> float:
 
     Rows whose true norm is zero are excluded (a warning reports how many).
     """
-    pred = np.asarray(pred, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
+    pred, truth = as_rows(pred), as_rows(truth)
     if pred.shape != truth.shape:
         raise ShapeError(f"shape mismatch: {pred.shape} vs {truth.shape}")
     norms = np.linalg.norm(truth, axis=1)

@@ -252,8 +252,7 @@ def _check_one_of_k(t: Matrix) -> None:
 def classifier_head_gradients(head: RbmLayer, features: Matrix, targets: Matrix):
     """Softmax cross-entropy gradients for one batch:
     grad_W = (a^h)^T (c - t) / m and grad_b = mean(c - t)."""
-    if features.shape[1] != head.n_v or targets.shape[1] != head.n_h:
-        raise ShapeError("feature/label widths do not match the head")
+    features, targets = as_rows(features, head.n_v), as_rows(targets, head.n_h)
     m = features.shape[0]
     c = activate(features @ head.w + head.b_h, ActivationKind.SOFTMAX)
     dw = features.T @ (c - targets) / m

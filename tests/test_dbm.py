@@ -287,6 +287,26 @@ class TestMeanFieldReference:
         y = yb if clamp else None
         got = mean_field_states(model, x, y, tol=tol, max_sweeps=max_sweeps,
                                 return_history=True)
+        if tol > 0.0:
+            # each row stops on its own, so the reference settles one row at a
+            # time; one-row and batch products may differ in the last bits
+            per_row = [per_sweep_mean_field(model, x[i:i + 1], None if y is None
+                                            else y[i:i + 1], tol=tol,
+                                            max_sweeps=max_sweeps)
+                       for i in range(len(x))]
+            sweeps = [len(h) for _, _, h in per_row]
+            assert max(sweeps) > 2
+            for l, g in enumerate(got[0]):
+                np.testing.assert_allclose(g, np.vstack([r[0][l] for r in per_row]),
+                                           rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got[1], np.vstack([r[1] for r in per_row]),
+                                       rtol=0, atol=1e-12)
+            want_history = [max(h[s] for _, _, h in per_row if len(h) > s)
+                            for s in range(max(sweeps))]
+            assert len(got[2]) == len(want_history)
+            np.testing.assert_allclose(got[2], want_history, rtol=0, atol=1e-12)
+            return
+        # with tol 0 no row stops early: the batch sweeps as one, bitwise
         want = per_sweep_mean_field(model, x, y, tol=tol, max_sweeps=max_sweeps)
         assert len(want[2]) > 2
         for g, w in zip(got[0], want[0], strict=True):
@@ -294,6 +314,76 @@ class TestMeanFieldReference:
         np.testing.assert_array_equal(np.asarray(got[1]).view(np.int64),
                                       np.asarray(want[1]).view(np.int64))
         assert got[2] == want[2]
+
+
+class TestPerRowStop:
+    """Each row leaves the settle at its own fixed point, so its means do
+    not depend on the rows batched with it."""
+
+    @pytest.fixture(scope="class")
+    def strong(self):
+        batches = toy_batches(seed=35, n=40, dim=6, num_batches=2, classes=3)
+        model = pretrain_dbm([6, 5, 4], batches, TrainConfig(epochs=3, lr=0.5, seed=36),
+                             labels=batches)
+        for w in model.weights:
+            w *= 4.0  # couple the layers strongly enough that rows need different sweeps
+        x = np.vstack([b[0] for b in batches])
+        y = np.vstack([b[1] for b in batches])
+        return model, x, y
+
+    @staticmethod
+    def settle_by(settle, n, size):
+        """`settle` over consecutive slices of `size` rows, stacked."""
+        return np.vstack([settle(slice(i, i + size)) for i in range(0, n, size)])
+
+    def test_predictions_do_not_depend_on_batching(self, strong):
+        model, x, _ = strong
+        sweeps = {len(mean_field_states(model, x[i:i + 1], return_history=True)[2])
+                  for i in range(len(x))}
+        assert len(sweeps) > 1
+        whole = predict_dbm(model, x)
+        for size in (7, 1):
+            np.testing.assert_allclose(
+                self.settle_by(lambda r: predict_dbm(model, x[r]), len(x), size),
+                whole, rtol=0, atol=1e-12)
+
+    def test_clamped_means_do_not_depend_on_batching(self, strong):
+        model, x, y = strong
+        sweeps = {len(mean_field_states(model, x[i:i + 1], y[i:i + 1],
+                                        return_history=True)[2]) for i in range(len(x))}
+        assert len(sweeps) > 1
+        whole = mean_field_states(model, x, y)[0]
+        for size in (7, 1):
+            for l, mu in enumerate(whole):
+                np.testing.assert_allclose(
+                    self.settle_by(lambda r: mean_field_states(model, x[r], y[r])[0][l],
+                                   len(x), size),
+                    mu, rtol=0, atol=1e-12)
+
+    def test_never_writes_the_callers_arrays(self, strong):
+        model, x, y = strong
+        x_before, y_before = x.copy(), y.copy()
+        mean_field_states(model, x)
+        mean_field_states(model, x, y)
+        np.testing.assert_array_equal(x, x_before)
+        np.testing.assert_array_equal(y, y_before)
+
+    def test_early_row_keeps_its_one_row_settle(self):
+        # row 0 saturates layer 1 and settles in one sweep; row 1 sits on a
+        # frustrated pair of units and runs out of the sweep budget
+        model = zero_dbm([2, 1, 1])
+        model.weights[0][:] = [[10.0], [0.0]]
+        model.weights[1][:] = [[-4.0]]
+        for b in model.hidden_biases:
+            b[:] = 2.0
+        x = np.array([[1.0, 0.0], [0.0, 1.0]])
+        mus, _, history = mean_field_states(model, x, return_history=True)
+        assert len(history) == MEAN_FIELD_MAX_SWEEPS and history[-1] >= MEAN_FIELD_TOL
+        for i, sweeps in enumerate([1, MEAN_FIELD_MAX_SWEEPS]):
+            alone, _, h = mean_field_states(model, x[i:i + 1], return_history=True)
+            assert len(h) == sweeps
+            for mu, a in zip(mus, alone, strict=True):
+                np.testing.assert_allclose(mu[i:i + 1], a, rtol=0, atol=1e-12)
 
 
 class TestTraining:
@@ -455,9 +545,10 @@ class TestClassify:
         x = np.zeros((0, 4))
         assert predict_dbm(model, x).shape == (0, 3)
         for y in (None, np.zeros((0, 3))):
-            mus, y_mu = mean_field_states(model, x, y)
-            assert [m.shape for m in mus] == [(0, 3), (0, 2)]
-            assert y_mu.shape == (0, 3)
+            for tol in (MEAN_FIELD_TOL, 0.0):  # tol 0: every sweep runs, over no rows
+                mus, y_mu = mean_field_states(model, x, y, tol=tol)
+                assert [m.shape for m in mus] == [(0, 3), (0, 2)]
+                assert y_mu.shape == (0, 3)
 
     def test_wrong_input_width_is_shape_error(self):
         batches = toy_batches(classes=3)

@@ -44,8 +44,8 @@ GOLDEN = {
            "f9de1acfb90e06e9f9bfb5d9d579220595b92a35831c819d773670bfd0ecb53f"),
     "dae": ("bed09bb3d70dbe2a771108e5a2e933bcad7a2b291e43a82c379b9ce5e2b35596",
            "a24fef044fc3d94371a709972176a00815d41b14a37346aeaa67cb266c35ca5c"),
-    "dbm": ("5483d669a709b7736aa957628f735d1dbf4890dfb296db54eb8e28cdc41e3b58",
-           "eb6cbef47aa99e39200776e46331a4f59247db0ec082df804d55abe5cc1da5e1"),
+    "dbm": ("bd50dec225136067264370adac775cfbd108161a52937fb7f2697b4e6e7cb7ad",
+           "cb5c1f9a405a18b0b0ddfa50f203b680e0d1b88a77eca9cc3b19648659ed464c"),
     "bimodal": ("b77b428b22befa6159b93c59ef6ca645b59acf077237b4d3973d70567f8c23d2",
                "0643f70e7b3ffbae459f567b64ee9ed495d21e2ea8d5d68ccb3857a9a866e5dc"),
 }

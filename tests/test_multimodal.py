@@ -127,6 +127,8 @@ class TestPredictModal:
         for bad in (np.zeros(10), np.zeros((2, 10, 3))):
             with pytest.raises(ShapeError, match="2-D rows"):
                 predict_modal(model, bad)
+        with pytest.raises(ShapeError, match="2-D rows"):
+            build_bimodal(np.zeros(20), a, [30, 8], quick_cfg(), 10, denoise_rate=0.3)
 
 
 class TestModalErrorRate:
@@ -148,6 +150,8 @@ class TestModalErrorRate:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             modal_error_rate(np.zeros((2, 2)), np.zeros((2, 3)))
+        with pytest.raises(ShapeError, match="2-D rows"):
+            modal_error_rate(np.ones(20), np.ones(20))
 
 
 def test_paired_shuffle_preserves_concatenated_rows():

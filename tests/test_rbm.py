@@ -8,10 +8,10 @@ from boltznet.optim import DecayKind, WeightDecaySpec
 from boltznet.oracle import (exact_conditional, exact_likelihood_gradient,
                              exact_partition, finite_difference_gradient,
                              _rbm_energy_grid)
-from boltznet.rbm import (RbmLayer, TrainConfig, cd_step, classify_rbm, energy,
-                          free_energy, hidden_given_visible, mean_free_energy,
-                          train_binary, train_classifier_head, train_linear,
-                          visible_given_hidden)
+from boltznet.rbm import (RbmLayer, TrainConfig, cd_step, classifier_head_gradients,
+                          classify_rbm, energy, free_energy, hidden_given_visible,
+                          mean_free_energy, train_binary, train_classifier_head,
+                          train_linear, visible_given_hidden)
 
 
 def zero_rbm(n_v, n_h):
@@ -61,6 +61,12 @@ class TestConditionals:
         for bad in (np.ones((1, 4)), np.ones(3)):
             with pytest.raises(ShapeError):
                 mean_free_energy(zero_rbm(3, 2), bad)
+        head = zero_rbm(4, 3)
+        for feats, targets in ((np.zeros((1, 5)), np.zeros((1, 3))),
+                               (np.zeros((1, 4)), np.zeros((1, 2))),
+                               (np.zeros(4), np.zeros((1, 3)))):
+            with pytest.raises(ShapeError):
+                classifier_head_gradients(head, feats, targets)
 
 
 class TestEnergy:
