@@ -30,9 +30,9 @@ rbm.train_binary(layer, batches, cfg,
 
 # supervised head: softmax cross-entropy on the hidden probabilities
 head = rbm.RbmLayer.random(500, 10, rng, activation=bn.ActivationKind.SOFTMAX)
-feats = [rbm.hidden_given_visible(layer, b[0]) for b in batches]
+feats = [(rbm.hidden_given_visible(layer, x), y) for x, y in batches]
 print("training the classifier head...")
-rbm.train_classifier_head(head, feats, batches, cfg)
+rbm.train_classifier_head(head, feats, cfg)
 
 report = rbm.classify_rbm(layer, head, test_x, test_y)
 print(f"\ntest error rate: {report.error_rate:.4f} on {report.n_samples} samples")

@@ -28,7 +28,7 @@ pre = dbn.classify_dbn(model, test_x, test_y)
 print(f"pretrain-only test error: {pre.error_rate:.4f}")
 
 print("up-down fine-tuning (wake-sleep + CD at the top, 5 epochs)...")
-dbn.up_down_fine_tune(model, batches, batches,
+dbn.up_down_fine_tune(model, batches,
                       bn.TrainConfig(epochs=5, lr=0.02, seed=1,
                                      momentum=NO_MOMENTUM))
 post = dbn.classify_dbn(model, test_x, test_y)

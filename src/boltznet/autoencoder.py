@@ -66,14 +66,14 @@ def corrupt(batch: Matrix, rate: float, rng: Rng) -> Matrix:
     return batch * mask
 
 
-def fine_tune_mse(model: AeModel, clean, cfg: TrainConfig, hook=None) -> AeModel:
+def fine_tune_mse(model: AeModel, batches, cfg: TrainConfig, hook=None) -> AeModel:
     """Backpropagate the reconstruction MSE through the whole stack,
     updating the layers' arrays in place.
 
     When the model has a denoise rate the input of every batch is freshly
     corrupted each epoch, while the target stays the clean data.
     """
-    clean_batches = batch_part(clean, 0)
+    clean_batches = batch_part(batches, 0)
     rng = make_rng(cfg.seed)
     noisy = ((lambda x: corrupt(x, model.denoise_rate, rng))
              if model.denoise_rate > 0 else None)

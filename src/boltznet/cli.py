@@ -337,17 +337,15 @@ def _run_dnn(cfg, batches, train_x, test_x, test_y, out_dir):
     tc = cfg.train_config()
     stack = dnn_mod.pretrain_stack(cfg.layers, batches, tc, pretrain=True)
     feats = dnn_mod.hidden_features(stack, batches)
-    labels = [b[1] for b in batches]
     recorder = _Recorder(_class_probe(
         lambda x: dnn_mod.predict(stack, x), batches[0][0], batches[0][1],
         test_x, test_y))
     if cfg.fine_tune:
-        rbm_mod.train_classifier_head(stack.layers[-1], feats, labels, tc)
-        dnn_mod.backprop_fine_tune(stack, batches, batches, LossKind.CROSS_ENTROPY,
-                                   tc, hook=recorder.hook)
+        rbm_mod.train_classifier_head(stack.layers[-1], feats, tc)
+        dnn_mod.backprop_fine_tune(stack, batches, LossKind.CROSS_ENTROPY, tc,
+                                   hook=recorder.hook)
     else:
-        rbm_mod.train_classifier_head(stack.layers[-1], feats, labels, tc,
-                                      hook=recorder.hook)
+        rbm_mod.train_classifier_head(stack.layers[-1], feats, tc, hook=recorder.hook)
     report = dnn_mod.classify_dnn(stack, test_x, test_y)
     _filters_pgm(stack.layers[0].w, out_dir)
     return stack, recorder, {"error": report.error_rate, "n": report.n_samples}
@@ -360,7 +358,7 @@ def _run_dbn(cfg, batches, train_x, test_x, test_y, out_dir):
         lambda x: dbn_mod.predict_dbn(model, x), batches[0][0], batches[0][1],
         test_x, test_y))
     if cfg.fine_tune:
-        dbn_mod.up_down_fine_tune(model, batches, batches, tc, hook=recorder.hook)
+        dbn_mod.up_down_fine_tune(model, batches, tc, hook=recorder.hook)
     report = dbn_mod.classify_dbn(model, test_x, test_y)
     _filters_pgm(model.recognition[0].w if model.recognition else model.top.w,
                  out_dir)

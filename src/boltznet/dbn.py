@@ -42,6 +42,10 @@ class DbnModel:
     def feature_dim(self) -> int:
         return self.top.n_v - self.label_dim
 
+    @property
+    def input_dim(self) -> int:
+        return self.recognition[0].n_v if self.recognition else self.feature_dim
+
     def check(self) -> "DbnModel":
         """Raise ShapeError unless the recognition layers chain into the top
         RBM's feature rows and the generative arrays mirror them."""
@@ -55,7 +59,7 @@ class DbnModel:
 
     def recognition_pass(self, data: Matrix) -> Matrix:
         """Deterministic upward pass through the lower layers."""
-        h = as_rows(data, self.recognition[0].n_v if self.recognition else self.feature_dim)
+        h = as_rows(data, self.input_dim)
         for layer in self.recognition:
             h = sigmoid(h @ layer.w + layer.b_h)
         return h
@@ -82,9 +86,10 @@ def _residual_update(w, b, source, target, lr):
     b += lr * residual.mean(axis=0, keepdims=True)
 
 
-def up_down_fine_tune(model: DbnModel, data, labels, cfg: TrainConfig,
+def up_down_fine_tune(model: DbnModel, batches, cfg: TrainConfig,
                       hook=None) -> DbnModel:
-    """Wake-sleep fine-tuning with contrastive divergence at the top.
+    """Wake-sleep fine-tuning with contrastive divergence at the top, on
+    (x, y) batches whose y is read exactly when the model has label units.
 
     Per batch: a sampled up-pass (recognition weights) trains the generative
     weights on its states; a CD-1 step with labels clamped in the positive
@@ -94,8 +99,11 @@ def up_down_fine_tune(model: DbnModel, data, labels, cfg: TrainConfig,
     """
     if model.top is None:
         raise ConfigError("model must be pretrained before fine-tuning")
-    data_batches = batch_part(data, 0)
-    label_batches = batch_part(labels, 1)
+    data_batches = [as_rows(x, model.input_dim) for x in batch_part(batches, 0)]
+    label_batches = ([as_rows(y, model.label_dim) for y in batch_part(batches, 1)]
+                     if model.label_dim else [None] * len(data_batches))
+    if any(y is not None and len(y) != len(x) for x, y in zip(data_batches, label_batches)):
+        raise ShapeError("a label batch's row count differs from its data batch's")
     rng = make_rng(cfg.seed)
     top = model.top
     params = ParamGroup([top.w], [top.b_v, top.b_h], cfg.decay)
@@ -104,7 +112,7 @@ def up_down_fine_tune(model: DbnModel, data, labels, cfg: TrainConfig,
         for x, y in zip(data_batches, label_batches):
             # wake: sample upward, then fit the generative weights to
             # reproduce each layer from the one above
-            states = [np.asarray(x, dtype=np.float64)]
+            states = [x]
             probs = states[-1]
             for layer in model.recognition:
                 probs = sigmoid(states[-1] @ layer.w + layer.b_h)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ActivationKind, ClassificationReport, ConfigError, LossKind,
-                   Matrix, ShapeError, activate, activation_derivative, as_rows,
+                   Matrix, activate, activation_derivative, as_rows,
                    classification_report, label_indices)
 from .data import batch_part
 from .optim import ParamGroup, run_epochs
@@ -104,15 +104,13 @@ def _backprop_epochs(stack: LayerStack, pairs, loss: LossKind, cfg: TrainConfig,
     run_epochs(cfg, params.params, epoch, hook)
 
 
-def backprop_fine_tune(stack: LayerStack, data, labels, loss: LossKind,
-                       cfg: TrainConfig, hook=None) -> LayerStack:
-    """Refine all layers by backpropagation. The layers' arrays are updated
-    in place, so arrays a caller holds change with the model."""
-    data_batches = batch_part(data, 0)
-    label_batches = batch_part(labels, 1)
-    if len(data_batches) != len(label_batches):
-        raise ShapeError("data/label batch counts differ")
-    _backprop_epochs(stack, list(zip(data_batches, label_batches)), loss, cfg, hook)
+def backprop_fine_tune(stack: LayerStack, batches, loss: LossKind, cfg: TrainConfig,
+                       hook=None) -> LayerStack:
+    """Refine all layers by backpropagation on (x, y) batches, y holding the
+    targets. The layers' arrays are updated in place, so arrays a caller
+    holds change with the model."""
+    _backprop_epochs(stack, list(zip(batch_part(batches, 0), batch_part(batches, 1))),
+                     loss, cfg, hook)
     return stack
 
 
@@ -128,8 +126,9 @@ def classify_dnn(stack: LayerStack, data: Matrix, labels: Matrix) -> Classificat
 
 
 def hidden_features(stack: LayerStack, batches):
-    """Propagate batches through every layer except the output head."""
+    """Propagate each (x, y) batch through every layer except the output
+    head: the (features, y) pairs that `train_classifier_head` takes."""
     feats = batch_part(batches, 0)
     for layer in stack.layers[:-1]:
         feats = [hidden_given_visible(layer, f) for f in feats]
-    return feats
+    return list(zip(feats, batch_part(batches, 1)))

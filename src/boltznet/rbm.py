@@ -254,26 +254,26 @@ def classifier_head_gradients(head: RbmLayer, features: Matrix, targets: Matrix)
     grad_W = (a^h)^T (c - t) / m and grad_b = mean(c - t)."""
     features, targets = as_rows(features, head.n_v), as_rows(targets, head.n_h)
     m = features.shape[0]
+    if len(targets) != m:
+        raise ShapeError(f"{m} feature rows for {len(targets)} target rows")
     c = activate(features @ head.w + head.b_h, ActivationKind.SOFTMAX)
     dw = features.T @ (c - targets) / m
     db = (c - targets).mean(axis=0, keepdims=True)
     return dw, db
 
 
-def train_classifier_head(head: RbmLayer, features, labels, cfg: TrainConfig,
+def train_classifier_head(head: RbmLayer, batches, cfg: TrainConfig,
                           hook=None) -> RbmLayer:
-    """Batch gradient descent on softmax cross-entropy with one-of-K targets.
-
-    The head's weight and bias arrays are updated in place."""
-    feature_batches = batch_part(features, 0)
-    label_batches = batch_part(labels, 1)
-    if len(feature_batches) != len(label_batches):
-        raise ShapeError("feature/label batch counts differ")
+    """Batch gradient descent on softmax cross-entropy over (features, y)
+    batches, y holding one-of-K targets. Every y is checked before the
+    first update. The head's weight and bias arrays are updated in place."""
+    pairs = list(zip(batch_part(batches, 0), batch_part(batches, 1)))
+    for _, t in pairs:
+        _check_one_of_k(as_rows(t, head.n_h))
     params = ParamGroup([head.w], [head.b_h], cfg.decay)
 
     def epoch(lr, rho):
-        for f, t in zip(feature_batches, label_batches):
-            _check_one_of_k(t)
+        for f, t in pairs:
             params.step(classifier_head_gradients(head, f, t), lr, rho)
 
     run_epochs(cfg, params.params, epoch, hook)

@@ -159,8 +159,8 @@ def test_criterion_04_rbm_classification(desk10k):
     layer = RbmLayer.random(784, 500, rng)
     rbm_mod.train_binary(layer, desk10k.batches, cfg)
     head = RbmLayer.random(500, 10, rng, activation=ActivationKind.SOFTMAX)
-    feats = [rbm_mod.hidden_given_visible(layer, b[0]) for b in desk10k.batches]
-    rbm_mod.train_classifier_head(head, feats, desk10k.batches, cfg)
+    feats = [(rbm_mod.hidden_given_visible(layer, x), y) for x, y in desk10k.batches]
+    rbm_mod.train_classifier_head(head, feats, cfg)
     report = rbm_mod.classify_rbm(layer, head, desk10k.test_x, desk10k.test_y)
     elapsed = time.monotonic() - t0
     ok = report.error_rate <= 0.12 and elapsed < 600
@@ -174,10 +174,10 @@ def test_criterion_05_dnn_fine_tuning_gain(desk10k):
     cfg = TrainConfig(epochs=6, lr=0.1, seed=0)
     stack = dnn_mod.pretrain_stack([784, 500, 300, 200, 10], desk10k.batches, cfg)
     feats = dnn_mod.hidden_features(stack, desk10k.batches)
-    rbm_mod.train_classifier_head(stack.layers[-1], feats, desk10k.batches, cfg)
+    rbm_mod.train_classifier_head(stack.layers[-1], feats, cfg)
     pre_err = dnn_mod.classify_dnn(stack, desk10k.test_x, desk10k.test_y).error_rate
-    dnn_mod.backprop_fine_tune(stack, desk10k.batches, desk10k.batches,
-                               LossKind.CROSS_ENTROPY, replace(cfg, epochs=12))
+    dnn_mod.backprop_fine_tune(stack, desk10k.batches, LossKind.CROSS_ENTROPY,
+                               replace(cfg, epochs=12))
     ft_err = dnn_mod.classify_dnn(stack, desk10k.test_x, desk10k.test_y).error_rate
     elapsed = time.monotonic() - t0
     ok = ft_err < pre_err and ft_err <= 0.08 and elapsed < 1200
@@ -217,7 +217,7 @@ def test_criterion_07_dbn_fine_tuning_gain(desk10k):
     model = dbn_mod.pretrain_dbn([784, 500, 300], desk10k.batches, desk10k.batches,
                                  TrainConfig(epochs=1, lr=0.1, seed=0))
     pre = dbn_mod.classify_dbn(model, desk10k.test_x, desk10k.test_y).error_rate
-    dbn_mod.up_down_fine_tune(model, desk10k.batches, desk10k.batches,
+    dbn_mod.up_down_fine_tune(model, desk10k.batches,
                               TrainConfig(epochs=5, lr=0.02, seed=1,
                                           momentum=NO_MOMENTUM))
     ft = dbn_mod.classify_dbn(model, desk10k.test_x, desk10k.test_y).error_rate

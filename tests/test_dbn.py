@@ -86,7 +86,7 @@ class TestUpDown:
         batches = toy_data()
         model = pretrain_dbn([4, 3, 2], batches, batches, TrainConfig(epochs=1, seed=5))
         w = model.top.w.copy()
-        up_down_fine_tune(model, batches, batches, TrainConfig(epochs=0, seed=6))
+        up_down_fine_tune(model, batches, TrainConfig(epochs=0, seed=6))
         np.testing.assert_array_equal(model.top.w, w)
         assert not model.fine_tuned
 
@@ -95,12 +95,32 @@ class TestUpDown:
         model = pretrain_dbn([4, 3, 2], batches, batches, TrainConfig(epochs=1, seed=7))
         r0 = model.recognition[0].w.copy()
         g0 = model.generative_w[0].copy()
-        up_down_fine_tune(model, batches, batches,
+        up_down_fine_tune(model, batches,
                           TrainConfig(epochs=1, lr=0.05, seed=8, momentum=NO_MOMENTUM))
         assert not np.allclose(model.recognition[0].w, r0)
         assert not np.allclose(model.generative_w[0], g0)
         assert not np.allclose(model.recognition[0].w.T, model.generative_w[0])
         assert model.fine_tuned
+
+    def test_unlabelled_model_fine_tunes_on_data_alone(self):
+        batches = toy_data()
+        model = pretrain_dbn([4, 3, 2], batches, None, TrainConfig(epochs=1, seed=7))
+        assert model.label_dim == 0
+        r0 = model.recognition[0].w.copy()
+        up_down_fine_tune(model, [(x, None) for x, _ in batches],
+                          TrainConfig(epochs=1, lr=0.05, seed=8, momentum=NO_MOMENTUM))
+        assert not np.allclose(model.recognition[0].w, r0)
+        assert model.fine_tuned
+
+    def test_batches_are_checked_before_the_first_epoch(self):
+        batches = toy_data()
+        model = pretrain_dbn([4, 3, 2], batches, batches, TrainConfig(epochs=1, seed=7))
+        w = model.top.w.copy()
+        x, y = batches[-1]
+        for bad in ((x[:, :3], y), (x, y[:-1])):
+            with pytest.raises(ShapeError):
+                up_down_fine_tune(model, batches[:-1] + [bad], TrainConfig(epochs=1, seed=8))
+        np.testing.assert_array_equal(model.top.w, w)
 
     def test_divergence_in_a_directed_weight_stops_its_epoch(self, monkeypatch):
         # the wake-sleep arrays are checked with the top RBM's after each epoch
@@ -117,7 +137,7 @@ class TestUpDown:
         monkeypatch.setattr(dbn_mod, "_residual_update", planting)
         hooks = []
         with pytest.raises(DivergenceError, match="after epoch 0"):
-            up_down_fine_tune(model, batches, batches, TrainConfig(epochs=3, seed=10),
+            up_down_fine_tune(model, batches, TrainConfig(epochs=3, seed=10),
                               hook=lambda e, lr, rho: hooks.append(e))
         assert updated[7] is model.recognition[1].w
         assert hooks == []

@@ -118,7 +118,7 @@ class TestBackprop:
     def test_zero_epochs_is_identity(self):
         stack = randomized_stack([5, 4, 2], seed=9)
         before = [l.w.copy() for l in stack.layers]
-        backprop_fine_tune(stack, toy_batches(), toy_batches(), LossKind.CROSS_ENTROPY,
+        backprop_fine_tune(stack, toy_batches(), LossKind.CROSS_ENTROPY,
                            TrainConfig(epochs=0, seed=0))
         for w, layer in zip(before, stack.layers):
             np.testing.assert_array_equal(w, layer.w)
@@ -129,7 +129,7 @@ class TestBackprop:
         x = make_rng(11).random((4, 3))
         c = predict(stack, x)
         before = stack.layers[-1].w.copy()
-        backprop_fine_tune(stack, [(x, c)], [(x, c)], LossKind.CROSS_ENTROPY,
+        backprop_fine_tune(stack, [(x, c)], LossKind.CROSS_ENTROPY,
                            TrainConfig(epochs=3, lr=0.5, seed=1))
         np.testing.assert_allclose(stack.layers[-1].w, before, atol=1e-12)
 
@@ -139,7 +139,7 @@ class TestBackprop:
         for lr in (1e-6, 2e-6):
             stack = randomized_stack([5, 4, 2], seed=12)
             w0 = stack.layers[0].w.copy()
-            backprop_fine_tune(stack, batches, batches, LossKind.CROSS_ENTROPY,
+            backprop_fine_tune(stack, batches, LossKind.CROSS_ENTROPY,
                                TrainConfig(epochs=1, lr=lr, seed=2))
             deltas.append(stack.layers[0].w - w0)
         np.testing.assert_allclose(deltas[1], 2.0 * deltas[0], rtol=1e-3)
@@ -152,7 +152,7 @@ class TestBackprop:
         stack = pretrain_stack([4, 5, 2], batches, TrainConfig(epochs=0, seed=14),
                                pretrain=False)
         losses = []
-        backprop_fine_tune(stack, batches, batches, LossKind.CROSS_ENTROPY,
+        backprop_fine_tune(stack, batches, LossKind.CROSS_ENTROPY,
                            TrainConfig(epochs=30, lr=0.1, seed=3),
                            hook=lambda e, lr, rho: losses.append(
                                loss(predict(stack, x), t, LossKind.CROSS_ENTROPY)))
@@ -167,7 +167,7 @@ class TestClassify:
         t = one_of_k(labels, 3)
         stack = pretrain_stack([6, 16, 3], [(x, t)], TrainConfig(epochs=0, seed=16),
                                pretrain=False)
-        backprop_fine_tune(stack, [(x, t)], [(x, t)], LossKind.CROSS_ENTROPY,
+        backprop_fine_tune(stack, [(x, t)], LossKind.CROSS_ENTROPY,
                            TrainConfig(epochs=400, lr=0.5, seed=4))
         report = classify_dnn(stack, x, labels)
         assert report.error_rate == 0.0
@@ -185,7 +185,8 @@ def test_hidden_features_stops_before_head():
     stack = randomized_stack([5, 4, 2], seed=20)
     batches = toy_batches()
     feats = hidden_features(stack, batches)
-    assert all(f.shape[1] == 4 for f in feats)
+    assert all(f.shape[1] == 4 for f, _ in feats)
+    assert all(y is b[1] for (_, y), b in zip(feats, batches))
 
 
 def test_backprop_divergence_raises_at_its_epoch_before_the_hook():
@@ -197,6 +198,6 @@ def test_backprop_divergence_raises_at_its_epoch_before_the_hook():
     hooks = []
     with np.errstate(all="ignore"), pytest.raises(DivergenceError,
                                                   match="after epoch 0"):
-        backprop_fine_tune(stack, batches, batches, LossKind.CROSS_ENTROPY, cfg,
+        backprop_fine_tune(stack, batches, LossKind.CROSS_ENTROPY, cfg,
                            hook=lambda *rec: hooks.append(rec))
     assert hooks == []

@@ -1,12 +1,19 @@
+import inspect
+
 import numpy as np
 import pytest
 
+from boltznet.autoencoder import fine_tune_mse
 from boltznet.core import ConfigError, DivergenceError, DomainError, make_rng
+from boltznet.dbm import mean_field_train
+from boltznet.dbn import up_down_fine_tune
+from boltznet.dnn import backprop_fine_tune
 from boltznet.optim import (NO_DECAY, AnnealKind, AnnealSchedule, DecayKind,
                             MomentumSchedule, ParamGroup, WeightDecaySpec, anneal,
                             apply_update, decay_penalty_gradient, dropout_mask,
                             momentum_coeff, run_epochs)
-from boltznet.rbm import TrainConfig
+from boltznet.rbm import (TrainConfig, train_binary, train_classifier_head,
+                          train_linear)
 
 
 class TestAnneal:
@@ -200,3 +207,15 @@ class TestRunEpochs:
             run_epochs(TrainConfig(epochs=3), [w], step,
                        lambda e, lr, rho: hooks.append(e))
         assert hooks == [0]
+
+    def test_every_trainer_takes_one_batch_list(self):
+        # labels ride in the (x, y) batches, so no trainer takes a second list
+        trainers = [train_binary, train_linear, train_classifier_head, backprop_fine_tune,
+                    fine_tune_mse, up_down_fine_tune, mean_field_train]
+        for trainer in trainers:
+            params = list(inspect.signature(trainer).parameters.values())
+            names = [p.name for p in params]
+            middle = ["loss"] if trainer is backprop_fine_tune else []
+            assert names[1:] == ["batches", *middle, "cfg", "hook"], trainer.__name__
+            assert params[-1].default is None
+            assert not {"data", "labels"} & set(names)

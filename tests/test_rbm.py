@@ -64,7 +64,8 @@ class TestConditionals:
         head = zero_rbm(4, 3)
         for feats, targets in ((np.zeros((1, 5)), np.zeros((1, 3))),
                                (np.zeros((1, 4)), np.zeros((1, 2))),
-                               (np.zeros(4), np.zeros((1, 3)))):
+                               (np.zeros(4), np.zeros((1, 3))),
+                               (np.zeros((5, 4)), np.zeros((4, 3)))):
             with pytest.raises(ShapeError):
                 classifier_head_gradients(head, feats, targets)
 
@@ -304,7 +305,15 @@ class TestClassifierHead:
         feats, labels, head = self.make_toy()
         labels[0, :] = 0.5
         with pytest.raises(DomainError):
-            train_classifier_head(head, [feats], [labels], TrainConfig(epochs=1))
+            train_classifier_head(head, [(feats, labels)], TrainConfig(epochs=1))
+        # a bad last batch is caught before the head learns from the others
+        good = one_of_k(np.zeros((feats.shape[0], 1)), head.n_h)
+        w, b_h = head.w.copy(), head.b_h.copy()
+        with pytest.raises(DomainError):
+            train_classifier_head(head, [(feats, good), (feats, good), (feats, labels)],
+                                  TrainConfig(epochs=1))
+        np.testing.assert_array_equal(head.w, w)
+        np.testing.assert_array_equal(head.b_h, b_h)
 
     def test_divergence_raises_at_its_epoch_before_the_hook(self):
         # a huge L2 penalty overflows the head within epoch 0; no Bernoulli
@@ -318,7 +327,7 @@ class TestClassifierHead:
         hooks = []
         with np.errstate(all="ignore"), pytest.raises(DivergenceError,
                                                       match="after epoch 0"):
-            train_classifier_head(head, feats, labels, cfg,
+            train_classifier_head(head, list(zip(feats, labels)), cfg,
                                   hook=lambda *rec: hooks.append(rec))
         assert hooks == []
 
