@@ -17,11 +17,11 @@ onehot = one_of_k(train_y, 10)
 train_x, onehot = shuffle_paired(train_x, onehot, bn.make_rng(0))
 batches = make_batches(train_x, onehot, 80)
 
-# sizes list the data and hidden widths; the 10 label slots join the top
-# RBM's visible side automatically
+# sizes list the data and hidden widths; with labels=True each batch's 10
+# label slots join the top RBM's visible side
 print("pretraining a 784-300-200 DBN with a label-joined top RBM...")
-model = dbn.pretrain_dbn([784, 300, 200], batches, batches,
-                         bn.TrainConfig(epochs=2, lr=0.1, seed=0))
+model = dbn.pretrain_dbn([784, 300, 200], batches,
+                         bn.TrainConfig(epochs=2, lr=0.1, seed=0), labels=True)
 print(f"top RBM visible width: {model.top.n_v} (= 300 features + 10 labels)")
 
 pre = dbn.classify_dbn(model, test_x, test_y)

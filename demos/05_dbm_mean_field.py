@@ -23,8 +23,7 @@ batches = make_batches(train_x, onehot, 80)
 
 print("pretraining a 784-300-300 DBM (labels join the top layer)...")
 model = dbm.pretrain_dbm([784, 300, 300], batches,
-                         bn.TrainConfig(epochs=2, lr=0.05, seed=0),
-                         labels=batches)
+                         bn.TrainConfig(epochs=2, lr=0.05, seed=0), labels=True)
 print(f"persistent chains: {model.chain_v.shape[0]} (one per batch)")
 
 # sanity: with zero weights the mean-field fixed point is exactly 0.5

@@ -27,9 +27,8 @@ from .autoencoder import (AeModel, build_symmetric, corrupt, fine_tune_mse,
 from .dbm import (DbmModel, classify_dbm, dbm_energy, mean_field_states,
                   mean_field_train, pretrain_dbm)
 from .multimodal import BimodalAe, build_bimodal, modal_error_rate, predict_modal
-from .data import (BatchedDataset, FormatError, make_batches, one_of_k, read_cifar10,
-                   read_f32be_matrix, read_mnist_images, read_mnist_labels,
-                   shuffle_paired)
+from .data import (FormatError, make_batches, one_of_k, read_cifar10, read_f32be_matrix,
+                   read_mnist_images, read_mnist_labels, shuffle_paired)
 from .model_io import load_model, save_model
 
 __version__ = "0.1.0"

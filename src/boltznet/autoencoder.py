@@ -10,7 +10,6 @@ import numpy as np
 
 from .core import (ConfigError, DomainError, LossKind, Matrix, Rng, ShapeError, loss,
                    make_rng)
-from .data import batch_part
 from .dnn import LayerStack, _backprop_epochs, forward
 from .rbm import RbmLayer, TrainConfig, _pretrain_layers
 
@@ -73,11 +72,10 @@ def fine_tune_mse(model: AeModel, batches, cfg: TrainConfig, hook=None) -> AeMod
     When the model has a denoise rate the input of every batch is freshly
     corrupted each epoch, while the target stays the clean data.
     """
-    clean_batches = batch_part(batches, 0)
     rng = make_rng(cfg.seed)
     noisy = ((lambda x: corrupt(x, model.denoise_rate, rng))
              if model.denoise_rate > 0 else None)
-    _backprop_epochs(model.stack, [(t, t) for t in clean_batches], LossKind.MSE,
+    _backprop_epochs(model.stack, [(x, x) for x, _ in batches], LossKind.MSE,
                      cfg, hook, noisy)
     return model
 

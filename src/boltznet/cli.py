@@ -353,7 +353,7 @@ def _run_dnn(cfg, batches, train_x, test_x, test_y, out_dir):
 
 def _run_dbn(cfg, batches, train_x, test_x, test_y, out_dir):
     tc = cfg.train_config()
-    model = dbn_mod.pretrain_dbn(cfg.layers, batches, batches, tc)
+    model = dbn_mod.pretrain_dbn(cfg.layers, batches, tc, labels=True)
     recorder = _Recorder(_class_probe(
         lambda x: dbn_mod.predict_dbn(model, x), batches[0][0], batches[0][1],
         test_x, test_y))
@@ -382,7 +382,7 @@ def _run_dae(cfg, batches, train_x, test_x, test_y, out_dir):
 
 def _run_dbm(cfg, batches, train_x, test_x, test_y, out_dir):
     tc = cfg.train_config()
-    model = dbm_mod.pretrain_dbm(cfg.layers, batches, tc, labels=batches)
+    model = dbm_mod.pretrain_dbm(cfg.layers, batches, tc, labels=True)
     probe_n = min(500, test_x.shape[0])
 
     def label_probs(x):

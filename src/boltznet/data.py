@@ -20,9 +20,6 @@ MNIST_IMAGE_MAGIC = 2051
 MNIST_LABEL_MAGIC = 2049
 CIFAR_RECORD_BYTES = 3073  # 1 label byte + 32*32*3 pixel bytes
 
-# A list of (data, labels) batches; labels may be None for unlabeled sets.
-BatchedDataset = list
-
 
 class FormatError(ValueError):
     """File does not conform to the declared binary format."""
@@ -95,6 +92,8 @@ def read_cifar10(paths: Sequence):
 
 def read_f32be_matrix(path, rows: int, cols: int) -> Matrix:
     """Read big-endian 32-bit floats, widened to 64-bit, row-major."""
+    if rows < 0 or cols < 0:
+        raise DomainError(f"matrix dimensions {rows}x{cols} must not be negative")
     raw = _read_bytes(path)
     needed = 4 * rows * cols
     if len(raw) < needed:
@@ -124,8 +123,9 @@ def shuffle_paired(data: Matrix, labels: Matrix, rng: Rng):
     return data[perm], labels[perm]
 
 
-def make_batches(data: Matrix, labels: Optional[Matrix], num_batches: int) -> BatchedDataset:
-    """Split rows into `num_batches` contiguous batches.
+def make_batches(data: Matrix, labels: Optional[Matrix], num_batches: int) -> list:
+    """Split rows into `num_batches` contiguous (x, y) batches, y None when
+    `labels` is.
 
     All batches hold floor(rows / num_batches) rows except the last, which
     carries any remainder.
@@ -146,23 +146,3 @@ def make_batches(data: Matrix, labels: Optional[Matrix], num_batches: int) -> Ba
         batches.append((data[lo:hi], lab))
     return batches
 
-
-def batch_part(batches, part: int):
-    """Pull one side out of a batch list whose elements may be bare matrices
-    or (data, labels) tuples."""
-    out = []
-    for b in batches:
-        if isinstance(b, tuple):
-            if part >= len(b) or b[part] is None:
-                raise ShapeError("batch is missing the requested component")
-            out.append(b[part])
-        else:
-            out.append(b)
-    return out
-
-
-def _join_labels(feats, label_batches):
-    """Each feature batch with its label batch appended column-wise."""
-    if len(label_batches) != len(feats):
-        raise ShapeError("data/label batch counts differ")
-    return [np.hstack([f, y]) for f, y in zip(feats, label_batches)]

@@ -17,7 +17,6 @@ import numpy as np
 from .core import (ClassificationReport, ConfigError, Matrix,
                    ShapeError, as_rows, classification_report, label_indices, make_rng,
                    sample_bernoulli, sigmoid, softmax)
-from .data import batch_part
 from .optim import (NO_DECAY, NO_MOMENTUM, AnnealKind, AnnealSchedule, ParamGroup,
                     run_epochs)
 from .rbm import TrainConfig, _check_binary, _check_chain, _pretrain_layers
@@ -167,19 +166,19 @@ def dbm_energy(model: DbmModel, v: Matrix, h_list, y: Matrix = None) -> float:
     return total
 
 
-def pretrain_dbm(sizes, data, cfg: TrainConfig, labels=None) -> DbmModel:
-    """Stacked-RBM pretraining with adjusted weights.
+def pretrain_dbm(sizes, batches, cfg: TrainConfig, labels=False) -> DbmModel:
+    """Stacked-RBM pretraining with adjusted weights, on (x, y) batches.
 
     The first RBM trains with a doubled upward pass (2 W up, W^T down); the
     intermediate RBMs train normally and store half their weights and
     hidden biases; the last RBM trains with a doubled downward pass (W up,
-    2 W^T down) on [top features || labels]. Persistent chains start from a
-    stochastic bottom-up pass of the pretrained model, one chain per batch.
+    2 W^T down) on [top features || y] when `labels` is set. Persistent
+    chains start from a stochastic bottom-up pass, one chain per batch.
     """
     if len(sizes) < 3:
         raise ConfigError("a DBM needs at least two hidden layers")
     scales = [(2.0, 1.0)] + [(1.0, 1.0)] * (len(sizes) - 3) + [(1.0, 2.0)]
-    layers, rng = _pretrain_layers(sizes, data, cfg, labels, scales)
+    layers, rng = _pretrain_layers(sizes, batches, cfg, labels, scales)
     for layer in layers[1:-1]:
         layer.w *= 0.5
         layer.b_h *= 0.5
@@ -188,20 +187,16 @@ def pretrain_dbm(sizes, data, cfg: TrainConfig, labels=None) -> DbmModel:
                      visible_bias=layers[0].b_v,
                      hidden_biases=[layer.b_h for layer in layers], label_dim=k,
                      label_bias=layers[-1].b_v[:, sizes[-2]:].copy() if k else None)
-    _init_chains(model, data, labels, rng)
+    _init_chains(model, batches, rng)
     return model
 
 
-def _init_chains(model: DbmModel, data, labels, rng) -> None:
+def _init_chains(model: DbmModel, batches, rng) -> None:
     """One fantasy chain per batch, seeded by a stochastic bottom-up pass."""
-    v0 = np.vstack([b[:1] for b in batch_part(data, 0)])
+    v0 = np.vstack([x[:1] for x, _ in batches])
     model.chain_v = sample_bernoulli(np.clip(v0, 0.0, 1.0), rng)
     if model.label_dim:
-        if labels is not None:
-            model.chain_y = np.vstack([y[:1] for y in batch_part(labels, 1)])
-        else:
-            model.chain_y = sample_bernoulli(
-                np.full((v0.shape[0], model.label_dim), 0.5), rng)
+        model.chain_y = np.vstack([y[:1] for _, y in batches])
     model.chain_h = _bottom_up(model, model.chain_v @ model.weights[0], model.chain_y,
                                lambda z: sample_bernoulli(sigmoid(z), rng))
 
@@ -297,10 +292,10 @@ def mean_field_train(model: DbmModel, batches, cfg: TrainConfig,
     """
     if model.chain_v is None:
         raise ConfigError("model must be pretrained before mean-field training")
-    data_batches = batch_part(batches, 0)
-    label_batches = batch_part(batches, 1) if model.label_dim else [None] * len(data_batches)
+    pairs = [(x, as_rows(y, model.label_dim) if model.label_dim else None)
+             for x, y in batches]
     rng = make_rng(cfg.seed)
-    d_total = sum(b.shape[0] for b in data_batches)
+    d_total = sum(len(x) for x, _ in pairs)
     m_chains = model.chain_v.shape[0]
     biases = model.hidden_biases + [model.visible_bias]
     if model.label_dim:
@@ -309,7 +304,7 @@ def mean_field_train(model: DbmModel, batches, cfg: TrainConfig,
 
     def iteration(alpha, rho):
         data = [np.zeros_like(p) for p in params.params]
-        for x, yb in zip(data_batches, label_batches):
+        for x, yb in pairs:
             mus, _ = mean_field_states(model, x, y=yb)
             for total, s in zip(data, _statistics(model, x, mus, yb)):
                 total += s

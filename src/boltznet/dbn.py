@@ -16,7 +16,6 @@ import numpy as np
 from .core import (ClassificationReport, ConfigError, Matrix, ShapeError, as_rows,
                    classification_report, label_indices, make_rng, sample_bernoulli,
                    sigmoid)
-from .data import batch_part
 from .optim import ParamGroup, run_epochs
 from .rbm import RbmLayer, TrainConfig, _cd_gradients, _check_chain, _pretrain_layers
 
@@ -65,13 +64,13 @@ class DbnModel:
         return h
 
 
-def pretrain_dbn(sizes, data, labels, cfg: TrainConfig) -> DbnModel:
-    """Greedy pretraining: lower layers exactly as a DNN stack, then the top
-    RBM on [top features || one-of-K labels] (features alone when `labels`
-    is None)."""
+def pretrain_dbn(sizes, batches, cfg: TrainConfig, labels=False) -> DbnModel:
+    """Greedy pretraining on (x, y) batches: lower layers exactly as a DNN
+    stack, then the top RBM on [top features || one-of-K y] when `labels`
+    is set, on the features alone otherwise."""
     if len(sizes) < 2:
         raise ConfigError("need at least input size and one hidden size")
-    (*lower, top), _ = _pretrain_layers(sizes, data, cfg, labels)
+    (*lower, top), _ = _pretrain_layers(sizes, batches, cfg, labels)
     model = DbnModel(recognition=lower, top=top, label_dim=top.n_v - sizes[-2])
     model.generative_w = [layer.w.T.copy() for layer in lower]
     model.generative_b = [layer.b_v.copy() for layer in lower]
@@ -99,17 +98,16 @@ def up_down_fine_tune(model: DbnModel, batches, cfg: TrainConfig,
     """
     if model.top is None:
         raise ConfigError("model must be pretrained before fine-tuning")
-    data_batches = [as_rows(x, model.input_dim) for x in batch_part(batches, 0)]
-    label_batches = ([as_rows(y, model.label_dim) for y in batch_part(batches, 1)]
-                     if model.label_dim else [None] * len(data_batches))
-    if any(y is not None and len(y) != len(x) for x, y in zip(data_batches, label_batches)):
+    pairs = [(as_rows(x, model.input_dim),
+              as_rows(y, model.label_dim) if model.label_dim else None) for x, y in batches]
+    if any(y is not None and len(y) != len(x) for x, y in pairs):
         raise ShapeError("a label batch's row count differs from its data batch's")
     rng = make_rng(cfg.seed)
     top = model.top
     params = ParamGroup([top.w], [top.b_v, top.b_h], cfg.decay)
 
     def epoch(lr, rho):
-        for x, y in zip(data_batches, label_batches):
+        for x, y in pairs:
             # wake: sample upward, then fit the generative weights to
             # reproduce each layer from the one above
             states = [x]

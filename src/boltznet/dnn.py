@@ -9,9 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ActivationKind, ClassificationReport, ConfigError, LossKind,
-                   Matrix, activate, activation_derivative, as_rows,
+                   Matrix, ShapeError, activate, activation_derivative, as_rows,
                    classification_report, label_indices)
-from .data import batch_part
 from .optim import ParamGroup, run_epochs
 from .rbm import (RbmLayer, TrainConfig, _check_chain, _pretrain_layers,
                   hidden_given_visible)
@@ -107,10 +106,14 @@ def _backprop_epochs(stack: LayerStack, pairs, loss: LossKind, cfg: TrainConfig,
 def backprop_fine_tune(stack: LayerStack, batches, loss: LossKind, cfg: TrainConfig,
                        hook=None) -> LayerStack:
     """Refine all layers by backpropagation on (x, y) batches, y holding the
-    targets. The layers' arrays are updated in place, so arrays a caller
-    holds change with the model."""
-    _backprop_epochs(stack, list(zip(batch_part(batches, 0), batch_part(batches, 1))),
-                     loss, cfg, hook)
+    targets. Every batch is checked against the stack's widths, and each y
+    against its x's row count, before the first update. The layers' arrays
+    are updated in place, so arrays a caller holds change with the model."""
+    pairs = [(as_rows(x, stack.sizes[0]), as_rows(y, stack.sizes[-1]))
+             for x, y in batches]
+    if any(len(y) != len(x) for x, y in pairs):
+        raise ShapeError("a target batch's row count differs from its data batch's")
+    _backprop_epochs(stack, pairs, loss, cfg, hook)
     return stack
 
 
@@ -128,7 +131,7 @@ def classify_dnn(stack: LayerStack, data: Matrix, labels: Matrix) -> Classificat
 def hidden_features(stack: LayerStack, batches):
     """Propagate each (x, y) batch through every layer except the output
     head: the (features, y) pairs that `train_classifier_head` takes."""
-    feats = batch_part(batches, 0)
+    feats = [x for x, _ in batches]
     for layer in stack.layers[:-1]:
         feats = [hidden_given_visible(layer, f) for f in feats]
-    return list(zip(feats, batch_part(batches, 1)))
+    return [(f, y) for f, (_, y) in zip(feats, batches)]

@@ -18,7 +18,6 @@ import numpy as np
 from .core import (ActivationKind, ClassificationReport, ConfigError, DomainError,
                    Matrix, Rng, ShapeError, activate, as_rows, classification_report,
                    label_indices, make_rng, sample_bernoulli, sigmoid)
-from .data import _join_labels, batch_part
 from .optim import (AnnealSchedule, MomentumSchedule, ParamGroup, WeightDecaySpec,
                     dropout_mask, run_epochs)
 
@@ -209,9 +208,8 @@ def cd_step(rbm: RbmLayer, batch: Matrix, k: int, dropout_rate: float,
     return _cd_step(rbm, batch, k, dropout_rate, rng)
 
 
-def _train_rbm(rbm: RbmLayer, batches, cfg: TrainConfig, up_scale: float = 1.0,
+def _train_rbm(rbm: RbmLayer, data_batches, cfg: TrainConfig, up_scale: float = 1.0,
                down_scale: float = 1.0, hook=None) -> RbmLayer:
-    data_batches = batch_part(batches, 0)
     rng = make_rng(cfg.seed)
     params = ParamGroup([rbm.w], [rbm.b_v, rbm.b_h], cfg.decay)
 
@@ -231,8 +229,8 @@ def _train_rbm(rbm: RbmLayer, batches, cfg: TrainConfig, up_scale: float = 1.0,
 def train_binary(rbm: RbmLayer, batches, cfg: TrainConfig, hook=None) -> RbmLayer:
     """CD training with stochastic binary hidden units. The layer's weight
     and bias arrays are updated in place, so arrays a caller holds change
-    with the model."""
-    return _train_rbm(rbm, batches, cfg, hook=hook)
+    with the model. Each (x, y) batch's y is ignored."""
+    return _train_rbm(rbm, [x for x, _ in batches], cfg, hook=hook)
 
 
 def train_linear(rbm: RbmLayer, batches, cfg: TrainConfig, hook=None) -> RbmLayer:
@@ -241,7 +239,7 @@ def train_linear(rbm: RbmLayer, batches, cfg: TrainConfig, hook=None) -> RbmLaye
     unchanged. Marks the layer IDENTITY, so its conditionals and saved
     form match, and updates its arrays in place."""
     rbm.activation = ActivationKind.IDENTITY
-    return _train_rbm(rbm, batches, cfg, hook=hook)
+    return _train_rbm(rbm, [x for x, _ in batches], cfg, hook=hook)
 
 
 def _check_one_of_k(t: Matrix) -> None:
@@ -267,9 +265,9 @@ def train_classifier_head(head: RbmLayer, batches, cfg: TrainConfig,
     """Batch gradient descent on softmax cross-entropy over (features, y)
     batches, y holding one-of-K targets. Every y is checked before the
     first update. The head's weight and bias arrays are updated in place."""
-    pairs = list(zip(batch_part(batches, 0), batch_part(batches, 1)))
+    pairs = [(f, as_rows(t, head.n_h)) for f, t in batches]
     for _, t in pairs:
-        _check_one_of_k(as_rows(t, head.n_h))
+        _check_one_of_k(t)
     params = ParamGroup([head.w], [head.b_h], cfg.decay)
 
     def epoch(lr, rho):
@@ -296,27 +294,33 @@ def pretrain_config(cfg: TrainConfig, layer_index: int) -> TrainConfig:
     return replace(cfg, seed=cfg.seed + layer_index)
 
 
-def _pretrain_layers(sizes, batches, cfg: TrainConfig, labels=None, scales=None,
+def _pretrain_layers(sizes, batches, cfg: TrainConfig, labels=False, scales=None,
                      train: bool = True):
-    """Greedy layer-wise pretraining, shared by every stacked model: one RBM
-    per adjacent size pair, each trained (when `train` is set) on the
-    previous RBM's hidden probabilities. `labels` are joined onto the last
+    """Greedy layer-wise pretraining on (x, y) batches, shared by every
+    stacked model: one RBM per adjacent size pair, each trained (when
+    `train` is set) on the previous RBM's hidden probabilities. When
+    `labels` is set, each batch's y is checked (one-of-K rows, one width, as
+    many rows as its x) before any layer is drawn, and joined onto the last
     RBM's visible side; `scales[i]` gives RBM i's (up, down) pass scales,
     (1, 1) by default.
 
     Returns (layers, rng) so callers can keep drawing from the same stream.
     """
-    rng = make_rng(cfg.seed)
-    label_batches = batch_part(labels, 1) if labels is not None else []
+    label_batches = [as_rows(y) for _, y in batches] if labels else []
     k = label_batches[0].shape[1] if label_batches else 0
+    for (x, _), y in zip(batches, label_batches):
+        if y.shape != (len(x), k):
+            raise ShapeError(f"label batch {y.shape} is not {len(x)} rows of {k} labels")
+        _check_one_of_k(y)
+    rng = make_rng(cfg.seed)
     n = len(sizes) - 1
     layers = [RbmLayer.random(sizes[i] + (k if i == n - 1 else 0), sizes[i + 1], rng,
                               index=i) for i in range(n)]
-    feats = batch_part(batches, 0)
+    feats = [x for x, _ in batches]
     for i, layer in enumerate(layers if train else []):
         up, down = scales[i] if scales else (1.0, 1.0)
         if i == n - 1 and k:
-            feats = _join_labels(feats, label_batches)
+            feats = [np.hstack([f, y]) for f, y in zip(feats, label_batches)]
         _train_rbm(layer, feats, pretrain_config(cfg, i), up_scale=up, down_scale=down)
         if i < n - 1:
             feats = [sigmoid(up * (f @ layer.w) + layer.b_h) for f in feats]

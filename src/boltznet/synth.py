@@ -16,16 +16,20 @@ import numpy as np
 
 from .core import make_rng
 
+SIDE, N_CLASSES = 28, 10  # a 28x28 canvas and ten classes, as MNIST
+PROTOTYPE_SEED, BUMPS = 1234, 4  # each class prototype is 4 Gaussian bumps
+# per-sample jitter: pixel noise std, largest shift, pixel drop rate, lowest scale
+NOISE, MAX_SHIFT, DROP, SCALE_LO = 0.32, 3, 0.22, 0.65
 
-def class_prototypes(n_classes: int = 10, side: int = 28, seed: int = 1234,
-                     bumps: int = 4) -> np.ndarray:
-    rng = make_rng(seed)
-    yy, xx = np.mgrid[0:side, 0:side]
-    protos = np.zeros((n_classes, side, side))
-    for c in range(n_classes):
-        img = np.zeros((side, side))
-        for _ in range(bumps):
-            cy, cx = rng.uniform(4, side - 4, size=2)
+
+def class_prototypes() -> np.ndarray:
+    rng = make_rng(PROTOTYPE_SEED)
+    yy, xx = np.mgrid[0:SIDE, 0:SIDE]
+    protos = np.zeros((N_CLASSES, SIDE, SIDE))
+    for c in range(N_CLASSES):
+        img = np.zeros((SIDE, SIDE))
+        for _ in range(BUMPS):
+            cy, cx = rng.uniform(4, SIDE - 4, size=2)
             sigma = rng.uniform(1.8, 3.5)
             amp = rng.uniform(0.6, 1.0)
             img += amp * np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * sigma ** 2))
@@ -33,29 +37,26 @@ def class_prototypes(n_classes: int = 10, side: int = 28, seed: int = 1234,
     return protos
 
 
-def make_digit_corpus(n_train: int, n_test: int, seed: int = 0, side: int = 28,
-                      n_classes: int = 10, noise: float = 0.32,
-                      max_shift: int = 3, drop: float = 0.22,
-                      scale_lo: float = 0.65):
+def make_digit_corpus(n_train: int, n_test: int, seed: int = 0):
     """(train_x, train_y, test_x, test_y); labels are m x 1 index columns,
     pixels lie in [0, 1].
 
-    The default jitter puts a 500-hidden RBM classifier in the few-percent
+    The jitter puts a 500-hidden RBM classifier in the few-percent
     error regime on a 10k/2k split, leaving visible headroom for the
     fine-tuning stages to improve on pretraining.
     """
-    protos = class_prototypes(n_classes=n_classes, side=side)
+    protos = class_prototypes()
     rng = make_rng(seed)
 
     def sample(n):
-        labels = rng.integers(0, n_classes, size=n)
-        x = np.empty((n, side * side))
+        labels = rng.integers(0, N_CLASSES, size=n)
+        x = np.empty((n, SIDE * SIDE))
         for i, c in enumerate(labels):
-            img = protos[c] * rng.uniform(scale_lo, 1.0)
-            dy, dx = rng.integers(-max_shift, max_shift + 1, size=2)
+            img = protos[c] * rng.uniform(SCALE_LO, 1.0)
+            dy, dx = rng.integers(-MAX_SHIFT, MAX_SHIFT + 1, size=2)
             img = np.roll(np.roll(img, dy, axis=0), dx, axis=1)
-            img = img + noise * rng.standard_normal((side, side))
-            img[rng.random((side, side)) < drop] = 0.0
+            img = img + NOISE * rng.standard_normal((SIDE, SIDE))
+            img[rng.random((SIDE, SIDE)) < DROP] = 0.0
             x[i] = np.clip(img, 0.0, 1.0).reshape(-1)
         return x, labels.astype(np.float64).reshape(-1, 1)
 
@@ -91,13 +92,11 @@ def write_cifar_batch(path, labels: np.ndarray, pixels: np.ndarray) -> None:
     Path(path).write_bytes(records.tobytes())
 
 
-def write_mnist_style_dir(dirpath, n_train: int, n_test: int, seed: int = 0,
-                          **kwargs) -> None:
+def write_mnist_style_dir(dirpath, n_train: int, n_test: int, seed: int = 0) -> None:
     """Generate a corpus and lay it out with the standard MNIST file names."""
     d = Path(dirpath)
     d.mkdir(parents=True, exist_ok=True)
-    train_x, train_y, test_x, test_y = make_digit_corpus(n_train, n_test,
-                                                         seed=seed, **kwargs)
+    train_x, train_y, test_x, test_y = make_digit_corpus(n_train, n_test, seed=seed)
     write_idx_images(d / "train-images-idx3-ubyte", train_x)
     write_idx_labels(d / "train-labels-idx1-ubyte", train_y)
     write_idx_images(d / "t10k-images-idx3-ubyte", test_x)

@@ -9,9 +9,10 @@ test prints which source it ran on.
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from boltznet.core import make_rng
+from boltznet.core import DomainError, ShapeError, make_rng
 from boltznet.data import make_batches, one_of_k, shuffle_paired
 from boltznet.synth import make_digit_corpus
 
@@ -70,3 +71,17 @@ def desk3k():
 @pytest.fixture()
 def rng():
     return make_rng(12345)
+
+
+@pytest.fixture(params=["uniform floats", "short labels", "no labels", "two widths"])
+def bad_label_batches(request):
+    """(x, y) batches whose y cannot be label units, and the error a builder
+    given `labels=True` raises for them."""
+    rng = make_rng(40)
+    x = rng.random((6, 3))
+    y = one_of_k(rng.integers(0, 2, (6, 1)).astype(float), 2)
+    cases = {"uniform floats": ([(x, x)], DomainError),
+             "short labels": ([(x, y[:5])], ShapeError),
+             "no labels": ([(x, None)], ShapeError),
+             "two widths": ([(x, y), (x, np.hstack([y, 0 * y]))], ShapeError)}
+    return cases[request.param]

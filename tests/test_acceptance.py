@@ -214,8 +214,8 @@ def test_criterion_06_dae_improvement_dominance(desk5k):
 
 def test_criterion_07_dbn_fine_tuning_gain(desk10k):
     t0 = time.monotonic()
-    model = dbn_mod.pretrain_dbn([784, 500, 300], desk10k.batches, desk10k.batches,
-                                 TrainConfig(epochs=1, lr=0.1, seed=0))
+    model = dbn_mod.pretrain_dbn([784, 500, 300], desk10k.batches,
+                                 TrainConfig(epochs=1, lr=0.1, seed=0), labels=True)
     pre = dbn_mod.classify_dbn(model, desk10k.test_x, desk10k.test_y).error_rate
     dbn_mod.up_down_fine_tune(model, desk10k.batches,
                               TrainConfig(epochs=5, lr=0.02, seed=1,
@@ -239,8 +239,7 @@ def test_criterion_08_dbm_mean_field_gain(desk3k):
     fixed_ok = all(np.all(m == 0.5) for m in mus)
 
     model = dbm_mod.pretrain_dbm([784, 500, 500], desk3k.batches,
-                                 TrainConfig(epochs=2, lr=0.05, seed=0),
-                                 labels=desk3k.batches)
+                                 TrainConfig(epochs=2, lr=0.05, seed=0), labels=True)
     pre_acc = 1.0 - dbm_mod.classify_dbm(model, desk3k.test_x,
                                          desk3k.test_y).error_rate
     dbm_mod.mean_field_train(model, desk3k.batches,

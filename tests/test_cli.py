@@ -193,12 +193,12 @@ def _toy_batches():
 
 def _dbn():
     batches = _toy_batches()
-    return dbn_mod.pretrain_dbn([4, 3, 2], batches, batches, TrainConfig(epochs=1))
+    return dbn_mod.pretrain_dbn([4, 3, 2], batches, TrainConfig(epochs=1), labels=True)
 
 
 def _dbm():
     batches = _toy_batches()
-    return pretrain_dbm([4, 3, 2], batches, TrainConfig(epochs=1), labels=batches)
+    return pretrain_dbm([4, 3, 2], batches, TrainConfig(epochs=1), labels=True)
 
 
 # every field below was skipped by the per-runner lists of weights the CLI

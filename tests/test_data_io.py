@@ -112,6 +112,13 @@ class TestF32Be:
         with pytest.raises(FormatError):
             read_f32be_matrix(tmp_path / "f", 1, 2)
 
+    @pytest.mark.parametrize("rows, cols", [(-2, 2), (-1, 4)])
+    def test_negative_dimensions_rejected(self, tmp_path, rows, cols):
+        # 16 bytes would pass the size check, as 4 * rows * cols is negative
+        (tmp_path / "f").write_bytes(b"\x00" * 16)
+        with pytest.raises(DomainError, match="must not be negative"):
+            read_f32be_matrix(tmp_path / "f", rows, cols)
+
 
 class TestOneOfK:
     def test_fourth_of_five(self):

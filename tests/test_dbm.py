@@ -10,6 +10,7 @@ from boltznet.dbm import (MEAN_FIELD_MAX_SWEEPS, MEAN_FIELD_TOL, DbmModel,
                           classify_dbm, dbm_energy, mean_field_states,
                           mean_field_train, predict_dbm, pretrain_dbm)
 from boltznet.oracle import dbm_joint, exact_partition
+from boltznet import rbm as rbm_mod
 from boltznet.rbm import TrainConfig
 from boltznet.optim import (NO_MOMENTUM, AnnealKind, AnnealSchedule, MomentumSchedule,
                             anneal)
@@ -86,7 +87,7 @@ class TestPretrain:
 
         rng = make_rng(cfg.seed)
         first = RbmLayer.random(5, 4, rng, index=0)
-        _train_rbm(first, batches, pretrain_config(cfg, 0), up_scale=2.0)
+        _train_rbm(first, [x for x, _ in batches], pretrain_config(cfg, 0), up_scale=2.0)
         feats = [sigmoid(2.0 * (b[0] @ first.w) + first.b_h) for b in batches]
         mid = RbmLayer.random(4, 3, rng, index=1)
         _train_rbm(mid, feats, pretrain_config(cfg, 1))
@@ -96,7 +97,7 @@ class TestPretrain:
     def test_first_and_last_layers_bitwise_with_labels(self):
         batches = toy_batches(dim=5, classes=3)
         cfg = TrainConfig(epochs=2, lr=0.2, seed=12)
-        model = pretrain_dbm([5, 4, 3, 2], batches, cfg, labels=batches)
+        model = pretrain_dbm([5, 4, 3, 2], batches, cfg, labels=True)
         # retrain every RBM by hand: doubled up pass first, doubled down
         # pass last on [features || labels]
         from boltznet.rbm import RbmLayer, _train_rbm, pretrain_config
@@ -105,7 +106,7 @@ class TestPretrain:
         first = RbmLayer.random(5, 4, rng, index=0)
         mid = RbmLayer.random(4, 3, rng, index=1)
         last = RbmLayer.random(3 + 3, 2, rng, index=2)
-        _train_rbm(first, batches, pretrain_config(cfg, 0), up_scale=2.0)
+        _train_rbm(first, [x for x, _ in batches], pretrain_config(cfg, 0), up_scale=2.0)
         feats = [sigmoid(2.0 * (b[0] @ first.w) + first.b_h) for b in batches]
         _train_rbm(mid, feats, pretrain_config(cfg, 1))
         feed = [np.hstack([sigmoid(f @ mid.w + mid.b_h), b[1]])
@@ -136,10 +137,20 @@ class TestPretrain:
         with pytest.raises(ConfigError):
             pretrain_dbm([4, 3], toy_batches(), TrainConfig(epochs=1, seed=7))
 
+    def test_labels_are_checked_before_any_training(self, bad_label_batches,
+                                                    monkeypatch):
+        batches, error = bad_label_batches
+        trained = []
+        monkeypatch.setattr(rbm_mod, "_train_rbm",
+                            lambda *args, **kw: trained.append(args))
+        with pytest.raises(error):
+            pretrain_dbm([3, 4, 2], batches, TrainConfig(epochs=1), labels=True)
+        assert trained == []
+
     def test_label_slots_join_top_weight(self):
         batches = toy_batches(classes=3)
         model = pretrain_dbm([4, 3, 2], batches, TrainConfig(epochs=1, seed=8),
-                             labels=batches)
+                             labels=True)
         assert model.weights[-1].shape == (3 + 3, 2)
         assert model.label_bias.shape == (1, 3)
 
@@ -222,7 +233,7 @@ class TestMeanField:
     def test_given_labels_are_clamped(self):
         batches = toy_batches(classes=3)
         model = pretrain_dbm([4, 3, 2], batches, TrainConfig(epochs=1, seed=8),
-                             labels=batches)
+                             labels=True)
         x, y = batches[0]
         _, y_mu = mean_field_states(model, x, y)
         np.testing.assert_array_equal(y_mu, y)
@@ -280,7 +291,7 @@ class TestMeanFieldReference:
                                                      tol, max_sweeps):
         batches = toy_batches(seed=33, n=24, dim=5, num_batches=3, classes=classes)
         model = pretrain_dbm(sizes, batches, TrainConfig(epochs=3, lr=0.5, seed=34),
-                             labels=batches if classes else None)
+                             labels=bool(classes))
         for w in model.weights:
             w *= 4.0  # couple the layers strongly enough to need several sweeps
         x, yb = batches[1]
@@ -324,7 +335,7 @@ class TestPerRowStop:
     def strong(self):
         batches = toy_batches(seed=35, n=40, dim=6, num_batches=2, classes=3)
         model = pretrain_dbm([6, 5, 4], batches, TrainConfig(epochs=3, lr=0.5, seed=36),
-                             labels=batches)
+                             labels=True)
         for w in model.weights:
             w *= 4.0  # couple the layers strongly enough that rows need different sweeps
         x = np.vstack([b[0] for b in batches])
@@ -395,7 +406,7 @@ class TestTraining:
     def test_update_moves_weights_and_stays_finite(self):
         batches = toy_batches(dim=4, classes=2)
         model = pretrain_dbm([4, 3, 2], batches, TrainConfig(epochs=1, seed=13),
-                             labels=batches)
+                             labels=True)
         w0 = model.weights[0].copy()
         mean_field_train(model, batches,
                          TrainConfig(epochs=3, lr=0.05, seed=14, momentum=NO_MOMENTUM))
@@ -482,7 +493,7 @@ class TestTrainingReference:
     def test_matches_accumulator_update_bitwise(self, sizes, classes):
         batches = toy_batches(seed=23, n=24, dim=5, num_batches=3, classes=classes)
         model = pretrain_dbm(sizes, batches, TrainConfig(epochs=2, lr=0.1, seed=24),
-                             labels=batches if classes else None)
+                             labels=bool(classes))
         reference = copy.deepcopy(model)
         w0 = model.weights[0].copy()
         # momentum and annealing in the config do not reach the update
@@ -503,7 +514,7 @@ class TestTrainingReference:
     def test_hook_sees_step_anneal_and_no_momentum(self):
         batches = toy_batches(classes=2)
         model = pretrain_dbm([4, 3, 2], batches, TrainConfig(epochs=1, seed=26),
-                             labels=batches)
+                             labels=True)
         seen = []
         mean_field_train(model, batches,
                          TrainConfig(epochs=7, lr=0.08, seed=27,
@@ -516,7 +527,7 @@ class TestClassify:
     def test_bias_dominant_label_unit_wins(self):
         batches = toy_batches(classes=3)
         model = pretrain_dbm([4, 3, 2], batches, TrainConfig(epochs=0, seed=17),
-                             labels=batches)
+                             labels=True)
         model.label_bias[:] = [[-30.0, 30.0, -30.0]]
         model.weights[-1][:] = 0.0
         pred = predict_dbm(model, (make_rng(18).random((5, 4)) > 0.5).astype(float))
@@ -525,7 +536,7 @@ class TestClassify:
     def test_deterministic_given_model(self):
         batches = toy_batches(classes=2)
         model = pretrain_dbm([4, 3, 2], batches, TrainConfig(epochs=1, seed=19),
-                             labels=batches)
+                             labels=True)
         data = make_rng(20).random((6, 4))
         labels = make_rng(21).integers(0, 2, (6, 1)).astype(float)
         a = classify_dbm(model, data, labels)
@@ -541,7 +552,7 @@ class TestClassify:
     def test_zero_rows_give_empty_means(self):
         batches = toy_batches(classes=3)
         model = pretrain_dbm([4, 3, 2], batches, TrainConfig(epochs=1, seed=27),
-                             labels=batches)
+                             labels=True)
         x = np.zeros((0, 4))
         assert predict_dbm(model, x).shape == (0, 3)
         for y in (None, np.zeros((0, 3))):
@@ -553,7 +564,7 @@ class TestClassify:
     def test_wrong_input_width_is_shape_error(self):
         batches = toy_batches(classes=3)
         model = pretrain_dbm([4, 3, 2], batches, TrainConfig(epochs=0, seed=28),
-                             labels=batches)
+                             labels=True)
         with pytest.raises(ShapeError, match="input width 3 != 4"):
             predict_dbm(model, np.zeros((2, 3)))
         with pytest.raises(ShapeError, match="input width 5 != 4"):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from boltznet import dbn as dbn_mod
+from boltznet import rbm as rbm_mod
 from boltznet.core import ConfigError, DivergenceError, ShapeError, make_rng, sigmoid
 from boltznet.data import make_batches, one_of_k
 from boltznet.dbn import (DbnModel, classify_dbn, predict_dbn, pretrain_dbn,
@@ -41,32 +42,32 @@ def random_dbn(seed, sizes=(3, 2, 2), untied=True):
 class TestPretrain:
     def test_top_visible_dim_includes_labels(self):
         batches = toy_data(classes=2)
-        model = pretrain_dbn([4, 3, 2], batches, batches, TrainConfig(epochs=1, seed=1))
+        model = pretrain_dbn([4, 3, 2], batches, TrainConfig(epochs=1, seed=1), labels=True)
         assert model.top.n_v == 3 + 2
         assert model.label_dim == 2
 
     def test_degenerates_to_single_label_joined_rbm(self):
         batches = toy_data()
-        model = pretrain_dbn([4, 3], batches, batches, TrainConfig(epochs=1, seed=2))
+        model = pretrain_dbn([4, 3], batches, TrainConfig(epochs=1, seed=2), labels=True)
         assert model.recognition == []
         assert model.top.n_v == 4 + 2
 
     def test_lower_layers_match_shared_pretraining_path(self):
         batches = toy_data()
         cfg = TrainConfig(epochs=2, lr=0.2, seed=3)
-        model = pretrain_dbn([4, 3, 2], batches, batches, cfg)
+        model = pretrain_dbn([4, 3, 2], batches, cfg, labels=True)
         layers, _ = _pretrain_layers([4, 3], batches, cfg)
         np.testing.assert_array_equal(model.recognition[0].w, layers[0].w)
 
     def test_label_joined_top_rbm_bitwise(self):
         batches = toy_data(classes=3)
         cfg = TrainConfig(epochs=2, lr=0.2, seed=9)
-        model = pretrain_dbn([4, 3, 2], batches, batches, cfg)
+        model = pretrain_dbn([4, 3, 2], batches, cfg, labels=True)
         # retrain both RBMs by hand: the top one sees [features || labels]
         rng = make_rng(cfg.seed)
         lower = RbmLayer.random(4, 3, rng, index=0)
         top = RbmLayer.random(3 + 3, 2, rng, index=1)
-        _train_rbm(lower, batches, pretrain_config(cfg, 0))
+        _train_rbm(lower, [x for x, _ in batches], pretrain_config(cfg, 0))
         feed = [np.hstack([sigmoid(x @ lower.w + lower.b_h), y]) for x, y in batches]
         _train_rbm(top, feed, pretrain_config(cfg, 1))
         assert model.label_dim == 3
@@ -74,9 +75,19 @@ class TestPretrain:
                          (model.top.b_h, top.b_h)):
             np.testing.assert_array_equal(got, ref)
 
+    def test_labels_are_checked_before_any_training(self, bad_label_batches,
+                                                    monkeypatch):
+        batches, error = bad_label_batches
+        trained = []
+        monkeypatch.setattr(rbm_mod, "_train_rbm",
+                            lambda *args, **kw: trained.append(args))
+        with pytest.raises(error):
+            pretrain_dbn([3, 4, 2], batches, TrainConfig(epochs=1), labels=True)
+        assert trained == []
+
     def test_generative_weights_start_tied(self):
         batches = toy_data()
-        model = pretrain_dbn([4, 3, 2], batches, batches, TrainConfig(epochs=1, seed=4))
+        model = pretrain_dbn([4, 3, 2], batches, TrainConfig(epochs=1, seed=4), labels=True)
         np.testing.assert_array_equal(model.generative_w[0],
                                       model.recognition[0].w.T)
 
@@ -84,7 +95,7 @@ class TestPretrain:
 class TestUpDown:
     def test_zero_epochs_is_identity(self):
         batches = toy_data()
-        model = pretrain_dbn([4, 3, 2], batches, batches, TrainConfig(epochs=1, seed=5))
+        model = pretrain_dbn([4, 3, 2], batches, TrainConfig(epochs=1, seed=5), labels=True)
         w = model.top.w.copy()
         up_down_fine_tune(model, batches, TrainConfig(epochs=0, seed=6))
         np.testing.assert_array_equal(model.top.w, w)
@@ -92,7 +103,7 @@ class TestUpDown:
 
     def test_recognition_and_generative_untie(self):
         batches = toy_data()
-        model = pretrain_dbn([4, 3, 2], batches, batches, TrainConfig(epochs=1, seed=7))
+        model = pretrain_dbn([4, 3, 2], batches, TrainConfig(epochs=1, seed=7), labels=True)
         r0 = model.recognition[0].w.copy()
         g0 = model.generative_w[0].copy()
         up_down_fine_tune(model, batches,
@@ -104,7 +115,7 @@ class TestUpDown:
 
     def test_unlabelled_model_fine_tunes_on_data_alone(self):
         batches = toy_data()
-        model = pretrain_dbn([4, 3, 2], batches, None, TrainConfig(epochs=1, seed=7))
+        model = pretrain_dbn([4, 3, 2], batches, TrainConfig(epochs=1, seed=7))
         assert model.label_dim == 0
         r0 = model.recognition[0].w.copy()
         up_down_fine_tune(model, [(x, None) for x, _ in batches],
@@ -114,7 +125,7 @@ class TestUpDown:
 
     def test_batches_are_checked_before_the_first_epoch(self):
         batches = toy_data()
-        model = pretrain_dbn([4, 3, 2], batches, batches, TrainConfig(epochs=1, seed=7))
+        model = pretrain_dbn([4, 3, 2], batches, TrainConfig(epochs=1, seed=7), labels=True)
         w = model.top.w.copy()
         x, y = batches[-1]
         for bad in ((x[:, :3], y), (x, y[:-1])):
@@ -125,7 +136,7 @@ class TestUpDown:
     def test_divergence_in_a_directed_weight_stops_its_epoch(self, monkeypatch):
         # the wake-sleep arrays are checked with the top RBM's after each epoch
         batches = toy_data(dim=6, num_batches=2)
-        model = pretrain_dbn([6, 5, 4, 3], batches, batches, TrainConfig(epochs=1, seed=9))
+        model = pretrain_dbn([6, 5, 4, 3], batches, TrainConfig(epochs=1, seed=9), labels=True)
         update, updated = dbn_mod._residual_update, []
 
         def planting(w, b, source, target, lr):
@@ -146,7 +157,7 @@ class TestUpDown:
 class TestClassify:
     def test_bias_dominant_label_slot_wins(self):
         batches = toy_data(classes=3)
-        model = pretrain_dbn([4, 3, 2], batches, batches, TrainConfig(epochs=0, seed=9))
+        model = pretrain_dbn([4, 3, 2], batches, TrainConfig(epochs=0, seed=9), labels=True)
         # make label slot 1 overwhelmingly probable in the reconstruction
         model.top.b_v[:, model.feature_dim:] = [[-20.0, 20.0, -20.0]]
         model.top.w[:] = 0.0
@@ -156,13 +167,13 @@ class TestClassify:
 
     def test_prediction_rows_normalized(self):
         batches = toy_data(classes=3)
-        model = pretrain_dbn([4, 3, 2], batches, batches, TrainConfig(epochs=1, seed=11))
+        model = pretrain_dbn([4, 3, 2], batches, TrainConfig(epochs=1, seed=11), labels=True)
         pred = predict_dbn(model, make_rng(12).random((5, 4)))
         np.testing.assert_allclose(pred.sum(axis=1), 1.0, atol=1e-12)
 
     def test_never_reads_true_labels(self):
         batches = toy_data(classes=2)
-        model = pretrain_dbn([4, 3, 2], batches, batches, TrainConfig(epochs=1, seed=13))
+        model = pretrain_dbn([4, 3, 2], batches, TrainConfig(epochs=1, seed=13), labels=True)
         data = make_rng(14).random((6, 4))
         labels_a = np.zeros((6, 1))
         labels_b = np.ones((6, 1))
@@ -178,7 +189,7 @@ class TestClassify:
 
     def test_wrong_input_width_is_shape_error(self):
         batches = toy_data(classes=3)
-        model = pretrain_dbn([4, 3, 2], batches, batches, TrainConfig(epochs=0, seed=16))
+        model = pretrain_dbn([4, 3, 2], batches, TrainConfig(epochs=0, seed=16), labels=True)
         with pytest.raises(ShapeError, match="input width 3 != 4"):
             predict_dbn(model, np.zeros((2, 3)))
         for bad in (np.zeros(4), np.zeros((2, 4, 3))):

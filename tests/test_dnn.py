@@ -144,6 +144,29 @@ class TestBackprop:
             deltas.append(stack.layers[0].w - w0)
         np.testing.assert_allclose(deltas[1], 2.0 * deltas[0], rtol=1e-3)
 
+    @pytest.mark.parametrize("bad", ["wide", "short"])
+    def test_targets_are_checked_before_the_first_update(self, bad):
+        stack = randomized_stack([5, 4, 2], seed=21)
+        before = [(l.w.copy(), l.b_h.copy()) for l in stack.layers]
+        batches = toy_batches()
+        x, y = batches[-1]
+        batches[-1] = (x, np.hstack([y, 0 * y[:, :1]]) if bad == "wide" else y[:-1])
+        with pytest.raises(ShapeError):
+            backprop_fine_tune(stack, batches, LossKind.CROSS_ENTROPY,
+                               TrainConfig(epochs=1, lr=0.5, seed=5))
+        for (w, b), layer in zip(before, stack.layers):
+            np.testing.assert_array_equal(layer.w, w)
+            np.testing.assert_array_equal(layer.b_h, b)
+
+    def test_bare_batches_are_rejected(self):
+        # a batch is an (x, y) pair; a bare x is not fine-tuned against itself
+        stack = randomized_stack([5, 4, 5], seed=22)
+        w = stack.layers[0].w.copy()
+        with pytest.raises(ValueError):
+            backprop_fine_tune(stack, [toy_batches()[0][0]], LossKind.CROSS_ENTROPY,
+                               TrainConfig(epochs=1, lr=0.5, seed=6))
+        np.testing.assert_array_equal(stack.layers[0].w, w)
+
     def test_loss_trend_on_separable_toy(self):
         rng = make_rng(13)
         x = np.vstack([rng.normal(0.2, 0.05, (40, 4)), rng.normal(0.8, 0.05, (40, 4))])

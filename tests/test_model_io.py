@@ -78,9 +78,9 @@ def tiny_models():
     fine_tune_mse(bimodal.ae, bimodal_batches, bimodal_cfg)
     return {
         "stack": pretrain_stack([4, 3, 2], batches, cfg),
-        "dbn": pretrain_dbn([4, 3, 2], batches, batches, cfg),
+        "dbn": pretrain_dbn([4, 3, 2], batches, cfg, labels=True),
         "ae": build_symmetric([4, 3], batches, cfg, denoise_rate=0.2),
-        "dbm": pretrain_dbm([4, 3, 2], batches, cfg, labels=batches),
+        "dbm": pretrain_dbm([4, 3, 2], batches, cfg, labels=True),
         "bimodal": bimodal,
     }
 
@@ -262,7 +262,7 @@ class TestRoundTrips:
 
     def test_dbn(self, tmp_path):
         batches = toy_batches()
-        model = pretrain_dbn([4, 3, 2], batches, batches, TrainConfig(epochs=1, seed=3))
+        model = pretrain_dbn([4, 3, 2], batches, TrainConfig(epochs=1, seed=3), labels=True)
         save_model(tmp_path / "m", model)
         loaded = load_model(tmp_path / "m")
         assert loaded.label_dim == 2
@@ -276,7 +276,7 @@ class TestRoundTrips:
     def test_dbm_with_chains(self, tmp_path):
         batches = toy_batches()
         model = pretrain_dbm([4, 3, 2], batches, TrainConfig(epochs=1, seed=4),
-                             labels=batches)
+                             labels=True)
         save_model(tmp_path / "m", model)
         loaded = load_model(tmp_path / "m")
         assert loaded.label_dim == 2
@@ -309,7 +309,7 @@ class TestRoundTrips:
 
         batches = toy_batches()
         model = pretrain_dbm([4, 3, 2], batches, TrainConfig(epochs=1, seed=7),
-                             labels=batches)
+                             labels=True)
         save_model(tmp_path / "m", model)
         loaded = load_model(tmp_path / "m")
         cfg = TrainConfig(epochs=1, lr=0.01, seed=8, momentum=NO_MOMENTUM)

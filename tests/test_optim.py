@@ -3,11 +3,11 @@ import inspect
 import numpy as np
 import pytest
 
-from boltznet.autoencoder import fine_tune_mse
+from boltznet.autoencoder import build_symmetric, fine_tune_mse
 from boltznet.core import ConfigError, DivergenceError, DomainError, make_rng
-from boltznet.dbm import mean_field_train
-from boltznet.dbn import up_down_fine_tune
-from boltznet.dnn import backprop_fine_tune
+from boltznet.dbm import mean_field_train, pretrain_dbm
+from boltznet.dbn import pretrain_dbn, up_down_fine_tune
+from boltznet.dnn import backprop_fine_tune, pretrain_stack
 from boltznet.optim import (NO_DECAY, AnnealKind, AnnealSchedule, DecayKind,
                             MomentumSchedule, ParamGroup, WeightDecaySpec, anneal,
                             apply_update, decay_penalty_gradient, dropout_mask,
@@ -219,3 +219,13 @@ class TestRunEpochs:
             assert names[1:] == ["batches", *middle, "cfg", "hook"], trainer.__name__
             assert params[-1].default is None
             assert not {"data", "labels"} & set(names)
+
+    def test_every_builder_takes_one_batch_list(self):
+        # label units come from each batch's y; `labels` only says whether
+        # the model has any
+        for builder in [pretrain_stack, build_symmetric, pretrain_dbn, pretrain_dbm]:
+            params = inspect.signature(builder).parameters
+            assert list(params)[1:3] == ["batches", "cfg"], builder.__name__
+            assert "data" not in params
+        for builder in [pretrain_dbn, pretrain_dbm]:
+            assert inspect.signature(builder).parameters["labels"].default is False
