@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import (ClassificationReport, ConfigError, Matrix,
+from .core import (ClassificationReport, ConfigError, DomainError, Matrix,
                    ShapeError, as_rows, classification_report, label_indices, make_rng,
                    sample_bernoulli, sigmoid, softmax)
 from .optim import (NO_DECAY, NO_MOMENTUM, AnnealKind, AnnealSchedule, ParamGroup,
@@ -283,19 +283,29 @@ def mean_field_train(model: DbmModel, batches, cfg: TrainConfig,
     """Stochastic approximation with variational data statistics.
 
     Each of `cfg.epochs` iterations settles the mean field for every data
-    batch (labels clamped), advances every persistent chain one Gibbs
-    sweep, and applies one update: W_l += alpha_t (data outer products / D
-    - chain outer products / M). Biases move with the corresponding mean
-    differences. The update is plain SGD on `cfg.lr`, always STEP-annealed
-    and without momentum or weight decay, and changes the model's arrays
-    in place; the hook reports momentum 0.0.
+    row (labels clamped), advances every persistent chain one Gibbs sweep,
+    and applies one update: W_l += alpha_t (data outer products / D - chain
+    outer products / M). Biases move with the corresponding mean
+    differences. Rows settle independently and the data term sums over
+    them, so consecutive batches settle together in groups of at least the
+    widest hidden layer's row count (the last may hold fewer): enough rows
+    to fill the GEMMs, with working arrays about one weight matrix in size.
+    Every batch is checked before the first update. The update is plain SGD
+    on `cfg.lr`, always STEP-annealed and without momentum or weight decay,
+    and changes the model's arrays in place; the hook reports momentum 0.0.
     """
     if model.chain_v is None:
         raise ConfigError("model must be pretrained before mean-field training")
-    pairs = [(x, as_rows(y, model.label_dim) if model.label_dim else None)
+    pairs = [(as_rows(x, model.sizes[0]),
+              as_rows(y, model.label_dim) if model.label_dim else None)
              for x, y in batches]
+    for x, y in pairs:
+        if y is not None and len(y) != len(x):
+            raise ShapeError(f"{len(y)} label rows for {len(x)} data rows")
     rng = make_rng(cfg.seed)
     d_total = sum(len(x) for x, _ in pairs)
+    if d_total == 0:
+        raise DomainError("mean-field training needs at least one data row")
     m_chains = model.chain_v.shape[0]
     biases = model.hidden_biases + [model.visible_bias]
     if model.label_dim:
@@ -304,7 +314,7 @@ def mean_field_train(model: DbmModel, batches, cfg: TrainConfig,
 
     def iteration(alpha, rho):
         data = [np.zeros_like(p) for p in params.params]
-        for x, yb in pairs:
+        for x, yb in _row_groups(pairs, max(model.sizes[1:])):
             mus, _ = mean_field_states(model, x, y=yb)
             for total, s in zip(data, _statistics(model, x, mus, yb)):
                 total += s
@@ -316,6 +326,23 @@ def mean_field_train(model: DbmModel, batches, cfg: TrainConfig,
     run_epochs(replace(cfg, anneal=AnnealSchedule(AnnealKind.STEP),
                        momentum=NO_MOMENTUM), params.params, iteration, hook)
     return model
+
+
+def _row_groups(pairs, rows: int):
+    """Consecutive (x, y) pairs joined into groups of at least `rows` rows,
+    the last one possibly fewer, built one at a time. A group of one pair is
+    that pair, uncopied."""
+    group, n = [], 0
+    for i, pair in enumerate(pairs):
+        group.append(pair)
+        n += len(pair[0])
+        if n >= rows or i == len(pairs) - 1:
+            if len(group) == 1:
+                yield group[0]
+            else:
+                xs, ys = zip(*group)
+                yield np.vstack(xs), None if ys[0] is None else np.vstack(ys)
+            group, n = [], 0
 
 
 def predict_dbm(model: DbmModel, data: Matrix) -> Matrix:

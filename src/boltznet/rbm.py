@@ -305,7 +305,10 @@ def _pretrain_layers(sizes, batches, cfg: TrainConfig, labels=False, scales=None
     (1, 1) by default.
 
     Returns (layers, rng) so callers can keep drawing from the same stream.
+    An empty batch list raises DomainError before any layer is drawn.
     """
+    if not batches:
+        raise DomainError("pretraining needs at least one batch")
     label_batches = [as_rows(y) for _, y in batches] if labels else []
     k = label_batches[0].shape[1] if label_batches else 0
     for (x, _), y in zip(batches, label_batches):

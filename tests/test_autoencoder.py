@@ -45,6 +45,10 @@ class TestBuildSymmetric:
         with pytest.raises(ConfigError):
             build_symmetric([6], toy_batches(), TrainConfig(epochs=0, seed=0))
 
+    def test_empty_batch_list_is_domain_error(self):
+        with pytest.raises(DomainError, match="at least one batch"):
+            build_symmetric([6, 4, 3], [], TrainConfig(epochs=1, seed=0))
+
 
 class TestCorrupt:
     def test_rate_zero_identity(self):

@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from boltznet.dbm import (MEAN_FIELD_MAX_SWEEPS, MEAN_FIELD_TOL, DbmModel,
                           classify_dbm, dbm_energy, mean_field_states,
                           mean_field_train, predict_dbm, pretrain_dbm)
 from boltznet.oracle import dbm_joint, exact_partition
+from boltznet import dbm as dbm_mod
 from boltznet import rbm as rbm_mod
 from boltznet.rbm import TrainConfig
 from boltznet.optim import (NO_MOMENTUM, AnnealKind, AnnealSchedule, MomentumSchedule,
@@ -146,6 +148,10 @@ class TestPretrain:
         with pytest.raises(error):
             pretrain_dbm([3, 4, 2], batches, TrainConfig(epochs=1), labels=True)
         assert trained == []
+
+    def test_empty_batch_list_is_domain_error(self):
+        with pytest.raises(DomainError, match="at least one batch"):
+            pretrain_dbm([3, 4, 2], [], TrainConfig(epochs=1))
 
     def test_label_slots_join_top_weight(self):
         batches = toy_batches(classes=3)
@@ -413,6 +419,30 @@ class TestTraining:
         assert not np.allclose(model.weights[0], w0)
         assert all(np.all(np.isfinite(w)) for w in model.weights)
 
+    @pytest.mark.parametrize("make_batches_for, error, match", [
+        # label rows 5 + 7 against data rows 6 + 6: equal in total only
+        (lambda x, y: [(x[:6], y[:5]), (x[6:], y[5:])], ShapeError,
+         "5 label rows for 6 data rows"),
+        (lambda x, y: [(x[:6], y[:6]), (x[6:, :4], y[6:])], ShapeError,
+         "input width 4 != 5"),
+        (lambda x, y: [], DomainError, "at least one data row"),
+        (lambda x, y: [(x[:0], y[:0])], DomainError, "at least one data row"),
+    ], ids=["label-rows", "data-width", "no-batches", "zero-rows"])
+    def test_every_batch_is_checked_before_the_first_update(
+            self, make_batches_for, error, match):
+        # 8 hidden units join both 6-row batches into one settle
+        batches = toy_batches(n=12, dim=5, num_batches=2, classes=3)
+        model = pretrain_dbm([5, 8, 3], batches, TrainConfig(epochs=1, seed=31),
+                             labels=True)
+        before = copy.deepcopy(model)
+        x = np.vstack([b[0] for b in batches])
+        y = np.vstack([b[1] for b in batches])
+        with pytest.raises(error, match=match):
+            mean_field_train(model, make_batches_for(x, y),
+                             TrainConfig(epochs=2, lr=0.05, seed=32))
+        for got, want in zip(model_arrays(model), model_arrays(before), strict=True):
+            np.testing.assert_array_equal(got, want)
+
     def test_gradient_structure_matches_enumeration(self):
         # the infinite-sample update direction is the difference of data and
         # model pair expectations; long chains should approach the model term
@@ -441,6 +471,12 @@ class TestTraining:
         cos = ((exact_pair * mc_pair).sum()
                / (np.linalg.norm(exact_pair) * np.linalg.norm(mc_pair)))
         assert cos > 0.9
+
+
+def model_arrays(m):
+    """Every array mean-field training may change: weights, biases, chains."""
+    return (m.weights + m.hidden_biases + [m.visible_bias, m.chain_v] + m.chain_h
+            + ([m.label_bias, m.chain_y] if m.label_dim else []))
 
 
 def accumulator_mean_field_train(model, batches, iterations, lr, seed):
@@ -510,6 +546,52 @@ class TestTrainingReference:
         for got, want in zip(arrays(model), arrays(reference), strict=True):
             np.testing.assert_array_equal(got, want)
         assert not np.array_equal(model.weights[0], w0)
+
+    @pytest.mark.parametrize("classes", [3, 0], ids=["labelled", "unlabelled"])
+    def test_grouped_settle_matches_per_batch_update(self, classes, monkeypatch):
+        # a hidden layer of 7 units joins the eight 3-row batches into
+        # groups of 9, 9 and 6 rows; each row settles alone, so only the
+        # summation order of the data statistics changes, and float64 keeps
+        # that within 1e-12
+        batches = toy_batches(seed=33, n=24, dim=5, num_batches=8, classes=classes)
+        model = pretrain_dbm([5, 7, 6], batches, TrainConfig(epochs=2, lr=0.1, seed=34),
+                             labels=bool(classes))
+        reference = copy.deepcopy(model)
+        w0 = model.weights[0].copy()
+        settled = []
+
+        def spy(m, data, y=None):
+            settled.append(len(data))
+            return mean_field_states(m, data, y)
+
+        monkeypatch.setattr(dbm_mod, "mean_field_states", spy)
+        mean_field_train(model, batches, TrainConfig(epochs=2, lr=0.05, seed=35))
+        accumulator_mean_field_train(reference, batches, 2, 0.05, 35)
+        assert settled == [9, 9, 6] * 2
+        for got, want in zip(model_arrays(model), model_arrays(reference), strict=True):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert not np.array_equal(model.weights[0], w0)
+
+    def test_data_phase_memory_does_not_grow_with_the_data(self):
+        # 400 rows in 4-row batches settle in groups of 16 rows, so the
+        # phase never holds means for every row as one settle would
+        rng = make_rng(36)
+        x = (rng.random((400, 20)) > 0.5).astype(float)
+        batches = make_batches(x, None, 100)
+        model = pretrain_dbm([20, 16, 16], batches, TrainConfig(epochs=0, seed=37))
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        whole = peak(lambda: mean_field_states(model, x))
+        grouped = peak(lambda: mean_field_train(model, batches,
+                                                TrainConfig(epochs=1, lr=0.01, seed=38)))
+        assert grouped < whole / 2
 
     def test_hook_sees_step_anneal_and_no_momentum(self):
         batches = toy_batches(classes=2)

@@ -3,7 +3,8 @@ import pytest
 
 from boltznet import dbn as dbn_mod
 from boltznet import rbm as rbm_mod
-from boltznet.core import ConfigError, DivergenceError, ShapeError, make_rng, sigmoid
+from boltznet.core import (ConfigError, DivergenceError, DomainError, ShapeError,
+                           make_rng, sigmoid)
 from boltznet.data import make_batches, one_of_k
 from boltznet.dbn import (DbnModel, classify_dbn, predict_dbn, pretrain_dbn,
                           up_down_fine_tune)
@@ -84,6 +85,10 @@ class TestPretrain:
         with pytest.raises(error):
             pretrain_dbn([3, 4, 2], batches, TrainConfig(epochs=1), labels=True)
         assert trained == []
+
+    def test_empty_batch_list_is_domain_error(self):
+        with pytest.raises(DomainError, match="at least one batch"):
+            pretrain_dbn([4, 3, 2], [], TrainConfig(epochs=1, seed=5), labels=True)
 
     def test_generative_weights_start_tied(self):
         batches = toy_data()

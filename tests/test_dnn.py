@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from boltznet.core import (ActivationKind, DivergenceError, LossKind, ShapeError, loss,
-                           make_rng)
+from boltznet.core import (ActivationKind, DivergenceError, DomainError, LossKind,
+                           ShapeError, loss, make_rng)
 from boltznet.data import make_batches, one_of_k
 from boltznet.dnn import (LayerStack, backprop_fine_tune, backprop_gradients,
                           classify_dnn, forward, hidden_features, predict,
@@ -56,6 +56,12 @@ class TestPretrainStack:
         init = pretrain_stack([5, 4, 2], batches, cfg, pretrain=False)
         assert not np.allclose(trained.layers[0].w, init.layers[0].w)
         np.testing.assert_array_equal(trained.layers[-1].w, init.layers[-1].w)
+
+    @pytest.mark.parametrize("pretrain", [True, False])
+    def test_empty_batch_list_is_domain_error(self, pretrain):
+        with pytest.raises(DomainError, match="at least one batch"):
+            pretrain_stack([5, 4, 2], [], TrainConfig(epochs=1, seed=4),
+                           pretrain=pretrain)
 
 
 class TestForward:
