@@ -67,7 +67,8 @@ def corrupt(batch: Matrix, rate: float, rng: Rng) -> Matrix:
 
 def fine_tune_mse(model: AeModel, batches, cfg: TrainConfig, hook=None) -> AeModel:
     """Backpropagate the reconstruction MSE through the whole stack,
-    updating the layers' arrays in place.
+    updating the layers' arrays in place. Every batch is checked against
+    the stack's width before the first update.
 
     When the model has a denoise rate the input of every batch is freshly
     corrupted each epoch, while the target stays the clean data.

@@ -83,11 +83,12 @@ def as_rows(data, width: int = None) -> Matrix:
 
 
 def sigmoid(z: Matrix) -> Matrix:
-    # e = exp(-|z|) never overflows: 1/(1+e) where z >= 0, e/(1+e) below
+    # e = exp(-|z|) never overflows: 1/(1+e) where z >= 0, e/(1+e) below.
+    # As e <= 1, that numerator is max(e, z >= 0).
     e = np.abs(z, dtype=np.float64)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    out = np.where(z >= 0, 1.0, e)
+    out = np.maximum(e, z >= 0)
     e += 1.0
     out /= e
     return out

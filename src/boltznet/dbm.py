@@ -320,8 +320,11 @@ def mean_field_train(model: DbmModel, batches, cfg: TrainConfig,
                 total += s
         _gibbs_sweep(model, rng)
         chain = _statistics(model, model.chain_v, model.chain_h, model.chain_y)
-        params.step([c / m_chains - d / d_total for c, d in zip(chain, data)],
-                    alpha, rho)
+        for g, c, d in zip(params.grads, chain, data):
+            np.divide(c, m_chains, out=g)
+            d /= d_total
+            g -= d
+        params.step(alpha, rho)
 
     run_epochs(replace(cfg, anneal=AnnealSchedule(AnnealKind.STEP),
                        momentum=NO_MOMENTUM), params.params, iteration, hook)

@@ -17,7 +17,8 @@ from .core import (ClassificationReport, ConfigError, Matrix, ShapeError, as_row
                    classification_report, label_indices, make_rng, sample_bernoulli,
                    sigmoid)
 from .optim import ParamGroup, run_epochs
-from .rbm import RbmLayer, TrainConfig, _cd_gradients, _check_chain, _pretrain_layers
+from .rbm import (CdGradients, RbmLayer, TrainConfig, _cd_gradients, _check_chain,
+                  _pretrain_layers)
 
 
 @dataclass
@@ -77,11 +78,15 @@ def pretrain_dbn(sizes, batches, cfg: TrainConfig, labels=False) -> DbnModel:
     return model
 
 
-def _residual_update(w, b, source, target, lr):
+def _residual_update(w, b, source, target, lr, scratch):
     """Wake-sleep delta rule, in place: move the sigmoid prediction of
-    `target` from `source` toward it by lr * source^T (target - pred) / m."""
+    `target` from `source` toward it by lr * source^T (target - pred) / m,
+    formed in `scratch`, a flat buffer of w's size."""
     residual = target - sigmoid(source @ w + b)
-    w += lr * (source.T @ residual / source.shape[0])
+    dw = np.matmul(source.T, residual, out=scratch.reshape(w.shape))
+    dw /= source.shape[0]
+    dw *= lr
+    w += dw
     b += lr * residual.mean(axis=0, keepdims=True)
 
 
@@ -105,6 +110,9 @@ def up_down_fine_tune(model: DbnModel, batches, cfg: TrainConfig,
     rng = make_rng(cfg.seed)
     top = model.top
     params = ParamGroup([top.w], [top.b_v, top.b_h], cfg.decay)
+    g = CdGradients(*params.grads)
+    # one scratch per directed layer, shared by its two weights (same size)
+    scratch = [np.empty(layer.w.size) for layer in model.recognition]
 
     def epoch(lr, rho):
         for x, y in pairs:
@@ -117,15 +125,14 @@ def up_down_fine_tune(model: DbnModel, batches, cfg: TrainConfig,
                 states.append(sample_bernoulli(probs, rng))
             for i in range(len(model.recognition)):
                 _residual_update(model.generative_w[i], model.generative_b[i],
-                                 states[i + 1], states[i], lr)
+                                 states[i + 1], states[i], lr, scratch[i])
             # top RBM CD-1 with labels clamped in the positive phase; the
             # data statistic uses the recognition probabilities (same
             # variance reduction as plain RBM training)
             top_v = np.hstack([probs, y]) if model.label_dim else probs
             h_probs = sigmoid(top_v @ top.w + top.b_h)
-            g, v_recon = _cd_gradients(top, top_v, h_probs,
-                                       sample_bernoulli(h_probs, rng))
-            params.step([g.dw, g.db_v, g.db_h], lr, rho)
+            v_recon = _cd_gradients(top, top_v, h_probs, sample_bernoulli(h_probs, rng), g)
+            params.step(lr, rho)
             # sleep: sample downward from the top reconstruction, then fit
             # the recognition weights to invert the generative pass
             dream = [sample_bernoulli(v_recon[:, :model.feature_dim], rng)]
@@ -135,7 +142,8 @@ def up_down_fine_tune(model: DbnModel, batches, cfg: TrainConfig,
                 dream.append(sample_bernoulli(p, rng))
             dream.reverse()  # dream[i] now sits at layer i
             for i, layer in enumerate(model.recognition):
-                _residual_update(layer.w, layer.b_h, dream[i], dream[i + 1], lr)
+                _residual_update(layer.w, layer.b_h, dream[i], dream[i + 1], lr,
+                                 scratch[i])
 
     # the wake-sleep updates change the directed arrays outside `params`
     directed = [a for l in model.recognition for a in (l.w, l.b_h)]

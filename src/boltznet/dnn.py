@@ -68,37 +68,54 @@ def _output_delta(a_out: Matrix, target: Matrix, loss: LossKind,
     raise ConfigError(f"unsupported fine-tuning loss: {loss!r}")
 
 
-def backprop_gradients(stack: LayerStack, batch: Matrix, target: Matrix,
-                       loss: LossKind):
-    """Per-layer (dW, db) for the row-averaged loss on one batch."""
+def _backprop(stack: LayerStack, batch: Matrix, target: Matrix, loss: LossKind,
+              dws, dbs) -> None:
+    """Each layer's dW and db for the row-averaged loss on one batch,
+    written into its buffers in `dws` and `dbs`."""
     a = forward(stack, batch)
     m = batch.shape[0]
     delta = _output_delta(a[-1], target, loss, stack.layers[-1].activation)
-    grads = [None] * len(stack.layers)
     for l in range(len(stack.layers) - 1, -1, -1):
         layer = stack.layers[l]
-        dw = a[l].T @ delta / m
-        db = delta.mean(axis=0, keepdims=True)
-        grads[l] = (dw, db)
+        np.matmul(a[l].T, delta, out=dws[l])
+        dws[l] /= m
+        np.mean(delta, axis=0, keepdims=True, out=dbs[l])
         if l > 0:
             below = stack.layers[l - 1]
             delta = (delta @ layer.w.T) * activation_derivative(
                 a[l], below.activation)
-    return grads
 
 
-def _backprop_epochs(stack: LayerStack, pairs, loss: LossKind, cfg: TrainConfig,
+def backprop_gradients(stack: LayerStack, batch: Matrix, target: Matrix,
+                       loss: LossKind):
+    """Per-layer (dW, db) for the row-averaged loss on one batch, in fresh
+    arrays."""
+    dws = [np.empty_like(layer.w) for layer in stack.layers]
+    dbs = [np.empty_like(layer.b_h) for layer in stack.layers]
+    _backprop(stack, batch, target, loss, dws, dbs)
+    return list(zip(dws, dbs))
+
+
+def _backprop_epochs(stack: LayerStack, batches, loss: LossKind, cfg: TrainConfig,
                      hook, noisy=None) -> None:
-    """Momentum backprop over (input, target) batch pairs, updating every
+    """Momentum backprop over (input, target) batches, updating every
     layer's weights and hidden biases in place; `noisy` corrupts each
-    input afresh every epoch."""
+    input afresh every epoch. Every batch is checked against the stack's
+    widths, and each target against its input's row count, before the
+    first update."""
+    pairs = [(as_rows(x, stack.sizes[0]), as_rows(y, stack.sizes[-1]))
+             for x, y in batches]
+    if any(len(y) != len(x) for x, y in pairs):
+        raise ShapeError("a target batch's row count differs from its data batch's")
+    n = len(stack.layers)
     params = ParamGroup([l.w for l in stack.layers], [l.b_h for l in stack.layers],
                         cfg.decay)
 
     def epoch(lr, rho):
         for x, t in pairs:
-            grads = backprop_gradients(stack, noisy(x) if noisy else x, t, loss)
-            params.step([dw for dw, _ in grads] + [db for _, db in grads], lr, rho)
+            _backprop(stack, noisy(x) if noisy else x, t, loss,
+                      params.grads[:n], params.grads[n:])
+            params.step(lr, rho)
 
     run_epochs(cfg, params.params, epoch, hook)
 
@@ -109,11 +126,7 @@ def backprop_fine_tune(stack: LayerStack, batches, loss: LossKind, cfg: TrainCon
     targets. Every batch is checked against the stack's widths, and each y
     against its x's row count, before the first update. The layers' arrays
     are updated in place, so arrays a caller holds change with the model."""
-    pairs = [(as_rows(x, stack.sizes[0]), as_rows(y, stack.sizes[-1]))
-             for x, y in batches]
-    if any(len(y) != len(x) for x, y in pairs):
-        raise ShapeError("a target batch's row count differs from its data batch's")
-    _backprop_epochs(stack, pairs, loss, cfg, hook)
+    _backprop_epochs(stack, batches, loss, cfg, hook)
     return stack
 
 

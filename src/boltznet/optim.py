@@ -104,10 +104,13 @@ def decay_penalty_gradient(w: Matrix, spec: WeightDecaySpec) -> Matrix:
 
 def _momentum_step(param: Matrix, grad: Matrix, vel: Matrix, lr: float, rho: float,
                    spec: WeightDecaySpec) -> None:
-    """In place: vel *= rho; vel -= lr * (grad + penalty); param += vel."""
-    penalty = 0.0 if spec.kind == DecayKind.NONE else decay_penalty_gradient(param, spec)
+    """In place: vel *= rho; vel -= lr * (grad + penalty); param += vel.
+    `grad` is consumed as the scratch for lr * (grad + penalty); adding 0.0
+    without decay turns -0.0 into +0.0 as the out-of-place formula does."""
+    grad += 0.0 if spec.kind == DecayKind.NONE else decay_penalty_gradient(param, spec)
+    grad *= lr
     vel *= rho
-    vel -= lr * (grad + penalty)
+    vel -= grad
     param += vel
 
 
@@ -124,24 +127,26 @@ def apply_update(param: Matrix, grad: Matrix, vel: Matrix, lr: float, rho: float
     """
     if param.shape != grad.shape or param.shape != vel.shape:
         raise ShapeError("param/grad/velocity shapes must match")
-    param = np.array(param, dtype=np.float64)
-    vel = np.array(vel, dtype=np.float64)
+    param, grad, vel = (np.array(a, dtype=np.float64) for a in (param, grad, vel))
     _momentum_step(param, grad, vel, lr, rho, spec)
     return param, vel
 
 
 class ParamGroup:
-    """Arrays trained together, each with its own velocity, updated in
-    place: weights with the weight decay, biases without it."""
+    """Arrays trained together, each with its own velocity and gradient
+    buffer, updated in place: weights with the weight decay, biases without
+    it. Trainers write each step's gradients into `grads`, which follows
+    the weights-then-biases order of `params`."""
 
     def __init__(self, weights, biases, decay: WeightDecaySpec):
         self.params = list(weights) + list(biases)
         self.decays = [decay] * len(weights) + [NO_DECAY] * len(biases)
         self.vels = [np.zeros_like(p) for p in self.params]
+        self.grads = [np.zeros_like(p) for p in self.params]
 
-    def step(self, grads, lr: float, rho: float) -> None:
-        """One momentum step; `grads` follow the weights-then-biases order."""
-        for param, grad, vel, spec in zip(self.params, grads, self.vels, self.decays):
+    def step(self, lr: float, rho: float) -> None:
+        """One momentum step on the gradients in `grads`, which it consumes."""
+        for param, grad, vel, spec in zip(self.params, self.grads, self.vels, self.decays):
             _momentum_step(param, grad, vel, lr, rho, spec)
 
 

@@ -81,9 +81,13 @@ class CdGradients:
     db_v: np.ndarray
     db_h: np.ndarray
 
+    @classmethod
+    def like(cls, rbm: "RbmLayer") -> "CdGradients":
+        """Fresh buffers shaped like the layer's arrays."""
+        return cls(np.empty_like(rbm.w), np.empty_like(rbm.b_v), np.empty_like(rbm.b_h))
+
     def max_abs(self) -> float:
-        return max(np.abs(self.dw).max(), np.abs(self.db_v).max(),
-                   np.abs(self.db_h).max())
+        return max(max(g.max(), -g.min()) for g in (self.dw, self.db_v, self.db_h))
 
 
 @dataclass
@@ -151,23 +155,27 @@ def mean_free_energy(rbm: RbmLayer, data: Matrix) -> float:
 
 
 def _cd_gradients(rbm: RbmLayer, batch: Matrix, h_probs_data: Matrix, h_drive: Matrix,
-                  h_mean=None, down_scale: float = 1.0):
+                  g: CdGradients, h_mean=None, down_scale: float = 1.0) -> Matrix:
     """The reconstruction half of contrastive divergence: reconstruct the
     visible units from the driving hidden state, infer the hidden means
-    again (sigmoid units unless `h_mean` says otherwise), and return
-    (gradients, visible reconstruction)."""
+    again (sigmoid units unless `h_mean` says otherwise), write the
+    gradients into `g`'s buffers and return the visible reconstruction."""
     v_recon = sigmoid(down_scale * (h_drive @ rbm.w.T) + rbm.b_v)
     h_recon = h_mean(v_recon) if h_mean else sigmoid(v_recon @ rbm.w + rbm.b_h)
     m = batch.shape[0]
-    dw = (v_recon.T @ h_recon - batch.T @ h_probs_data) / m
-    db_v = (v_recon - batch).mean(axis=0, keepdims=True)
-    db_h = (h_recon - h_probs_data).mean(axis=0, keepdims=True)
-    return CdGradients(dw=dw, db_v=db_v, db_h=db_h), v_recon
+    np.matmul(v_recon.T, h_recon, out=g.dw)
+    g.dw -= batch.T @ h_probs_data
+    g.dw /= m
+    np.mean(v_recon - batch, axis=0, keepdims=True, out=g.db_v)
+    np.mean(h_recon - h_probs_data, axis=0, keepdims=True, out=g.db_h)
+    return v_recon
 
 
 def _cd_step(rbm: RbmLayer, batch: Matrix, k: int, dropout_rate: float, rng: Rng,
-             up_scale: float = 1.0, down_scale: float = 1.0) -> CdGradients:
-    """One contrastive-divergence estimate on a batch.
+             up_scale: float = 1.0, down_scale: float = 1.0,
+             out: CdGradients = None) -> CdGradients:
+    """One contrastive-divergence estimate on a batch, written into `out`'s
+    buffers when given and into fresh arrays otherwise.
 
     Data statistics use hidden probabilities; the Gibbs chain is driven by
     sampled binary states (masked by dropout on every downward pass); the
@@ -199,27 +207,34 @@ def _cd_step(rbm: RbmLayer, batch: Matrix, k: int, dropout_rate: float, rng: Rng
         v_states = sample_bernoulli(
             sigmoid(down_scale * (h_drive @ rbm.w.T) + rbm.b_v), rng)
         h_drive = h_sample(h_mean(v_states)) * mask
-    return _cd_gradients(rbm, batch, h_probs_data, h_drive, h_mean, down_scale)[0]
+    g = CdGradients.like(rbm) if out is None else out
+    _cd_gradients(rbm, batch, h_probs_data, h_drive, g, h_mean, down_scale)
+    return g
 
 
 def cd_step(rbm: RbmLayer, batch: Matrix, k: int, dropout_rate: float,
             rng: Rng) -> CdGradients:
-    """Public CD-k gradient: reconstruction minus data statistics."""
+    """Public CD-k gradient: reconstruction minus data statistics, in
+    fresh arrays."""
     return _cd_step(rbm, batch, k, dropout_rate, rng)
 
 
 def _train_rbm(rbm: RbmLayer, data_batches, cfg: TrainConfig, up_scale: float = 1.0,
                down_scale: float = 1.0, hook=None) -> RbmLayer:
+    data_batches = [as_rows(x, rbm.n_v) for x in data_batches]
+    if any(len(x) == 0 for x in data_batches):
+        raise DomainError("empty batch")
     rng = make_rng(cfg.seed)
     params = ParamGroup([rbm.w], [rbm.b_v, rbm.b_h], cfg.decay)
+    g = CdGradients(*params.grads)
 
     def epoch(lr, rho):
         max_grad = 0.0
         for data in data_batches:
-            g = _cd_step(rbm, data, cfg.gibbs_steps, cfg.dropout_rate, rng,
-                         up_scale=up_scale, down_scale=down_scale)
-            params.step([g.dw, g.db_v, g.db_h], lr, rho)
+            _cd_step(rbm, data, cfg.gibbs_steps, cfg.dropout_rate, rng,
+                     up_scale=up_scale, down_scale=down_scale, out=g)
             max_grad = max(max_grad, g.max_abs())
+            params.step(lr, rho)
         return max_grad < TRIVIAL_GRADIENT  # gradients trivial for a full epoch
 
     run_epochs(cfg, params.params, epoch, hook)
@@ -227,9 +242,10 @@ def _train_rbm(rbm: RbmLayer, data_batches, cfg: TrainConfig, up_scale: float = 
 
 
 def train_binary(rbm: RbmLayer, batches, cfg: TrainConfig, hook=None) -> RbmLayer:
-    """CD training with stochastic binary hidden units. The layer's weight
-    and bias arrays are updated in place, so arrays a caller holds change
-    with the model. Each (x, y) batch's y is ignored."""
+    """CD training with stochastic binary hidden units. Every batch is
+    checked (width, at least one row) before the first update. The layer's
+    weight and bias arrays are updated in place, so arrays a caller holds
+    change with the model. Each (x, y) batch's y is ignored."""
     return _train_rbm(rbm, [x for x, _ in batches], cfg, hook=hook)
 
 
@@ -237,7 +253,8 @@ def train_linear(rbm: RbmLayer, batches, cfg: TrainConfig, hook=None) -> RbmLaye
     """CD training with linear-Gaussian hidden units: the hidden mean is the
     raw input and samples add unit-variance noise; the visible side is
     unchanged. Marks the layer IDENTITY, so its conditionals and saved
-    form match, and updates its arrays in place."""
+    form match, checks every batch as `train_binary` does and updates its
+    arrays in place."""
     rbm.activation = ActivationKind.IDENTITY
     return _train_rbm(rbm, [x for x, _ in batches], cfg, hook=hook)
 
@@ -247,32 +264,51 @@ def _check_one_of_k(t: Matrix) -> None:
         raise DomainError("labels must be one-of-K rows")
 
 
-def classifier_head_gradients(head: RbmLayer, features: Matrix, targets: Matrix):
-    """Softmax cross-entropy gradients for one batch:
-    grad_W = (a^h)^T (c - t) / m and grad_b = mean(c - t)."""
-    features, targets = as_rows(features, head.n_v), as_rows(targets, head.n_h)
-    m = features.shape[0]
-    if len(targets) != m:
-        raise ShapeError(f"{m} feature rows for {len(targets)} target rows")
+def _head_pairs(head: RbmLayer, batches) -> list:
+    """(features, targets) batches as float64 rows, checked against the
+    head's widths and each other's row counts."""
+    pairs = [(as_rows(f, head.n_v), as_rows(t, head.n_h)) for f, t in batches]
+    for f, t in pairs:
+        if len(t) != len(f):
+            raise ShapeError(f"{len(f)} feature rows for {len(t)} target rows")
+    return pairs
+
+
+def _head_gradients(head: RbmLayer, features: Matrix, targets: Matrix, dw: Matrix,
+                    db: Matrix) -> None:
+    """Softmax cross-entropy gradients of one checked batch, written into
+    `dw` and `db`."""
     c = activate(features @ head.w + head.b_h, ActivationKind.SOFTMAX)
-    dw = features.T @ (c - targets) / m
-    db = (c - targets).mean(axis=0, keepdims=True)
+    c -= targets
+    np.matmul(features.T, c, out=dw)
+    dw /= features.shape[0]
+    np.mean(c, axis=0, keepdims=True, out=db)
+
+
+def classifier_head_gradients(head: RbmLayer, features: Matrix, targets: Matrix):
+    """Softmax cross-entropy gradients for one batch, in fresh arrays:
+    grad_W = (a^h)^T (c - t) / m and grad_b = mean(c - t)."""
+    [(features, targets)] = _head_pairs(head, [(features, targets)])
+    dw, db = np.empty_like(head.w), np.empty_like(head.b_h)
+    _head_gradients(head, features, targets, dw, db)
     return dw, db
 
 
 def train_classifier_head(head: RbmLayer, batches, cfg: TrainConfig,
                           hook=None) -> RbmLayer:
     """Batch gradient descent on softmax cross-entropy over (features, y)
-    batches, y holding one-of-K targets. Every y is checked before the
-    first update. The head's weight and bias arrays are updated in place."""
-    pairs = [(f, as_rows(t, head.n_h)) for f, t in batches]
+    batches, y holding one-of-K targets. Every batch is checked (widths,
+    row counts, one-of-K y) before the first update. The head's weight and
+    bias arrays are updated in place."""
+    pairs = _head_pairs(head, batches)
     for _, t in pairs:
         _check_one_of_k(t)
     params = ParamGroup([head.w], [head.b_h], cfg.decay)
 
     def epoch(lr, rho):
         for f, t in pairs:
-            params.step(classifier_head_gradients(head, f, t), lr, rho)
+            _head_gradients(head, f, t, *params.grads)
+            params.step(lr, rho)
 
     run_epochs(cfg, params.params, epoch, hook)
     return head

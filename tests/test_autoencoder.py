@@ -3,7 +3,7 @@ import pytest
 
 from boltznet.autoencoder import (build_symmetric, corrupt, fine_tune_mse,
                                   reconstruct, reconstruction_error)
-from boltznet.core import ConfigError, DomainError, LossKind, loss, make_rng
+from boltznet.core import ConfigError, DomainError, LossKind, ShapeError, loss, make_rng
 from boltznet.data import make_batches
 from boltznet.dnn import _pretrain_layers, backprop_gradients, predict
 from boltznet.oracle import finite_difference_gradient
@@ -77,6 +77,19 @@ class TestCorrupt:
 
 
 class TestFineTune:
+    @pytest.mark.parametrize("width", [4, 7])
+    def test_every_batch_is_checked_before_the_first_update(self, width):
+        batches = toy_batches()
+        model = build_symmetric([6, 4], batches, TrainConfig(epochs=1, lr=0.2, seed=18),
+                                denoise_rate=0.2)
+        arrays = [a for layer in model.stack.layers for a in (layer.w, layer.b_h)]
+        before = [a.copy() for a in arrays]
+        bad = make_rng(19).random((8, width))
+        with pytest.raises(ShapeError):
+            fine_tune_mse(model, batches + [(bad, None)], TrainConfig(epochs=1, seed=20))
+        for now, then in zip(arrays, before):
+            np.testing.assert_array_equal(now, then)
+
     def test_gradient_matches_finite_differences(self):
         model = build_symmetric([4, 3], toy_batches(dim=4),
                                 TrainConfig(epochs=2, lr=0.2, seed=8))

@@ -144,8 +144,8 @@ class TestUpDown:
         model = pretrain_dbn([6, 5, 4, 3], batches, TrainConfig(epochs=1, seed=9), labels=True)
         update, updated = dbn_mod._residual_update, []
 
-        def planting(w, b, source, target, lr):
-            update(w, b, source, target, lr)
+        def planting(w, *args):
+            update(w, *args)
             updated.append(w)
             if len(updated) == 8:  # the last update of epoch 0: 2 batches x 4 arrays
                 w[0, 0] = np.inf

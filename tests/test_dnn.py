@@ -121,6 +121,23 @@ class TestBackprop:
                 rel = np.abs(a - b).max() / max(np.abs(b).max(), 1e-12)
                 assert rel < 1e-5
 
+    def test_consecutive_calls_return_fresh_arrays_and_leave_the_stack(self):
+        rng = make_rng(48)
+        x = rng.random((6, 5))
+        t = one_of_k(rng.integers(0, 2, (6, 1)).astype(float), 2)
+        stack = randomized_stack([5, 3, 2], seed=48)
+        arrays = [a for layer in stack.layers for a in (layer.w, layer.b_h)]
+        before = [a.copy() for a in arrays]
+        a, b = ([g for pair in backprop_gradients(stack, x, t, LossKind.CROSS_ENTROPY)
+                 for g in pair] for _ in range(2))
+        for ga in a:
+            for other in b + arrays:
+                assert not np.shares_memory(ga, other)
+        for ga, gb in zip(a, b):
+            np.testing.assert_array_equal(ga, gb)
+        for now, then in zip(arrays, before):
+            np.testing.assert_array_equal(now, then)
+
     def test_zero_epochs_is_identity(self):
         stack = randomized_stack([5, 4, 2], seed=9)
         before = [l.w.copy() for l in stack.layers]

@@ -117,13 +117,14 @@ class TestApplyUpdate:
         spec = WeightDecaySpec(kind, 0.01)
         ref_vel = rho * vel - 0.05 * (grad + decay_penalty_gradient(param, spec))
         ref_param = param + ref_vel
-        before = param.copy(), vel.copy()
+        before = param.copy(), grad.copy(), vel.copy()
         new_param, new_vel = apply_update(param, grad, vel, lr=0.05, rho=rho, spec=spec)
         assert new_param.tobytes() == ref_param.tobytes()
         assert new_vel.tobytes() == ref_vel.tobytes()
         # the inputs are left untouched
         assert param.tobytes() == before[0].tobytes()
-        assert vel.tobytes() == before[1].tobytes()
+        assert grad.tobytes() == before[1].tobytes()
+        assert vel.tobytes() == before[2].tobytes()
 
     def test_shape_mismatch_rejected(self):
         from boltznet.core import ShapeError
@@ -168,7 +169,8 @@ class TestParamGroup:
         ref_vw, ref_vb = np.zeros_like(w), np.zeros_like(b)
         for rho in (0.5, 0.9):
             gw, gb = rng.normal(size=w.shape), rng.normal(size=b.shape)
-            group.step([gw, gb], 0.1, rho)
+            group.grads[0][...], group.grads[1][...] = gw, gb
+            group.step(0.1, rho)
             ref_w, ref_vw = apply_update(ref_w, gw, ref_vw, 0.1, rho, spec)
             ref_b, ref_vb = apply_update(ref_b, gb, ref_vb, 0.1, rho)  # no decay
         assert group.params[0] is w and group.params[1] is b

@@ -26,6 +26,31 @@ def random_rbm(n_v, n_h, seed, scale=0.8):
                     b_h=rng.normal(0, scale, (1, n_h)))
 
 
+def assert_checked_before_update(train, arrays, batches, error):
+    """`train(batches)` raises `error` and leaves every array as it was."""
+    before = [a.copy() for a in arrays]
+    with pytest.raises(error):
+        train(batches)
+    for a, b in zip(arrays, before):
+        np.testing.assert_array_equal(a, b)
+
+
+def bad_last_batch(case, n_v=5, n=12):
+    """Three binary batches n_v wide whose last one is 4 wide or has no rows."""
+    batches = make_batches((make_rng(41).random((n, n_v)) > 0.5).astype(float), None, 3)
+    x, y = batches[-1]
+    batches[-1] = (x[:, :4], y) if case == "width" else (x[:0], y)
+    return batches, ShapeError if case == "width" else DomainError
+
+
+def assert_unaliased(first, second, model_arrays):
+    """No array of one gradient result shares memory with the other's or
+    with the model's."""
+    for a in first:
+        for b in list(second) + list(model_arrays):
+            assert not np.shares_memory(a, b)
+
+
 class TestConditionals:
     def test_zero_model_gives_half(self):
         out = hidden_given_visible(zero_rbm(3, 2), np.ones((4, 3)))
@@ -163,8 +188,29 @@ class TestCdStep:
         with pytest.raises(DomainError):
             cd_step(zero_rbm(2, 2), np.zeros((0, 2)), 1, 0.0, make_rng(0))
 
+    def test_consecutive_calls_return_fresh_arrays_and_leave_the_layer(self):
+        rbm = random_rbm(5, 4, seed=43)
+        batch = (make_rng(44).random((6, 5)) > 0.5).astype(float)
+        arrays = (rbm.w, rbm.b_v, rbm.b_h)
+        before = [a.copy() for a in arrays]
+        a, b = (cd_step(rbm, batch, 1, 0.0, make_rng(45)) for _ in range(2))
+        grads = lambda g: (g.dw, g.db_v, g.db_h)
+        assert_unaliased(grads(a), grads(b), arrays)
+        for x, y in zip(grads(a), grads(b)):
+            np.testing.assert_array_equal(x, y)
+        for x, y in zip(arrays, before):
+            np.testing.assert_array_equal(x, y)
+
 
 class TestTrainBinary:
+    @pytest.mark.parametrize("case", ["width", "no-rows"])
+    def test_every_batch_is_checked_before_the_first_update(self, case):
+        rbm = random_rbm(5, 3, seed=40)
+        batches, error = bad_last_batch(case)
+        assert_checked_before_update(
+            lambda b: train_binary(rbm, b, TrainConfig(epochs=1, seed=42)),
+            (rbm.w, rbm.b_v, rbm.b_h), batches, error)
+
     def test_zero_epochs_is_identity(self):
         rbm = random_rbm(4, 3, seed=13)
         w_before = rbm.w.copy()
@@ -211,6 +257,14 @@ class TestTrainBinary:
 
 
 class TestTrainLinear:
+    @pytest.mark.parametrize("case", ["width", "no-rows"])
+    def test_every_batch_is_checked_before_the_first_update(self, case):
+        rbm = random_rbm(5, 3, seed=46)
+        batches, error = bad_last_batch(case)
+        assert_checked_before_update(
+            lambda b: train_linear(rbm, b, TrainConfig(epochs=1, seed=47)),
+            (rbm.w, rbm.b_v, rbm.b_h), batches, error)
+
     def test_zero_weight_hidden_mean_is_bias(self):
         rbm = zero_rbm(3, 2)
         rbm.b_h[:] = [[0.4, -0.2]]
@@ -296,6 +350,25 @@ class TestClassifierHead:
         fd = finite_difference_gradient(objective, [head.w, head.b_h])
         assert np.abs(dw - fd[0]).max() / np.abs(fd[0]).max() < 1e-5
         assert np.abs(db - fd[1]).max() / np.abs(fd[1]).max() < 1e-5
+
+    @pytest.mark.parametrize("case", ["feature-width", "target-width", "target-rows"])
+    def test_every_batch_is_checked_before_the_first_update(self, case):
+        feats, labels, head = self.make_toy()
+        f, t = feats[:6], labels[:6]
+        bad = {"feature-width": (f[:, :3], t),
+               "target-width": (f, np.hstack([t, np.zeros((6, 1))])),
+               "target-rows": (f, t[:5])}[case]
+        assert_checked_before_update(
+            lambda b: train_classifier_head(head, b, TrainConfig(epochs=1)),
+            (head.w, head.b_h), [(f, t), (f, t), bad], ShapeError)
+
+    def test_consecutive_gradient_calls_return_fresh_arrays(self):
+        feats, labels, head = self.make_toy()
+        a = classifier_head_gradients(head, feats, labels)
+        b = classifier_head_gradients(head, feats, labels)
+        assert_unaliased(a, b, (head.w, head.b_h))
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x, y)
 
     def test_one_of_k_fourth_class(self):
         np.testing.assert_array_equal(one_of_k(np.array([[3.0]]), 5),
