@@ -83,11 +83,9 @@ def _residual_update(w, b, source, target, lr, scratch):
     `target` from `source` toward it by lr * source^T (target - pred) / m,
     formed in `scratch`, a flat buffer of w's size."""
     residual = target - sigmoid(source @ w + b)
-    dw = np.matmul(source.T, residual, out=scratch.reshape(w.shape))
-    dw /= source.shape[0]
-    dw *= lr
-    w += dw
     b += lr * residual.mean(axis=0, keepdims=True)
+    residual *= lr / source.shape[0]
+    w += np.matmul(source.T, residual, out=scratch.reshape(w.shape))
 
 
 def up_down_fine_tune(model: DbnModel, batches, cfg: TrainConfig,

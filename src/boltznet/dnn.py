@@ -77,8 +77,7 @@ def _backprop(stack: LayerStack, batch: Matrix, target: Matrix, loss: LossKind,
     delta = _output_delta(a[-1], target, loss, stack.layers[-1].activation)
     for l in range(len(stack.layers) - 1, -1, -1):
         layer = stack.layers[l]
-        np.matmul(a[l].T, delta, out=dws[l])
-        dws[l] /= m
+        np.matmul(a[l].T, delta / m, out=dws[l])
         np.mean(delta, axis=0, keepdims=True, out=dbs[l])
         if l > 0:
             below = stack.layers[l - 1]

@@ -162,10 +162,10 @@ def _cd_gradients(rbm: RbmLayer, batch: Matrix, h_probs_data: Matrix, h_drive: M
     gradients into `g`'s buffers and return the visible reconstruction."""
     v_recon = sigmoid(down_scale * (h_drive @ rbm.w.T) + rbm.b_v)
     h_recon = h_mean(v_recon) if h_mean else sigmoid(v_recon @ rbm.w + rbm.b_h)
-    m = batch.shape[0]
-    np.matmul(v_recon.T, h_recon, out=g.dw)
-    g.dw -= batch.T @ h_probs_data
-    g.dw /= m
+    # one GEMM: dw = [v_recon; batch]^T [h_recon; -h_probs_data] / m
+    h = np.vstack([h_recon, -h_probs_data])
+    h /= batch.shape[0]
+    np.matmul(np.vstack([v_recon, batch]).T, h, out=g.dw)
     np.mean(v_recon - batch, axis=0, keepdims=True, out=g.db_v)
     np.mean(h_recon - h_probs_data, axis=0, keepdims=True, out=g.db_h)
     return v_recon
@@ -280,9 +280,9 @@ def _head_gradients(head: RbmLayer, features: Matrix, targets: Matrix, dw: Matri
     `dw` and `db`."""
     c = activate(features @ head.w + head.b_h, ActivationKind.SOFTMAX)
     c -= targets
-    np.matmul(features.T, c, out=dw)
-    dw /= features.shape[0]
     np.mean(c, axis=0, keepdims=True, out=db)
+    c /= features.shape[0]
+    np.matmul(features.T, c, out=dw)
 
 
 def classifier_head_gradients(head: RbmLayer, features: Matrix, targets: Matrix):

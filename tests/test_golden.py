@@ -37,17 +37,17 @@ FLAGS = ["--epochs", "2", "--batches", "5", "--seed", "3", "--lr", "0.1",
 # model -> (sha256 of metrics.txt without wall_ms, sha256 of model.mdlr)
 GOLDEN = {
     "rbm": ("9fd1188fc6228a0067ef4e60edc29f795f83eef388e287a1d4e46209414a928b",
-           "205910fce13ff199aac9113449c55ebe7ab3380c161df9f9f5417ca0ba7f086f"),
+           "2277f25f282f3e9307a7eef53795edf1ea848059ee0e8045b89b5e2763b2653a"),
     "dnn": ("899c3bd470e07391f0505177f92f47efed7db2d8872e5a200ff3dd6f46ddc6bd",
-           "837755e14c5f7decfd16be600f4222b3e5274f29b9f2936a5c38a57c3bce0400"),
+           "810f62b2d9cf235ca87865a1fc47c24c12cd50361644bc7bbfa5c90d07dbcf54"),
     "dbn": ("fa98cedef64b68f5955b6c55c694e25026e297cbb039a52e76b9c894d0a1d36d",
-           "f9de1acfb90e06e9f9bfb5d9d579220595b92a35831c819d773670bfd0ecb53f"),
+           "e399d5212c56d962b7b2918a0b65f2adbfd11fc66e2b4ba1366f905db2c5f0eb"),
     "dae": ("bed09bb3d70dbe2a771108e5a2e933bcad7a2b291e43a82c379b9ce5e2b35596",
-           "a24fef044fc3d94371a709972176a00815d41b14a37346aeaa67cb266c35ca5c"),
-    "dbm": ("bd50dec225136067264370adac775cfbd108161a52937fb7f2697b4e6e7cb7ad",
-           "cb5c1f9a405a18b0b0ddfa50f203b680e0d1b88a77eca9cc3b19648659ed464c"),
+           "cd57505b1c04021b87abaad7d253fb8cf807de2ec3e1e9cbd96d7f5b46598e95"),
+    "dbm": ("ff4369305565a018548671eea17aeca8269cc1e776bfd370b97cabc41a5b0b1f",
+           "fb1b4579c986628b4e72d33c790d876c974eb905aa6e90fd6786b5360f943338"),
     "bimodal": ("b77b428b22befa6159b93c59ef6ca645b59acf077237b4d3973d70567f8c23d2",
-               "0643f70e7b3ffbae459f567b64ee9ed495d21e2ea8d5d68ccb3857a9a866e5dc"),
+               "82938ba63036f4434335ad9fc4dc9aa936cc7e76129ddaafaab4c81c41cf27a3"),
 }
 
 

@@ -1,10 +1,12 @@
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from boltznet.autoencoder import build_symmetric, fine_tune_mse
-from boltznet.core import ConfigError, DivergenceError, DomainError, make_rng
+from boltznet.core import ConfigError, DivergenceError, DomainError, LossKind, make_rng
+from boltznet.data import make_batches, one_of_k
 from boltznet.dbm import mean_field_train, pretrain_dbm
 from boltznet.dbn import pretrain_dbn, up_down_fine_tune
 from boltznet.dnn import backprop_fine_tune, pretrain_stack
@@ -12,7 +14,7 @@ from boltznet.optim import (NO_DECAY, AnnealKind, AnnealSchedule, DecayKind,
                             MomentumSchedule, ParamGroup, WeightDecaySpec, anneal,
                             apply_update, decay_penalty_gradient, dropout_mask,
                             momentum_coeff, run_epochs)
-from boltznet.rbm import (TrainConfig, train_binary, train_classifier_head,
+from boltznet.rbm import (RbmLayer, TrainConfig, train_binary, train_classifier_head,
                           train_linear)
 
 
@@ -176,6 +178,34 @@ class TestParamGroup:
         assert group.params[0] is w and group.params[1] is b
         np.testing.assert_array_equal(w, ref_w)
         np.testing.assert_array_equal(b, ref_b)
+
+    @pytest.mark.parametrize("trainer", ["train_binary", "backprop_fine_tune"])
+    def test_an_epoch_makes_no_weight_sized_temporaries(self, trainer):
+        # without decay, an epoch's peak allocation is the group's velocity
+        # and gradient buffers (twice the trained arrays) and batch-sized
+        # arrays: below those buffers plus one weight matrix
+        rng = make_rng(50)
+        x = rng.random((40, 200))
+        y = one_of_k(rng.integers(0, 10, (40, 1)).astype(float), 10)
+        batches = make_batches(x, y, 8)
+        if trainer == "train_binary":
+            rbm = RbmLayer.random(200, 150, rng)
+            arrays = [rbm.w, rbm.b_v, rbm.b_h]
+            run = lambda: train_binary(rbm, batches, TrainConfig(epochs=1, seed=51))
+        else:
+            stack = pretrain_stack([200, 150, 10], batches, TrainConfig(epochs=0, seed=51),
+                                   pretrain=False)
+            arrays = [a for layer in stack.layers for a in (layer.w, layer.b_h)]
+            run = lambda: backprop_fine_tune(stack, batches, LossKind.CROSS_ENTROPY,
+                                             TrainConfig(epochs=1, seed=52))
+        bound = 2 * sum(a.nbytes for a in arrays) + max(a.nbytes for a in arrays)
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 class TestRunEpochs:

@@ -8,10 +8,10 @@ from boltznet.optim import DecayKind, WeightDecaySpec
 from boltznet.oracle import (exact_conditional, exact_likelihood_gradient,
                              exact_partition, finite_difference_gradient,
                              _rbm_energy_grid)
-from boltznet.rbm import (RbmLayer, TrainConfig, cd_step, classifier_head_gradients,
-                          classify_rbm, energy, free_energy, hidden_given_visible,
-                          mean_free_energy, train_binary, train_classifier_head,
-                          train_linear, visible_given_hidden)
+from boltznet.rbm import (CdGradients, RbmLayer, TrainConfig, _cd_gradients, cd_step,
+                          classifier_head_gradients, classify_rbm, energy, free_energy,
+                          hidden_given_visible, mean_free_energy, train_binary,
+                          train_classifier_head, train_linear, visible_given_hidden)
 
 
 def zero_rbm(n_v, n_h):
@@ -187,6 +187,24 @@ class TestCdStep:
     def test_empty_batch_rejected(self):
         with pytest.raises(DomainError):
             cd_step(zero_rbm(2, 2), np.zeros((0, 2)), 1, 0.0, make_rng(0))
+
+    def test_one_gemm_weight_gradient_matches_the_two_gemm_formula(self):
+        # dw is one GEMM, [v_recon; x]^T [h_recon; -h_data] / m. Every term
+        # lies in [-1, 1], so summing the m products of each GEMM in the
+        # reference errs by at most m * m * u (u = eps / 2), 2m * u after the
+        # division; the one GEMM sums 2m terms of size at most 1/m, off by at
+        # most 2m * 2 * u. In any summation order the two agree within 3m * eps.
+        n_v, n_h, m = 784, 500, 50
+        rng = make_rng(49)
+        rbm = RbmLayer(w=rng.normal(0.0, 0.1, (n_v, n_h)), b_v=rng.normal(0.0, 1.0, (1, n_v)),
+                       b_h=rng.normal(0.0, 1.0, (1, n_h)))
+        x = (rng.random((m, n_v)) > 0.5).astype(float)
+        h_data = sigmoid(x @ rbm.w + rbm.b_h)
+        h_drive = (rng.random((m, n_h)) < h_data).astype(float)
+        g = CdGradients.like(rbm)
+        v_recon = _cd_gradients(rbm, x, h_data, h_drive, g)
+        want = (v_recon.T @ sigmoid(v_recon @ rbm.w + rbm.b_h) - x.T @ h_data) / m
+        assert np.abs(g.dw - want).max() <= 3 * m * np.finfo(float).eps
 
     def test_consecutive_calls_return_fresh_arrays_and_leave_the_layer(self):
         rbm = random_rbm(5, 4, seed=43)
