@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ConfigError, DomainError, LossKind, Matrix, Rng, ShapeError, loss,
-                   make_rng)
+from .core import (ConfigError, DomainError, LossKind, Matrix, Rng, ShapeError,
+                   check_batches, loss, make_rng)
 from .dnn import LayerStack, _backprop_epochs, forward
 from .rbm import RbmLayer, TrainConfig, _pretrain_layers
 
@@ -66,9 +66,9 @@ def corrupt(batch: Matrix, rate: float, rng: Rng) -> Matrix:
 
 
 def fine_tune_mse(model: AeModel, batches, cfg: TrainConfig, hook=None) -> AeModel:
-    """Backpropagate the reconstruction MSE through the whole stack,
-    updating the layers' arrays in place. Every batch is checked against
-    the stack's width before the first update.
+    """Backpropagate the reconstruction MSE through the whole stack on
+    batches checked by `core.check_batches`, each y ignored, updating the
+    layers' arrays in place.
 
     When the model has a denoise rate the input of every batch is freshly
     corrupted each epoch, while the target stays the clean data.
@@ -76,8 +76,8 @@ def fine_tune_mse(model: AeModel, batches, cfg: TrainConfig, hook=None) -> AeMod
     rng = make_rng(cfg.seed)
     noisy = ((lambda x: corrupt(x, model.denoise_rate, rng))
              if model.denoise_rate > 0 else None)
-    _backprop_epochs(model.stack, [(x, x) for x, _ in batches], LossKind.MSE,
-                     cfg, hook, noisy)
+    pairs = [(x, x) for x, _ in check_batches(batches, model.sizes[0])]
+    _backprop_epochs(model.stack, pairs, LossKind.MSE, cfg, hook, noisy)
     return model
 
 

@@ -82,6 +82,33 @@ def as_rows(data, width: int = None) -> Matrix:
     return rows
 
 
+def check_batches(batches, width: int, y_width: int = None, one_of_k: bool = False) -> list:
+    """The one rule for a training batch list: its (x, y) pairs as float64
+    rows, arrays that already are left uncopied, y None unless `y_width`
+    says y is read. DomainError for no batches or a batch without rows;
+    ShapeError unless each x is `width` wide and each read y is `y_width`
+    wide with as many rows as its x; DomainError for a `one_of_k` y whose
+    rows are not one-of-K."""
+    if not batches:
+        raise DomainError("training needs at least one batch of at least one data row")
+    pairs = []
+    for i, (x, y) in enumerate(batches):
+        x = as_rows(x, width)
+        if len(x) == 0:
+            raise DomainError(f"batch {i} is empty: each needs at least one data row")
+        if y_width is None:
+            y = None
+        else:
+            y = as_rows(y, y_width)
+            if len(y) != len(x):
+                raise ShapeError(f"{len(y)} label rows for {len(x)} data rows")
+            if one_of_k and not (np.all((y == 0.0) | (y == 1.0))
+                                 and np.allclose(y.sum(axis=1), 1.0)):
+                raise DomainError("labels must be one-of-K rows")
+        pairs.append((x, y))
+    return pairs
+
+
 def sigmoid(z: Matrix) -> Matrix:
     # e = exp(-|z|) never overflows: 1/(1+e) where z >= 0, e/(1+e) below.
     # As e <= 1, that numerator is max(e, z >= 0).

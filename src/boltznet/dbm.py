@@ -14,8 +14,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import (ClassificationReport, ConfigError, DomainError, Matrix,
-                   ShapeError, as_rows, classification_report, label_indices, make_rng,
+from .core import (ClassificationReport, ConfigError, Matrix, ShapeError, as_rows,
+                   check_batches, classification_report, label_indices, make_rng,
                    sample_bernoulli, sigmoid, softmax)
 from .optim import (NO_DECAY, NO_MOMENTUM, AnnealKind, AnnealSchedule, ParamGroup,
                     run_epochs)
@@ -290,22 +290,16 @@ def mean_field_train(model: DbmModel, batches, cfg: TrainConfig,
     them, so consecutive batches settle together in groups of at least the
     widest hidden layer's row count (the last may hold fewer): enough rows
     to fill the GEMMs, with working arrays about one weight matrix in size.
-    Every batch is checked before the first update. The update is plain SGD
-    on `cfg.lr`, always STEP-annealed and without momentum or weight decay,
-    and changes the model's arrays in place; the hook reports momentum 0.0.
+    The batches pass `core.check_batches` first, y read as one-of-K labels
+    when the model has label units. The update is plain SGD on `cfg.lr`,
+    always STEP-annealed and without momentum or weight decay, and changes
+    the model's arrays in place; the hook reports momentum 0.0.
     """
     if model.chain_v is None:
         raise ConfigError("model must be pretrained before mean-field training")
-    pairs = [(as_rows(x, model.sizes[0]),
-              as_rows(y, model.label_dim) if model.label_dim else None)
-             for x, y in batches]
-    for x, y in pairs:
-        if y is not None and len(y) != len(x):
-            raise ShapeError(f"{len(y)} label rows for {len(x)} data rows")
+    pairs = check_batches(batches, model.sizes[0], model.label_dim or None, one_of_k=True)
     rng = make_rng(cfg.seed)
     d_total = sum(len(x) for x, _ in pairs)
-    if d_total == 0:
-        raise DomainError("mean-field training needs at least one data row")
     m_chains = model.chain_v.shape[0]
     biases = model.hidden_biases + [model.visible_bias]
     if model.label_dim:

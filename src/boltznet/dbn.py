@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (ClassificationReport, ConfigError, Matrix, ShapeError, as_rows,
-                   classification_report, label_indices, make_rng, sample_bernoulli,
-                   sigmoid)
+                   check_batches, classification_report, label_indices, make_rng,
+                   sample_bernoulli, sigmoid)
 from .optim import ParamGroup, run_epochs
 from .rbm import (CdGradients, RbmLayer, TrainConfig, _cd_gradients, _check_chain,
                   _pretrain_layers)
@@ -91,7 +91,8 @@ def _residual_update(w, b, source, target, lr, scratch):
 def up_down_fine_tune(model: DbnModel, batches, cfg: TrainConfig,
                       hook=None) -> DbnModel:
     """Wake-sleep fine-tuning with contrastive divergence at the top, on
-    (x, y) batches whose y is read exactly when the model has label units.
+    (x, y) batches checked by `core.check_batches`, y read as one-of-K
+    labels exactly when the model has label units.
 
     Per batch: a sampled up-pass (recognition weights) trains the generative
     weights on its states; a CD-1 step with labels clamped in the positive
@@ -101,10 +102,7 @@ def up_down_fine_tune(model: DbnModel, batches, cfg: TrainConfig,
     """
     if model.top is None:
         raise ConfigError("model must be pretrained before fine-tuning")
-    pairs = [(as_rows(x, model.input_dim),
-              as_rows(y, model.label_dim) if model.label_dim else None) for x, y in batches]
-    if any(y is not None and len(y) != len(x) for x, y in pairs):
-        raise ShapeError("a label batch's row count differs from its data batch's")
+    pairs = check_batches(batches, model.input_dim, model.label_dim or None, one_of_k=True)
     rng = make_rng(cfg.seed)
     top = model.top
     params = ParamGroup([top.w], [top.b_v, top.b_h], cfg.decay)

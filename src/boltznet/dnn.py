@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ActivationKind, ClassificationReport, ConfigError, LossKind,
-                   Matrix, ShapeError, activate, activation_derivative, as_rows,
+                   Matrix, activate, activation_derivative, as_rows, check_batches,
                    classification_report, label_indices)
 from .optim import ParamGroup, run_epochs
 from .rbm import (RbmLayer, TrainConfig, _check_chain, _pretrain_layers,
@@ -89,23 +89,18 @@ def backprop_gradients(stack: LayerStack, batch: Matrix, target: Matrix,
                        loss: LossKind):
     """Per-layer (dW, db) for the row-averaged loss on one batch, in fresh
     arrays."""
+    [(batch, target)] = check_batches([(batch, target)], stack.sizes[0], stack.sizes[-1])
     dws = [np.empty_like(layer.w) for layer in stack.layers]
     dbs = [np.empty_like(layer.b_h) for layer in stack.layers]
     _backprop(stack, batch, target, loss, dws, dbs)
     return list(zip(dws, dbs))
 
 
-def _backprop_epochs(stack: LayerStack, batches, loss: LossKind, cfg: TrainConfig,
+def _backprop_epochs(stack: LayerStack, pairs, loss: LossKind, cfg: TrainConfig,
                      hook, noisy=None) -> None:
-    """Momentum backprop over (input, target) batches, updating every
+    """Momentum backprop over checked (input, target) pairs, updating every
     layer's weights and hidden biases in place; `noisy` corrupts each
-    input afresh every epoch. Every batch is checked against the stack's
-    widths, and each target against its input's row count, before the
-    first update."""
-    pairs = [(as_rows(x, stack.sizes[0]), as_rows(y, stack.sizes[-1]))
-             for x, y in batches]
-    if any(len(y) != len(x) for x, y in pairs):
-        raise ShapeError("a target batch's row count differs from its data batch's")
+    input afresh every epoch."""
     n = len(stack.layers)
     params = ParamGroup([l.w for l in stack.layers], [l.b_h for l in stack.layers],
                         cfg.decay)
@@ -121,11 +116,11 @@ def _backprop_epochs(stack: LayerStack, batches, loss: LossKind, cfg: TrainConfi
 
 def backprop_fine_tune(stack: LayerStack, batches, loss: LossKind, cfg: TrainConfig,
                        hook=None) -> LayerStack:
-    """Refine all layers by backpropagation on (x, y) batches, y holding the
-    targets. Every batch is checked against the stack's widths, and each y
-    against its x's row count, before the first update. The layers' arrays
-    are updated in place, so arrays a caller holds change with the model."""
-    _backprop_epochs(stack, batches, loss, cfg, hook)
+    """Refine all layers by backpropagation on (x, y) batches checked by
+    `core.check_batches`, y holding the targets. The layers' arrays are
+    updated in place."""
+    _backprop_epochs(stack, check_batches(batches, stack.sizes[0], stack.sizes[-1]),
+                     loss, cfg, hook)
     return stack
 
 

@@ -16,8 +16,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import (ActivationKind, ClassificationReport, ConfigError, DomainError,
-                   Matrix, Rng, ShapeError, activate, as_rows, classification_report,
-                   label_indices, make_rng, sample_bernoulli, sigmoid)
+                   Matrix, Rng, ShapeError, activate, as_rows, check_batches,
+                   classification_report, label_indices, make_rng, sample_bernoulli,
+                   sigmoid)
 from .optim import (AnnealSchedule, MomentumSchedule, ParamGroup, WeightDecaySpec,
                     dropout_mask, run_epochs)
 
@@ -183,10 +184,8 @@ def _cd_step(rbm: RbmLayer, batch: Matrix, k: int, dropout_rate: float, rng: Rng
     down_scale support the asymmetric passes needed by DBM pretraining.
     A layer with the IDENTITY activation has linear hidden units: identity
     mean plus unit-variance Gaussian noise; any other has sigmoid units.
+    The batch is taken as checked.
     """
-    batch = as_rows(batch, rbm.n_v)
-    if batch.shape[0] < 1:
-        raise DomainError("empty batch")
     if k < 1:
         raise ConfigError("gibbs step count must be >= 1")
 
@@ -216,14 +215,13 @@ def cd_step(rbm: RbmLayer, batch: Matrix, k: int, dropout_rate: float,
             rng: Rng) -> CdGradients:
     """Public CD-k gradient: reconstruction minus data statistics, in
     fresh arrays."""
+    [(batch, _)] = check_batches([(batch, None)], rbm.n_v)
     return _cd_step(rbm, batch, k, dropout_rate, rng)
 
 
 def _train_rbm(rbm: RbmLayer, data_batches, cfg: TrainConfig, up_scale: float = 1.0,
                down_scale: float = 1.0, hook=None) -> RbmLayer:
-    data_batches = [as_rows(x, rbm.n_v) for x in data_batches]
-    if any(len(x) == 0 for x in data_batches):
-        raise DomainError("empty batch")
+    """CD training on checked visible batches."""
     rng = make_rng(cfg.seed)
     params = ParamGroup([rbm.w], [rbm.b_v, rbm.b_h], cfg.decay)
     g = CdGradients(*params.grads)
@@ -242,36 +240,21 @@ def _train_rbm(rbm: RbmLayer, data_batches, cfg: TrainConfig, up_scale: float = 
 
 
 def train_binary(rbm: RbmLayer, batches, cfg: TrainConfig, hook=None) -> RbmLayer:
-    """CD training with stochastic binary hidden units. Every batch is
-    checked (width, at least one row) before the first update. The layer's
-    weight and bias arrays are updated in place, so arrays a caller holds
-    change with the model. Each (x, y) batch's y is ignored."""
-    return _train_rbm(rbm, [x for x, _ in batches], cfg, hook=hook)
+    """CD training with stochastic binary hidden units on batches checked
+    by `core.check_batches`, each y ignored. The layer's arrays are updated
+    in place."""
+    return _train_rbm(rbm, [x for x, _ in check_batches(batches, rbm.n_v)], cfg, hook=hook)
 
 
 def train_linear(rbm: RbmLayer, batches, cfg: TrainConfig, hook=None) -> RbmLayer:
     """CD training with linear-Gaussian hidden units: the hidden mean is the
     raw input and samples add unit-variance noise; the visible side is
-    unchanged. Marks the layer IDENTITY, so its conditionals and saved
-    form match, checks every batch as `train_binary` does and updates its
-    arrays in place."""
+    unchanged. Once its batches pass the check `train_binary` makes, marks
+    the layer IDENTITY, so its conditionals and saved form match, and
+    trains it as `train_binary` does."""
+    xs = [x for x, _ in check_batches(batches, rbm.n_v)]
     rbm.activation = ActivationKind.IDENTITY
-    return _train_rbm(rbm, [x for x, _ in batches], cfg, hook=hook)
-
-
-def _check_one_of_k(t: Matrix) -> None:
-    if not np.all((t == 0.0) | (t == 1.0)) or not np.allclose(t.sum(axis=1), 1.0):
-        raise DomainError("labels must be one-of-K rows")
-
-
-def _head_pairs(head: RbmLayer, batches) -> list:
-    """(features, targets) batches as float64 rows, checked against the
-    head's widths and each other's row counts."""
-    pairs = [(as_rows(f, head.n_v), as_rows(t, head.n_h)) for f, t in batches]
-    for f, t in pairs:
-        if len(t) != len(f):
-            raise ShapeError(f"{len(f)} feature rows for {len(t)} target rows")
-    return pairs
+    return _train_rbm(rbm, xs, cfg, hook=hook)
 
 
 def _head_gradients(head: RbmLayer, features: Matrix, targets: Matrix, dw: Matrix,
@@ -288,7 +271,7 @@ def _head_gradients(head: RbmLayer, features: Matrix, targets: Matrix, dw: Matri
 def classifier_head_gradients(head: RbmLayer, features: Matrix, targets: Matrix):
     """Softmax cross-entropy gradients for one batch, in fresh arrays:
     grad_W = (a^h)^T (c - t) / m and grad_b = mean(c - t)."""
-    [(features, targets)] = _head_pairs(head, [(features, targets)])
+    [(features, targets)] = check_batches([(features, targets)], head.n_v, head.n_h)
     dw, db = np.empty_like(head.w), np.empty_like(head.b_h)
     _head_gradients(head, features, targets, dw, db)
     return dw, db
@@ -297,12 +280,9 @@ def classifier_head_gradients(head: RbmLayer, features: Matrix, targets: Matrix)
 def train_classifier_head(head: RbmLayer, batches, cfg: TrainConfig,
                           hook=None) -> RbmLayer:
     """Batch gradient descent on softmax cross-entropy over (features, y)
-    batches, y holding one-of-K targets. Every batch is checked (widths,
-    row counts, one-of-K y) before the first update. The head's weight and
-    bias arrays are updated in place."""
-    pairs = _head_pairs(head, batches)
-    for _, t in pairs:
-        _check_one_of_k(t)
+    batches checked by `core.check_batches`, y holding one-of-K targets.
+    The head's arrays are updated in place."""
+    pairs = check_batches(batches, head.n_v, head.n_h, one_of_k=True)
     params = ParamGroup([head.w], [head.b_h], cfg.decay)
 
     def epoch(lr, rho):
@@ -334,32 +314,25 @@ def _pretrain_layers(sizes, batches, cfg: TrainConfig, labels=False, scales=None
                      train: bool = True):
     """Greedy layer-wise pretraining on (x, y) batches, shared by every
     stacked model: one RBM per adjacent size pair, each trained (when
-    `train` is set) on the previous RBM's hidden probabilities. When
-    `labels` is set, each batch's y is checked (one-of-K rows, one width, as
-    many rows as its x) before any layer is drawn, and joined onto the last
-    RBM's visible side; `scales[i]` gives RBM i's (up, down) pass scales,
-    (1, 1) by default.
+    `train` is set) on the previous RBM's hidden probabilities. The batches
+    pass `core.check_batches` before any layer is drawn, each y read as
+    one-of-K labels as wide as the first when `labels` is set; those labels
+    are joined onto the last RBM's visible side. `scales[i]` gives RBM i's
+    (up, down) pass scales, (1, 1) by default.
 
     Returns (layers, rng) so callers can keep drawing from the same stream.
-    An empty batch list raises DomainError before any layer is drawn.
     """
-    if not batches:
-        raise DomainError("pretraining needs at least one batch")
-    label_batches = [as_rows(y) for _, y in batches] if labels else []
-    k = label_batches[0].shape[1] if label_batches else 0
-    for (x, _), y in zip(batches, label_batches):
-        if y.shape != (len(x), k):
-            raise ShapeError(f"label batch {y.shape} is not {len(x)} rows of {k} labels")
-        _check_one_of_k(y)
+    k = as_rows(batches[0][1]).shape[1] if labels and batches else 0
+    pairs = check_batches(batches, sizes[0], k if labels else None, one_of_k=True)
     rng = make_rng(cfg.seed)
     n = len(sizes) - 1
     layers = [RbmLayer.random(sizes[i] + (k if i == n - 1 else 0), sizes[i + 1], rng,
                               index=i) for i in range(n)]
-    feats = [x for x, _ in batches]
+    feats = [x for x, _ in pairs]
     for i, layer in enumerate(layers if train else []):
         up, down = scales[i] if scales else (1.0, 1.0)
         if i == n - 1 and k:
-            feats = [np.hstack([f, y]) for f, y in zip(feats, label_batches)]
+            feats = [np.hstack([f, y]) for f, (_, y) in zip(feats, pairs)]
         _train_rbm(layer, feats, pretrain_config(cfg, i), up_scale=up, down_scale=down)
         if i < n - 1:
             feats = [sigmoid(up * (f @ layer.w) + layer.b_h) for f in feats]

@@ -73,14 +73,17 @@ def rng():
     return make_rng(12345)
 
 
-@pytest.fixture(params=["uniform floats", "short labels", "no labels", "two widths"])
+@pytest.fixture(params=["uniform floats", "all ones", "short labels", "no labels",
+                        "two widths"])
 def bad_label_batches(request):
-    """(x, y) batches whose y cannot be label units, and the error a builder
-    given `labels=True` raises for them."""
+    """(x, y) batches, x 3 wide, whose y cannot be label units, and the error
+    raised for them by a builder given `labels=True` or by a trainer of a
+    model with 2 label units."""
     rng = make_rng(40)
     x = rng.random((6, 3))
     y = one_of_k(rng.integers(0, 2, (6, 1)).astype(float), 2)
-    cases = {"uniform floats": ([(x, x)], DomainError),
+    cases = {"uniform floats": ([(x, x[:, :2])], DomainError),
+             "all ones": ([(x, np.ones_like(y))], DomainError),
              "short labels": ([(x, y[:5])], ShapeError),
              "no labels": ([(x, None)], ShapeError),
              "two widths": ([(x, y), (x, np.hstack([y, 0 * y]))], ShapeError)}

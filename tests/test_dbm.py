@@ -443,6 +443,16 @@ class TestTraining:
         for got, want in zip(model_arrays(model), model_arrays(before), strict=True):
             np.testing.assert_array_equal(got, want)
 
+    def test_bad_labels_are_checked_before_the_first_update(self, bad_label_batches):
+        bad, error = bad_label_batches
+        good = toy_batches(n=12, dim=3, num_batches=2, classes=2)
+        model = pretrain_dbm([3, 4, 2], good, TrainConfig(epochs=1, seed=33), labels=True)
+        before = copy.deepcopy(model)
+        with pytest.raises(error):
+            mean_field_train(model, good + bad, TrainConfig(epochs=2, lr=0.05, seed=34))
+        for got, want in zip(model_arrays(model), model_arrays(before), strict=True):
+            np.testing.assert_array_equal(got, want)
+
     def test_gradient_structure_matches_enumeration(self):
         # the infinite-sample update direction is the difference of data and
         # model pair expectations; long chains should approach the model term

@@ -138,6 +138,18 @@ class TestUpDown:
                 up_down_fine_tune(model, batches[:-1] + [bad], TrainConfig(epochs=1, seed=8))
         np.testing.assert_array_equal(model.top.w, w)
 
+    def test_bad_labels_are_checked_before_the_first_update(self, bad_label_batches):
+        bad, error = bad_label_batches
+        good = toy_data(dim=3)
+        model = pretrain_dbn([3, 4, 2], good, TrainConfig(epochs=1, seed=7), labels=True)
+        arrays = ([a for l in model.recognition for a in (l.w, l.b_h)] + model.generative_w
+                  + model.generative_b + [model.top.w, model.top.b_v, model.top.b_h])
+        before = [a.copy() for a in arrays]
+        with pytest.raises(error):
+            up_down_fine_tune(model, good + bad, TrainConfig(epochs=1, seed=8))
+        for now, then in zip(arrays, before):
+            np.testing.assert_array_equal(now, then)
+
     def test_divergence_in_a_directed_weight_stops_its_epoch(self, monkeypatch):
         # the wake-sleep arrays are checked with the top RBM's after each epoch
         batches = toy_data(dim=6, num_batches=2)

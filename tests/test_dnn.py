@@ -138,6 +138,19 @@ class TestBackprop:
         for now, then in zip(arrays, before):
             np.testing.assert_array_equal(now, then)
 
+    def test_gradient_batch_is_checked(self):
+        # a 1-row target is not broadcast over the batch, nor a narrow one
+        # left to numpy
+        rng = make_rng(49)
+        x = rng.random((8, 5))
+        t = one_of_k(rng.integers(0, 2, (8, 1)).astype(float), 2)
+        stack = randomized_stack([5, 3, 2], seed=49)
+        with pytest.raises(DomainError):
+            backprop_gradients(stack, x[:0], t[:0], LossKind.CROSS_ENTROPY)
+        for bx, bt in ((x, t[:1]), (x, t[:, :1]), (x[:, :4], t)):
+            with pytest.raises(ShapeError):
+                backprop_gradients(stack, bx, bt, LossKind.CROSS_ENTROPY)
+
     def test_zero_epochs_is_identity(self):
         stack = randomized_stack([5, 4, 2], seed=9)
         before = [l.w.copy() for l in stack.layers]

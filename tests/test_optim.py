@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from boltznet.autoencoder import build_symmetric, fine_tune_mse
-from boltznet.core import ConfigError, DivergenceError, DomainError, LossKind, make_rng
+from boltznet.core import (ActivationKind, ConfigError, DivergenceError, DomainError,
+                           LossKind, ShapeError, make_rng)
 from boltznet.data import make_batches, one_of_k
 from boltznet.dbm import mean_field_train, pretrain_dbm
 from boltznet.dbn import pretrain_dbn, up_down_fine_tune
@@ -208,6 +209,56 @@ class TestParamGroup:
         assert peak < bound
 
 
+def _stack_arrays(stack):
+    return [a for layer in stack.layers for a in (layer.w, layer.b_h)]
+
+
+def _rbm_trainer(trainer, activation=ActivationKind.SIGMOID, n_h=3):
+    def setup(batches):
+        rbm = RbmLayer.random(4, n_h, make_rng(62), activation=activation)
+        return (lambda b, cfg: trainer(rbm, b, cfg)), [rbm.w, rbm.b_v, rbm.b_h]
+    return setup
+
+
+def _backprop_setup(batches):
+    stack = pretrain_stack([4, 3, 2], batches, TrainConfig(epochs=0), pretrain=False)
+    return ((lambda b, cfg: backprop_fine_tune(stack, b, LossKind.CROSS_ENTROPY, cfg)),
+            _stack_arrays(stack))
+
+
+def _mse_setup(batches):
+    model = build_symmetric([4, 3], batches, TrainConfig(epochs=1, seed=63), 0.2)
+    return (lambda b, cfg: fine_tune_mse(model, b, cfg)), _stack_arrays(model.stack)
+
+
+def _up_down_setup(batches):
+    model = pretrain_dbn([4, 3, 2], batches, TrainConfig(epochs=1, seed=64), labels=True)
+    arrays = ([a for l in model.recognition for a in (l.w, l.b_h)] + model.generative_w
+              + model.generative_b + [model.top.w, model.top.b_v, model.top.b_h])
+    return (lambda b, cfg: up_down_fine_tune(model, b, cfg)), arrays
+
+
+def _mean_field_setup(batches):
+    m = pretrain_dbm([4, 3, 2], batches, TrainConfig(epochs=1, seed=65), labels=True)
+    arrays = (m.weights + m.hidden_biases + [m.visible_bias, m.label_bias, m.chain_v,
+                                             m.chain_y] + m.chain_h)
+    return (lambda b, cfg: mean_field_train(m, b, cfg)), arrays
+
+
+# name -> (setup(batches) -> (run(batches, cfg), every array training may
+# change), whether the trainer reads y)
+TRAINERS = {
+    "train_binary": (_rbm_trainer(train_binary), False),
+    "train_linear": (_rbm_trainer(train_linear), False),
+    "train_classifier_head": (_rbm_trainer(train_classifier_head, ActivationKind.SOFTMAX,
+                                           n_h=2), True),
+    "backprop_fine_tune": (_backprop_setup, True),
+    "fine_tune_mse": (_mse_setup, False),
+    "up_down_fine_tune": (_up_down_setup, True),
+    "mean_field_train": (_mean_field_setup, True),
+}
+
+
 class TestRunEpochs:
     def test_reports_annealed_rate_and_momentum_each_epoch(self):
         cfg = TrainConfig(epochs=3, lr=0.4, anneal=AnnealSchedule(AnnealKind.DIVIDE, 1.0),
@@ -251,6 +302,43 @@ class TestRunEpochs:
             assert names[1:] == ["batches", *middle, "cfg", "hook"], trainer.__name__
             assert params[-1].default is None
             assert not {"data", "labels"} & set(names)
+
+    @pytest.mark.parametrize("trainer, case", [
+        (trainer, case) for trainer in TRAINERS
+        for case in ["no-batches", "zero-rows", "x-width", "y-rows"]
+        if case != "y-rows" or TRAINERS[trainer][1]])
+    def test_every_trainer_checks_its_batches_before_the_first_update(self, trainer, case):
+        # a good first batch, then the malformed one: the typed error comes
+        # before any array moves
+        setup, _ = TRAINERS[trainer]
+        rng = make_rng(60)
+        x = rng.random((6, 4))
+        y = one_of_k(rng.integers(0, 2, (6, 1)).astype(float), 2)
+        run, arrays = setup([(x, y)])
+        batches, error = {"no-batches": ([], DomainError),
+                          "zero-rows": ([(x, y), (x[:0], y[:0])], DomainError),
+                          "x-width": ([(x, y), (x[:, :3], y)], ShapeError),
+                          "y-rows": ([(x, y), (x, y[:5])], ShapeError)}[case]
+        before = [a.copy() for a in arrays]
+        with pytest.raises(error):
+            run(batches, TrainConfig(epochs=1, seed=61))
+        for now, then in zip(arrays, before, strict=True):
+            np.testing.assert_array_equal(now, then)
+
+    def test_every_builder_checks_its_batches_before_drawing_a_layer(self):
+        rng = make_rng(66)
+        x = rng.random((6, 4))
+        y = one_of_k(rng.integers(0, 2, (6, 1)).astype(float), 2)
+        cfg = TrainConfig(epochs=1, seed=67)
+        builders = [lambda b: pretrain_stack([4, 3, 2], b, cfg, pretrain=False),
+                    lambda b: build_symmetric([4, 3], b, cfg),
+                    lambda b: pretrain_dbn([4, 3, 2], b, cfg, labels=True),
+                    lambda b: pretrain_dbm([4, 3, 2], b, cfg, labels=True)]
+        for build in builders:
+            with pytest.raises(DomainError):
+                build([(x, y), (x[:0], y[:0])])
+            with pytest.raises(ShapeError):
+                build([(x, y), (x[:, :3], y)])
 
     def test_every_builder_takes_one_batch_list(self):
         # label units come from each batch's y; `labels` only says whether

@@ -282,6 +282,7 @@ class TestTrainLinear:
         assert_checked_before_update(
             lambda b: train_linear(rbm, b, TrainConfig(epochs=1, seed=47)),
             (rbm.w, rbm.b_v, rbm.b_h), batches, error)
+        assert rbm.activation is ActivationKind.SIGMOID  # not relabelled untrained
 
     def test_zero_weight_hidden_mean_is_bias(self):
         rbm = zero_rbm(3, 2)
@@ -379,6 +380,14 @@ class TestClassifierHead:
         assert_checked_before_update(
             lambda b: train_classifier_head(head, b, TrainConfig(epochs=1)),
             (head.w, head.b_h), [(f, t), (f, t), bad], ShapeError)
+
+    def test_gradient_batch_is_checked(self):
+        feats, labels, head = self.make_toy()
+        with pytest.raises(DomainError):
+            classifier_head_gradients(head, feats[:0], labels[:0])
+        for f, t in ((feats, labels[:1]), (feats[:, :3], labels), (feats, labels[:, :2])):
+            with pytest.raises(ShapeError):
+                classifier_head_gradients(head, f, t)
 
     def test_consecutive_gradient_calls_return_fresh_arrays(self):
         feats, labels, head = self.make_toy()
