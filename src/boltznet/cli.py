@@ -31,8 +31,8 @@ from . import dbn as dbn_mod
 from . import dnn as dnn_mod
 from . import multimodal as mm
 from . import rbm as rbm_mod
-from .core import (ConfigError, DivergenceError, LossKind, classification_report,
-                   label_indices, loss as loss_fn, make_rng)
+from .core import (ConfigError, DivergenceError, LossKind, classify, loss as loss_fn,
+                   make_rng)
 from .data import (FormatError, make_batches, one_of_k, read_mnist_images,
                    read_mnist_labels, shuffle_paired)
 from .model_io import save_model
@@ -282,9 +282,7 @@ def _class_probe(predict_probs, probe_x, probe_y, test_x, test_y):
     def probe():
         probs = np.maximum(predict_probs(probe_x), 1e-12)
         ce = loss_fn(probs, probe_y, LossKind.CROSS_ENTROPY)
-        pred = predict_probs(test_x).argmax(axis=1)
-        report = classification_report(pred, label_indices(test_y), 10)
-        return {"loss": ce, "error": report.error_rate}
+        return {"loss": ce, "error": classify(predict_probs(test_x), test_y).error_rate}
     return probe
 
 

@@ -233,14 +233,27 @@ class ClassificationReport:
     n_samples: int
 
 
-def label_indices(labels: Matrix) -> np.ndarray:
-    """Class indices from either an index column or a one-of-K matrix."""
-    labels = np.asarray(labels)
-    if labels.ndim == 2 and labels.shape[1] == 1:
-        return labels[:, 0].astype(np.int64)
-    if labels.ndim == 1:
-        return labels.astype(np.int64)
-    return labels.argmax(axis=1).astype(np.int64)
+def class_indices(labels, k: int) -> np.ndarray:
+    """`labels` (an m x 1 column of class indices) as m int64 indices;
+    DomainError unless each is an integer in [0, k)."""
+    idx = np.asarray(labels, dtype=np.float64).reshape(-1)
+    as_int = idx.astype(np.int64)
+    if not np.array_equal(as_int, idx):
+        raise DomainError("labels must be integral class indices")
+    if as_int.size and (as_int.min() < 0 or as_int.max() >= k):
+        raise DomainError(f"label index outside [0, {k})")
+    return as_int
+
+
+def classify(scores: Matrix, labels) -> ClassificationReport:
+    """The one scoring rule: each row's class is the index of its largest
+    score, scored against `labels`, one class index in [0, K) per row for K
+    scores. DomainError for zero rows or a bad index, ShapeError for a label
+    count other than the row count."""
+    if len(scores) == 0:
+        raise DomainError("scoring needs at least one row")
+    k = scores.shape[1]
+    return classification_report(scores.argmax(axis=1), class_indices(labels, k), k)
 
 
 def classification_report(pred_idx, true_idx, n_classes: int) -> ClassificationReport:

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import DomainError, Matrix, Rng, ShapeError
+from .core import DomainError, Matrix, Rng, ShapeError, class_indices
 
 MNIST_IMAGE_MAGIC = 2051
 MNIST_LABEL_MAGIC = 2049
@@ -104,15 +104,7 @@ def read_f32be_matrix(path, rows: int, cols: int) -> Matrix:
 
 def one_of_k(labels: Matrix, k: int) -> Matrix:
     """Expand an m x 1 column of class indices to an m x k indicator matrix."""
-    idx = np.asarray(labels, dtype=np.float64).reshape(-1)
-    as_int = idx.astype(np.int64)
-    if not np.array_equal(as_int, idx):
-        raise DomainError("labels must be integral class indices")
-    if as_int.size and (as_int.min() < 0 or as_int.max() >= k):
-        raise DomainError(f"label index outside [0, {k})")
-    out = np.zeros((as_int.size, k), dtype=np.float64)
-    out[np.arange(as_int.size), as_int] = 1.0
-    return out
+    return np.eye(k)[class_indices(labels, k)]
 
 
 def shuffle_paired(data: Matrix, labels: Matrix, rng: Rng):

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import (ClassificationReport, ConfigError, Matrix, ShapeError, as_rows,
-                   check_batches, classification_report, label_indices, make_rng,
-                   sample_bernoulli, sigmoid, softmax)
+                   check_batches, classify, make_rng, sample_bernoulli, sigmoid,
+                   softmax)
 from .optim import (NO_DECAY, NO_MOMENTUM, AnnealKind, AnnealSchedule, ParamGroup,
                     run_epochs)
 from .rbm import TrainConfig, _check_binary, _check_chain, _pretrain_layers
@@ -238,8 +238,8 @@ def mean_field_states(model: DbmModel, data: Matrix, y: Matrix = None,
         history.append(float(change.max(initial=0.0)))
         if history[-1] < tol or sweep == max_sweeps - 1:
             break
-        # a lone row has just had its own test; of several, some may stop
-        if len(rows) > 1 and (done := change.max(axis=0) < tol).any():
+        # settled rows rejoin after the loop: allocating the result early raises peak RSS
+        if (done := change.max(axis=0) < tol).any():
             settled.append((rows[done], [m[done] for m in [*mus, y_mu]]))
             keep = ~done
             rows, vw, y_mu, change = rows[keep], vw[keep], y_mu[keep], change[:, keep]
@@ -352,5 +352,4 @@ def predict_dbm(model: DbmModel, data: Matrix) -> Matrix:
 
 
 def classify_dbm(model: DbmModel, data: Matrix, labels: Matrix) -> ClassificationReport:
-    pred = predict_dbm(model, data).argmax(axis=1)
-    return classification_report(pred, label_indices(labels), model.label_dim)
+    return classify(predict_dbm(model, data), labels)

@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (ClassificationReport, ConfigError, Matrix, ShapeError, as_rows,
-                   check_batches, classification_report, label_indices, make_rng,
-                   sample_bernoulli, sigmoid)
+                   check_batches, classify, make_rng, sample_bernoulli, sigmoid)
 from .optim import ParamGroup, run_epochs
 from .rbm import (CdGradients, RbmLayer, TrainConfig, _cd_gradients, _check_chain,
                   _pretrain_layers)
@@ -168,5 +167,4 @@ def predict_dbn(model: DbnModel, data: Matrix) -> Matrix:
 
 
 def classify_dbn(model: DbnModel, data: Matrix, labels: Matrix) -> ClassificationReport:
-    pred = predict_dbn(model, data).argmax(axis=1)
-    return classification_report(pred, label_indices(labels), model.label_dim)
+    return classify(predict_dbn(model, data), labels)

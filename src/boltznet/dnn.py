@@ -10,7 +10,7 @@ import numpy as np
 
 from .core import (ActivationKind, ClassificationReport, ConfigError, LossKind,
                    Matrix, activate, activation_derivative, as_rows, check_batches,
-                   classification_report, label_indices)
+                   classify)
 from .optim import ParamGroup, run_epochs
 from .rbm import (RbmLayer, TrainConfig, _check_chain, _pretrain_layers,
                   hidden_given_visible)
@@ -130,9 +130,7 @@ def predict(stack: LayerStack, data: Matrix) -> np.ndarray:
 
 def classify_dnn(stack: LayerStack, data: Matrix, labels: Matrix) -> ClassificationReport:
     """Argmax of the final softmax emission against the true classes."""
-    pred = predict(stack, data).argmax(axis=1)
-    return classification_report(pred, label_indices(labels),
-                                 stack.layers[-1].n_h)
+    return classify(predict(stack, data), labels)
 
 
 def hidden_features(stack: LayerStack, batches):

@@ -16,9 +16,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import (ActivationKind, ClassificationReport, ConfigError, DomainError,
-                   Matrix, Rng, ShapeError, activate, as_rows, check_batches,
-                   classification_report, label_indices, make_rng, sample_bernoulli,
-                   sigmoid)
+                   Matrix, Rng, ShapeError, activate, as_rows, check_batches, classify,
+                   make_rng, sample_bernoulli, sigmoid)
 from .optim import (AnnealSchedule, MomentumSchedule, ParamGroup, WeightDecaySpec,
                     dropout_mask, run_epochs)
 
@@ -298,10 +297,7 @@ def classify_rbm(rbm: RbmLayer, head: RbmLayer, data: Matrix,
                  labels: Matrix) -> ClassificationReport:
     """Predict through hidden probabilities and the softmax head; the class
     is the index of the maximum emission."""
-    h = hidden_given_visible(rbm, data)
-    scores = h @ head.w + head.b_h
-    pred = scores.argmax(axis=1)
-    return classification_report(pred, label_indices(labels), head.n_h)
+    return classify(hidden_given_visible(rbm, data) @ head.w + head.b_h, labels)
 
 
 def pretrain_config(cfg: TrainConfig, layer_index: int) -> TrainConfig:

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import make_rng
+from .data import MNIST_IMAGE_MAGIC, MNIST_LABEL_MAGIC
 
 SIDE, N_CLASSES = 28, 10  # a 28x28 canvas and ten classes, as MNIST
 PROTOTYPE_SEED, BUMPS = 1234, 4  # each class prototype is 4 Gaussian bumps
@@ -74,14 +75,14 @@ def write_idx_images(path, pixels: np.ndarray, rows: int = 28, cols: int = 28) -
     if np.issubdtype(pixels.dtype, np.floating):
         pixels = np.clip(np.rint(pixels * 255.0), 0, 255)
     with open(path, "wb") as fh:
-        fh.write(struct.pack(">IIII", 2051, pixels.shape[0], rows, cols))
+        fh.write(struct.pack(">IIII", MNIST_IMAGE_MAGIC, pixels.shape[0], rows, cols))
         fh.write(pixels.astype(np.uint8).tobytes())
 
 
 def write_idx_labels(path, labels: np.ndarray) -> None:
     idx = np.asarray(labels).reshape(-1).astype(np.uint8)
     with open(path, "wb") as fh:
-        fh.write(struct.pack(">II", 2049, idx.size))
+        fh.write(struct.pack(">II", MNIST_LABEL_MAGIC, idx.size))
         fh.write(idx.tobytes())
 
 

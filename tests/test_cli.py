@@ -136,8 +136,12 @@ class TestExitCodes:
                     "--batches", "8", "--out-dir", tmp_path / "o"])
         assert code == 0
 
-    @pytest.mark.parametrize("override", [{"bogus": 1}, {"layers": "784,16"}],
-                             ids=["unknown-key", "layers-as-string"])
+    # a --config file reaches only validate(): argparse choices guard the flags
+    @pytest.mark.parametrize("override", [
+        {"bogus": 1}, {"layers": "784,16"}, {"anneal": "bogus"}, {"decay": "bogus"},
+        {"layers": [784]}, {"num_batches": 0}, {"subset": -1}, {"denoise": 1.5},
+    ], ids=["unknown-key", "layers-as-string", "anneal", "decay", "one-layer",
+            "no-batches", "negative-subset", "denoise-above-one"])
     def test_bad_config_json_is_invalid_configuration(self, tiny_data_dir, tmp_path,
                                                       capsys, override):
         raw = {"model": "rbm", "layers": [784, 16], "epochs": 0,
@@ -145,6 +149,7 @@ class TestExitCodes:
         (tmp_path / "c.json").write_text(json.dumps({**raw, **override}))
         assert run(["run-rbm", "--config", tmp_path / "c.json"]) == 1
         assert "invalid configuration" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exits_three(self, tiny_data_dir, tmp_path):

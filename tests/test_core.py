@@ -5,6 +5,11 @@ from boltznet.core import (ActivationKind, ConfigError, DivergenceError, DomainE
                            LossKind, ShapeError, activate, activation_derivative,
                            classification_report, loss, loss_derivative,
                            make_rng, matrix, sample_bernoulli, sigmoid)
+from boltznet.data import make_batches, one_of_k
+from boltznet.dbm import classify_dbm, pretrain_dbm
+from boltznet.dbn import classify_dbn, pretrain_dbn
+from boltznet.dnn import classify_dnn, pretrain_stack
+from boltznet.rbm import RbmLayer, TrainConfig, classify_rbm
 
 SIG = ActivationKind.SIGMOID
 
@@ -206,3 +211,32 @@ def test_classification_report_counts():
     assert rep.error_rate == 0.25
     assert rep.confusion[1, 2] == 1
     assert rep.confusion.sum() == 4
+
+
+@pytest.fixture(scope="module")
+def tiny_classifiers():
+    """Each classify_* function bound to a tiny 4-visible, 3-class model."""
+    rng = make_rng(7)
+    x = (rng.random((12, 4)) > 0.5).astype(float)
+    batches = make_batches(x, one_of_k(rng.integers(0, 3, (12, 1)), 3), 2)
+    cfg = TrainConfig(epochs=1, seed=8)
+    rbm, head = RbmLayer.random(4, 3, rng), RbmLayer.random(3, 3, rng)
+    stack = pretrain_stack([4, 3, 3], batches, cfg)
+    dbn = pretrain_dbn([4, 3, 2], batches, cfg, labels=True)
+    dbm = pretrain_dbm([4, 3, 2], batches, cfg, labels=True)
+    return {"rbm": lambda d, y: classify_rbm(rbm, head, d, y),
+            "dnn": lambda d, y: classify_dnn(stack, d, y),
+            "dbn": lambda d, y: classify_dbn(dbn, d, y),
+            "dbm": lambda d, y: classify_dbm(dbm, d, y)}
+
+
+@pytest.mark.parametrize("kind", ["rbm", "dnn", "dbn", "dbm"])
+@pytest.mark.parametrize("rows, labels, error", [
+    (2, [0, -1], DomainError), (2, [0, 3], DomainError), (2, [0, 2.5], DomainError),
+    (0, [], DomainError), (3, [0, 1], ShapeError),
+], ids=["negative", "k", "fractional", "zero-rows", "row-count"])
+def test_every_classifier_scores_class_indices_in_range(tiny_classifiers, kind, rows,
+                                                        labels, error):
+    """One class index in [0, K) per data row, and at least one row."""
+    with pytest.raises(error):
+        tiny_classifiers[kind](np.ones((rows, 4)), np.array(labels, float).reshape(-1, 1))

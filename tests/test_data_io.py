@@ -134,8 +134,9 @@ class TestOneOfK:
         np.testing.assert_array_equal(one_of_k(labels, 7).sum(axis=1), 1.0)
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(DomainError):
-            one_of_k(np.array([[5.0]]), 5)
+        for label in (5.0, 2.5):  # k itself, and a fraction below it
+            with pytest.raises(DomainError):
+                one_of_k(np.array([[label]]), 5)
 
 
 class TestShuffle:

@@ -10,7 +10,7 @@ from boltznet.data import (FormatError, make_batches, one_of_k, read_cifar10,
 from boltznet.dbm import DbmModel, mean_field_states, pretrain_dbm
 from boltznet.dbn import predict_dbn, pretrain_dbn
 from boltznet.dnn import LayerStack, predict, pretrain_stack
-from boltznet.model_io import (_KINDS, SEC_DENOISE, SEC_GENERATIVE, SEC_KIND,
+from boltznet.model_io import (_KINDS, SEC_CHAINS, SEC_DENOISE, SEC_GENERATIVE, SEC_KIND,
                                SEC_LABEL_BIAS, SEC_LABEL_DIM, _pack_layer, _pack_section,
                                load_model, save_model)
 from boltznet.multimodal import BimodalAe, build_bimodal, predict_modal
@@ -130,14 +130,20 @@ class TestCraftedContainers:
             load_model(tmp_path / "m.mdlr")
 
     @pytest.mark.parametrize("kind, tag, edit", [
-        ("dbm", SEC_LABEL_DIM, lambda raw: flip_bit(raw, 8 + 47)),
-        ("dbn", SEC_LABEL_DIM, lambda raw: struct.pack("<BQ", SEC_LABEL_DIM, 0)),
-        ("dbn", SEC_GENERATIVE, lambda raw: b""),
+        ("dbm", SEC_LABEL_DIM, lambda raw, m: flip_bit(raw, 8 + 47)),
+        ("dbn", SEC_LABEL_DIM, lambda raw, m: struct.pack("<BQ", SEC_LABEL_DIM, 0)),
+        ("dbn", SEC_GENERATIVE, lambda raw, m: b""),
+        ("dbm", SEC_LABEL_BIAS, lambda raw, m: _pack_section(
+            SEC_LABEL_BIAS, [np.zeros((1, m.label_dim + 1))])),
+        ("dbm", SEC_CHAINS, lambda raw, m: _pack_section(
+            SEC_CHAINS, [m.chain_v[:, :-1], *m.chain_h, m.chain_y])),
     ], ids=["dbm-label-dim-bit-flipped", "dbn-label-dim-zeroed",
-            "dbn-without-generative-section"])
+            "dbn-without-generative-section", "dbm-label-bias-too-wide",
+            "dbm-visible-chain-too-narrow"])
     def test_edited_section_rejected(self, tmp_path, tiny_models, kind, tag, edit):
-        fields = container_fields(tiny_models[kind])
-        (tmp_path / "m.mdlr").write_bytes(edited(fields, tag, edit(fields[tag])))
+        model = tiny_models[kind]
+        fields = container_fields(model)
+        (tmp_path / "m.mdlr").write_bytes(edited(fields, tag, edit(fields[tag], model)))
         with pytest.raises(FormatError, match="m.mdlr"):
             load_model(tmp_path / "m.mdlr")
 
