@@ -280,8 +280,7 @@ class _Recorder:
 def _class_probe(predict_probs, probe_x, probe_y, test_x, test_y):
     """Probe-row cross entropy and test error, both from `predict_probs`."""
     def probe():
-        probs = np.maximum(predict_probs(probe_x), 1e-12)
-        ce = loss_fn(probs, probe_y, LossKind.CROSS_ENTROPY)
+        ce = loss_fn(predict_probs(probe_x), probe_y, LossKind.CROSS_ENTROPY)
         return {"loss": ce, "error": classify(predict_probs(test_x), test_y).error_rate}
     return probe
 

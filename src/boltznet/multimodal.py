@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autoencoder import AeModel, build_symmetric, reconstruct
-from .core import ConfigError, Matrix, ShapeError, as_rows, make_rng
-from .data import make_batches, shuffle_paired
+from .core import ConfigError, DomainError, Matrix, ShapeError, as_rows, make_rng
+from .data import make_batches
 from .rbm import TrainConfig
 
 
@@ -69,7 +69,7 @@ def build_bimodal(data_a: Matrix, data_b: Matrix, sizes_half, cfg: TrainConfig,
     scale_a = ModalScale(float(data_a.min()), float(data_a.max()))
     scale_b = ModalScale(float(data_b.min()), float(data_b.max()))
     joined = np.hstack([scale_a.forward(data_a), scale_b.forward(data_b)])
-    joined, _ = shuffle_paired(joined, joined, make_rng(cfg.seed))
+    joined = joined[make_rng(cfg.seed).permutation(len(joined))]
     batches = make_batches(joined, None, num_batches)
     ae = build_symmetric(sizes_half, batches, cfg, denoise_rate=denoise_rate)
     model = BimodalAe(ae=ae, dim_a=dim_a, dim_b=dim_b, scale_a=scale_a, scale_b=scale_b)
@@ -100,6 +100,6 @@ def modal_error_rate(pred: Matrix, truth: Matrix) -> float:
     if excluded:
         warnings.warn(f"excluded {excluded} zero-norm truth rows from the error rate")
     if not keep.any():
-        raise ValueError("every truth row has zero norm")
+        raise DomainError("every truth row has zero norm")
     rel = np.linalg.norm(pred[keep] - truth[keep], axis=1) / norms[keep]
     return float(rel.mean() * 100.0)

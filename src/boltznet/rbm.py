@@ -16,8 +16,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import (ActivationKind, ClassificationReport, ConfigError, DomainError,
-                   Matrix, Rng, ShapeError, activate, as_rows, check_batches, classify,
-                   make_rng, sample_bernoulli, sigmoid)
+                   LossKind, Matrix, Rng, ShapeError, activate, as_rows, check_batches,
+                   classify, make_rng, sample_bernoulli, sigmoid)
 from .optim import (AnnealSchedule, MomentumSchedule, ParamGroup, WeightDecaySpec,
                     dropout_mask, run_epochs)
 
@@ -172,10 +172,10 @@ def _cd_gradients(rbm: RbmLayer, batch: Matrix, h_probs_data: Matrix, h_drive: M
 
 
 def _cd_step(rbm: RbmLayer, batch: Matrix, k: int, dropout_rate: float, rng: Rng,
-             up_scale: float = 1.0, down_scale: float = 1.0,
-             out: CdGradients = None) -> CdGradients:
+             out: CdGradients, up_scale: float = 1.0,
+             down_scale: float = 1.0) -> CdGradients:
     """One contrastive-divergence estimate on a batch, written into `out`'s
-    buffers when given and into fresh arrays otherwise.
+    buffers.
 
     Data statistics use hidden probabilities; the Gibbs chain is driven by
     sampled binary states (masked by dropout on every downward pass); the
@@ -205,9 +205,8 @@ def _cd_step(rbm: RbmLayer, batch: Matrix, k: int, dropout_rate: float, rng: Rng
         v_states = sample_bernoulli(
             sigmoid(down_scale * (h_drive @ rbm.w.T) + rbm.b_v), rng)
         h_drive = h_sample(h_mean(v_states)) * mask
-    g = CdGradients.like(rbm) if out is None else out
-    _cd_gradients(rbm, batch, h_probs_data, h_drive, g, h_mean, down_scale)
-    return g
+    _cd_gradients(rbm, batch, h_probs_data, h_drive, out, h_mean, down_scale)
+    return out
 
 
 def cd_step(rbm: RbmLayer, batch: Matrix, k: int, dropout_rate: float,
@@ -215,7 +214,7 @@ def cd_step(rbm: RbmLayer, batch: Matrix, k: int, dropout_rate: float,
     """Public CD-k gradient: reconstruction minus data statistics, in
     fresh arrays."""
     [(batch, _)] = check_batches([(batch, None)], rbm.n_v)
-    return _cd_step(rbm, batch, k, dropout_rate, rng)
+    return _cd_step(rbm, batch, k, dropout_rate, rng, CdGradients.like(rbm))
 
 
 def _train_rbm(rbm: RbmLayer, data_batches, cfg: TrainConfig, up_scale: float = 1.0,
@@ -228,8 +227,8 @@ def _train_rbm(rbm: RbmLayer, data_batches, cfg: TrainConfig, up_scale: float = 
     def epoch(lr, rho):
         max_grad = 0.0
         for data in data_batches:
-            _cd_step(rbm, data, cfg.gibbs_steps, cfg.dropout_rate, rng,
-                     up_scale=up_scale, down_scale=down_scale, out=g)
+            _cd_step(rbm, data, cfg.gibbs_steps, cfg.dropout_rate, rng, g,
+                     up_scale=up_scale, down_scale=down_scale)
             max_grad = max(max_grad, g.max_abs())
             params.step(lr, rho)
         return max_grad < TRIVIAL_GRADIENT  # gradients trivial for a full epoch
@@ -256,40 +255,17 @@ def train_linear(rbm: RbmLayer, batches, cfg: TrainConfig, hook=None) -> RbmLaye
     return _train_rbm(rbm, xs, cfg, hook=hook)
 
 
-def _head_gradients(head: RbmLayer, features: Matrix, targets: Matrix, dw: Matrix,
-                    db: Matrix) -> None:
-    """Softmax cross-entropy gradients of one checked batch, written into
-    `dw` and `db`."""
-    c = activate(features @ head.w + head.b_h, ActivationKind.SOFTMAX)
-    c -= targets
-    np.mean(c, axis=0, keepdims=True, out=db)
-    c /= features.shape[0]
-    np.matmul(features.T, c, out=dw)
-
-
-def classifier_head_gradients(head: RbmLayer, features: Matrix, targets: Matrix):
-    """Softmax cross-entropy gradients for one batch, in fresh arrays:
-    grad_W = (a^h)^T (c - t) / m and grad_b = mean(c - t)."""
-    [(features, targets)] = check_batches([(features, targets)], head.n_v, head.n_h)
-    dw, db = np.empty_like(head.w), np.empty_like(head.b_h)
-    _head_gradients(head, features, targets, dw, db)
-    return dw, db
-
-
 def train_classifier_head(head: RbmLayer, batches, cfg: TrainConfig,
                           hook=None) -> RbmLayer:
     """Batch gradient descent on softmax cross-entropy over (features, y)
-    batches checked by `core.check_batches`, y holding one-of-K targets.
-    The head's arrays are updated in place."""
+    batches checked by `core.check_batches`, y holding one-of-K targets:
+    backpropagation through the one-layer stack [head], so the head must
+    have the SOFTMAX activation (ConfigError otherwise). The head's arrays
+    are updated in place."""
+    from .dnn import LayerStack, _backprop_epochs  # dnn imports this module
+
     pairs = check_batches(batches, head.n_v, head.n_h, one_of_k=True)
-    params = ParamGroup([head.w], [head.b_h], cfg.decay)
-
-    def epoch(lr, rho):
-        for f, t in pairs:
-            _head_gradients(head, f, t, *params.grads)
-            params.step(lr, rho)
-
-    run_epochs(cfg, params.params, epoch, hook)
+    _backprop_epochs(LayerStack([head]), pairs, LossKind.CROSS_ENTROPY, cfg, hook)
     return head
 
 

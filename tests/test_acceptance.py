@@ -116,7 +116,8 @@ def test_criterion_02_gradient_checks():
     feats = rng.random((8, 4))
     labels = one_of_k(rng.integers(0, 3, (8, 1)).astype(float), 3)
     head = RbmLayer.random(4, 3, make_rng(3), activation=ActivationKind.SOFTMAX)
-    dw, db = rbm_mod.classifier_head_gradients(head, feats, labels)
+    dw, db = dnn_mod.backprop_gradients(dnn_mod.LayerStack([head]), feats, labels,
+                                        LossKind.CROSS_ENTROPY)[0]
 
     def head_obj(ps):
         probe = RbmLayer(w=ps[0], b_v=head.b_v, b_h=ps[1],

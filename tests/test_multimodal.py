@@ -4,7 +4,7 @@ import pytest
 from dataclasses import replace
 
 from boltznet.autoencoder import build_symmetric, fine_tune_mse
-from boltznet.core import ConfigError, ShapeError, make_rng
+from boltznet.core import ConfigError, DomainError, ShapeError, make_rng
 from boltznet.data import make_batches, shuffle_paired
 from boltznet.multimodal import (ModalScale, build_bimodal, modal_error_rate,
                                  predict_modal)
@@ -146,6 +146,12 @@ class TestModalErrorRate:
         with pytest.warns(UserWarning, match="excluded 1"):
             rate = modal_error_rate(pred, truth)
         assert rate == 0.0
+
+    @pytest.mark.filterwarnings("ignore:excluded 2 zero-norm")
+    @pytest.mark.parametrize("rows", [2, 0], ids=["all-zero-truth", "no-rows"])
+    def test_no_nonzero_truth_row_raises_domain_error(self, rows):
+        with pytest.raises(DomainError, match="zero norm"):
+            modal_error_rate(np.ones((rows, 3)), np.zeros((rows, 3)))
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):

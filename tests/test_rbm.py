@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
 
-from boltznet.core import (ActivationKind, DivergenceError, DomainError, ShapeError,
-                           make_rng, sigmoid)
+from boltznet.core import (ActivationKind, ConfigError, DivergenceError, DomainError,
+                           LossKind, ShapeError, make_rng, sigmoid)
 from boltznet.data import make_batches, one_of_k
+from boltznet.dnn import LayerStack, backprop_gradients
 from boltznet.optim import DecayKind, WeightDecaySpec
 from boltznet.oracle import (exact_conditional, exact_likelihood_gradient,
                              exact_partition, finite_difference_gradient,
                              _rbm_energy_grid)
 from boltznet.rbm import (CdGradients, RbmLayer, TrainConfig, _cd_gradients, cd_step,
-                          classifier_head_gradients, classify_rbm, energy, free_energy,
-                          hidden_given_visible, mean_free_energy, train_binary,
-                          train_classifier_head, train_linear, visible_given_hidden)
+                          classify_rbm, energy, free_energy, hidden_given_visible,
+                          mean_free_energy, train_binary, train_classifier_head,
+                          train_linear, visible_given_hidden)
 
 
 def zero_rbm(n_v, n_h):
@@ -92,7 +93,8 @@ class TestConditionals:
                                (np.zeros(4), np.zeros((1, 3))),
                                (np.zeros((5, 4)), np.zeros((4, 3)))):
             with pytest.raises(ShapeError):
-                classifier_head_gradients(head, feats, targets)
+                backprop_gradients(LayerStack([head]), feats, targets,
+                                   LossKind.CROSS_ENTROPY)[0]
 
 
 class TestEnergy:
@@ -294,15 +296,13 @@ class TestTrainLinear:
         np.testing.assert_array_equal(out, np.tile(rbm.b_h, (5, 1)))
 
     def test_hidden_noise_is_unit_variance(self):
-        from boltznet.rbm import _cd_step
-
         # a 1x1 linear layer with w = 1 and zero biases on zero rows drives
         # the reconstruction with h = X ~ N(0, s^2) alone, so dw estimates
         # E[sigmoid(X)^2]: 0.29338 at s^2 = 1, 0.29180 at 0.95, 0.29492 at
         # 1.05, so the bound holds s^2 within 5% of 1
         rbm = RbmLayer(w=np.ones((1, 1)), b_v=np.zeros((1, 1)), b_h=np.zeros((1, 1)),
                        activation=ActivationKind.IDENTITY)
-        g = _cd_step(rbm, np.zeros((100000, 1)), 1, 0.0, make_rng(21))
+        g = cd_step(rbm, np.zeros((100000, 1)), 1, 0.0, make_rng(21))
         assert abs(g.dw[0, 0] - 0.29338) < 0.0015
 
     def test_zero_epochs_unchanged(self):
@@ -344,12 +344,12 @@ class TestClassifierHead:
 
     def test_perfect_prediction_zero_gradient(self):
         from boltznet.core import activate
-        from boltznet.rbm import classifier_head_gradients
 
         feats, labels, head = self.make_toy()
         # when the emission equals the target the gradient vanishes
         c = activate(feats @ head.w + head.b_h, ActivationKind.SOFTMAX)
-        dw, db = classifier_head_gradients(head, feats, c)
+        dw, db = backprop_gradients(LayerStack([head]), feats, c,
+                                    LossKind.CROSS_ENTROPY)[0]
         np.testing.assert_allclose(dw, 0.0, atol=1e-15)
         np.testing.assert_allclose(db, 0.0, atol=1e-15)
 
@@ -384,15 +384,19 @@ class TestClassifierHead:
     def test_gradient_batch_is_checked(self):
         feats, labels, head = self.make_toy()
         with pytest.raises(DomainError):
-            classifier_head_gradients(head, feats[:0], labels[:0])
+            backprop_gradients(LayerStack([head]), feats[:0], labels[:0],
+                               LossKind.CROSS_ENTROPY)[0]
         for f, t in ((feats, labels[:1]), (feats[:, :3], labels), (feats, labels[:, :2])):
             with pytest.raises(ShapeError):
-                classifier_head_gradients(head, f, t)
+                backprop_gradients(LayerStack([head]), f, t,
+                                   LossKind.CROSS_ENTROPY)[0]
 
     def test_consecutive_gradient_calls_return_fresh_arrays(self):
         feats, labels, head = self.make_toy()
-        a = classifier_head_gradients(head, feats, labels)
-        b = classifier_head_gradients(head, feats, labels)
+        a = backprop_gradients(LayerStack([head]), feats, labels,
+                               LossKind.CROSS_ENTROPY)[0]
+        b = backprop_gradients(LayerStack([head]), feats, labels,
+                               LossKind.CROSS_ENTROPY)[0]
         assert_unaliased(a, b, (head.w, head.b_h))
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
@@ -412,6 +416,17 @@ class TestClassifierHead:
         with pytest.raises(DomainError):
             train_classifier_head(head, [(feats, good), (feats, good), (feats, labels)],
                                   TrainConfig(epochs=1))
+        np.testing.assert_array_equal(head.w, w)
+        np.testing.assert_array_equal(head.b_h, b_h)
+
+    def test_non_softmax_head_is_rejected_before_the_first_update(self):
+        # the head trains by softmax cross entropy, so a head that would
+        # predict through another activation is refused, not trained
+        feats, labels, head = self.make_toy()
+        head.activation = ActivationKind.SIGMOID
+        w, b_h = head.w.copy(), head.b_h.copy()
+        with pytest.raises(ConfigError, match="softmax output layer"):
+            train_classifier_head(head, [(feats, labels)], TrainConfig(epochs=1))
         np.testing.assert_array_equal(head.w, w)
         np.testing.assert_array_equal(head.b_h, b_h)
 
