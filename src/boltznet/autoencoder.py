@@ -45,13 +45,8 @@ def build_symmetric(sizes_half, batches, cfg: TrainConfig,
     if not 0.0 <= denoise_rate <= 1.0:
         raise ConfigError("denoise rate must lie in [0, 1]")
     encoder, _ = _pretrain_layers(sizes_half, batches, cfg)
-    decoder = []
-    n_half = len(encoder)
-    for i, mirror in enumerate(reversed(encoder)):
-        decoder.append(RbmLayer(w=mirror.w.T.copy(), b_v=mirror.b_h.copy(),
-                                b_h=mirror.b_v.copy(),
-                                activation=mirror.activation,
-                                index=n_half + i))
+    decoder = [RbmLayer(w=m.w.T.copy(), b_v=m.b_h.copy(), b_h=m.b_v.copy(),
+                        activation=m.activation) for m in reversed(encoder)]
     stack = LayerStack(layers=encoder + decoder).check()
     return AeModel(stack=stack, denoise_rate=denoise_rate)
 

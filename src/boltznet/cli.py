@@ -20,7 +20,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,9 +36,9 @@ from .core import (ConfigError, DivergenceError, LossKind, classify, loss as los
 from .data import (FormatError, make_batches, one_of_k, read_mnist_images,
                    read_mnist_labels, shuffle_paired)
 from .model_io import save_model
-from .optim import AnnealKind, AnnealSchedule, DecayKind, MomentumSchedule, WeightDecaySpec
+from .optim import (AnnealKind, AnnealSchedule, DecayKind, MomentumSchedule,
+                    WeightDecaySpec, _check_finite)
 
-MODELS = ("rbm", "dnn", "dbn", "dae", "dbm", "bimodal")
 DEFAULT_LAYERS = {
     "rbm": [784, 500],
     "dnn": [784, 500, 300, 200, 10],
@@ -48,10 +48,6 @@ DEFAULT_LAYERS = {
     "bimodal": [784, 500, 300],
 }
 
-
-_ANNEAL_KINDS = {"none": AnnealKind.NONE, "exp": AnnealKind.EXPONENTIAL,
-                 "div": AnnealKind.DIVIDE, "step": AnnealKind.STEP}
-_DECAY_KINDS = {"none": DecayKind.NONE, "l1": DecayKind.L1, "l2": DecayKind.L2}
 # JSON value types accepted for each ExperimentConfig annotation
 _JSON_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool,
                "list": list}
@@ -97,13 +93,9 @@ class ExperimentConfig:
             raise ConfigError("batches must be >= 1")
         if not 0.0 <= self.denoise <= 1.0:
             raise ConfigError("denoise rate must lie in [0, 1]")
-        if self.anneal not in _ANNEAL_KINDS:
-            raise ConfigError(f"unknown anneal kind {self.anneal!r}")
-        if self.decay not in _DECAY_KINDS:
-            raise ConfigError(f"unknown decay kind {self.decay!r}")
         if self.subset < 0:
             raise ConfigError("subset must be >= 0")
-        self.train_config()  # the training hyperparameters check themselves
+        self.train_config()  # the training hyperparameters and kinds check themselves
         return self
 
     @classmethod
@@ -130,14 +122,23 @@ class ExperimentConfig:
         return rbm_mod.TrainConfig(
             epochs=self.epochs,
             lr=self.lr,
-            anneal=AnnealSchedule(_ANNEAL_KINDS[self.anneal], self.anneal_k),
+            anneal=AnnealSchedule(_kind(AnnealKind, self.anneal), self.anneal_k),
             momentum=MomentumSchedule(self.momentum_early, self.momentum_late,
                                       self.momentum_threshold),
-            decay=WeightDecaySpec(_DECAY_KINDS[self.decay], self.decay_k),
+            decay=WeightDecaySpec(_kind(DecayKind, self.decay), self.decay_k),
             dropout_rate=self.dropout,
             gibbs_steps=self.gibbs,
             seed=self.seed,
         )
+
+
+def _kind(kind: type, value: str):
+    """The member of the enum `kind` whose value is `value`; ConfigError
+    when there is none."""
+    try:
+        return kind(value)
+    except ValueError:
+        raise ConfigError(f"unknown {kind.__name__} {value!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -244,20 +245,6 @@ def load_mnist(data_dir, subset: int = 0):
     return train_x, train_y, test_x, test_y
 
 
-def _check_finite(model, name: str) -> None:
-    """Raise DivergenceError naming the first non-finite array reachable
-    from `model` through dataclass fields and lists."""
-    if isinstance(model, np.ndarray):
-        if not np.isfinite(model).all():
-            raise DivergenceError(f"non-finite values in {name}")
-    elif isinstance(model, list):
-        for i, item in enumerate(model):
-            _check_finite(item, f"{name}[{i}]")
-    elif is_dataclass(model):
-        for f in fields(model):
-            _check_finite(getattr(model, f.name), f"{name}.{f.name}")
-
-
 # ---------------------------------------------------------------------------
 # runners
 # ---------------------------------------------------------------------------
@@ -303,10 +290,9 @@ def run_experiment(cfg: ExperimentConfig):
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.json").write_text(json.dumps(asdict(cfg), indent=2) + "\n")
 
-    runner = {"rbm": _run_rbm, "dnn": _run_dnn, "dbn": _run_dbn,
-              "dae": _run_dae, "dbm": _run_dbm, "bimodal": _run_bimodal}[cfg.model]
     t0 = time.monotonic()
-    model, recorder, summary = runner(cfg, batches, train_x, test_x, test_y, out_dir)
+    model, recorder, summary = _RUNNERS[cfg.model](cfg, cfg.train_config(), batches,
+                                                   train_x, test_x, test_y, out_dir)
     _check_finite(model, cfg.model)
     summary = {"record": "summary", **summary,
                "wall_ms": int((time.monotonic() - t0) * 1000)}
@@ -330,8 +316,7 @@ def _run_rbm(cfg, *args):
     return _run_dnn(replace(cfg, layers=cfg.layers[:2] + [10], fine_tune=False), *args)
 
 
-def _run_dnn(cfg, batches, train_x, test_x, test_y, out_dir):
-    tc = cfg.train_config()
+def _run_dnn(cfg, tc, batches, train_x, test_x, test_y, out_dir):
     stack = dnn_mod.pretrain_stack(cfg.layers, batches, tc, pretrain=True)
     feats = dnn_mod.hidden_features(stack, batches)
     recorder = _Recorder(_class_probe(
@@ -348,8 +333,7 @@ def _run_dnn(cfg, batches, train_x, test_x, test_y, out_dir):
     return stack, recorder, {"error": report.error_rate, "n": report.n_samples}
 
 
-def _run_dbn(cfg, batches, train_x, test_x, test_y, out_dir):
-    tc = cfg.train_config()
+def _run_dbn(cfg, tc, batches, train_x, test_x, test_y, out_dir):
     model = dbn_mod.pretrain_dbn(cfg.layers, batches, tc, labels=True)
     recorder = _Recorder(_class_probe(
         lambda x: dbn_mod.predict_dbn(model, x), batches[0][0], batches[0][1],
@@ -362,8 +346,7 @@ def _run_dbn(cfg, batches, train_x, test_x, test_y, out_dir):
     return model, recorder, {"error": report.error_rate, "n": report.n_samples}
 
 
-def _run_dae(cfg, batches, train_x, test_x, test_y, out_dir):
-    tc = cfg.train_config()
+def _run_dae(cfg, tc, batches, train_x, test_x, test_y, out_dir):
     model = ae.build_symmetric(cfg.layers, batches, tc, denoise_rate=cfg.denoise)
     probe_x = batches[0][0]
     recorder = _Recorder(lambda: {"loss": ae.reconstruction_error(model, probe_x)})
@@ -377,17 +360,12 @@ def _run_dae(cfg, batches, train_x, test_x, test_y, out_dir):
     return model, recorder, {"recon_error": recon_error, "n": test_x.shape[0]}
 
 
-def _run_dbm(cfg, batches, train_x, test_x, test_y, out_dir):
-    tc = cfg.train_config()
+def _run_dbm(cfg, tc, batches, train_x, test_x, test_y, out_dir):
     model = dbm_mod.pretrain_dbm(cfg.layers, batches, tc, labels=True)
     probe_n = min(500, test_x.shape[0])
-
-    def label_probs(x):
-        p = np.maximum(dbm_mod.predict_dbm(model, x), 1e-12)
-        return p / p.sum(axis=1, keepdims=True)
-
-    recorder = _Recorder(_class_probe(label_probs, batches[0][0], batches[0][1],
-                                      test_x[:probe_n], test_y[:probe_n]))
+    recorder = _Recorder(_class_probe(
+        lambda x: dbm_mod.predict_dbm(model, x), batches[0][0], batches[0][1],
+        test_x[:probe_n], test_y[:probe_n]))
     if cfg.fine_tune:
         dbm_mod.mean_field_train(model, batches, tc, hook=recorder.hook)
     report = dbm_mod.classify_dbm(model, test_x, test_y)
@@ -395,8 +373,7 @@ def _run_dbm(cfg, batches, train_x, test_x, test_y, out_dir):
     return model, recorder, {"error": report.error_rate, "n": report.n_samples}
 
 
-def _run_bimodal(cfg, batches, train_x, test_x, test_y, out_dir):
-    tc = cfg.train_config()
+def _run_bimodal(cfg, tc, batches, train_x, test_x, test_y, out_dir):
     half = train_x.shape[1] // 2
     denoise = cfg.denoise if cfg.denoise > 0 else 0.3
     model, joined_batches = mm.build_bimodal(train_x[:, :half], train_x[:, half:],
@@ -411,6 +388,13 @@ def _run_bimodal(cfg, batches, train_x, test_x, test_y, out_dir):
     pred_b = mm.predict_modal(model, test_x[:, :half])
     rate = mm.modal_error_rate(pred_b, test_x[:, half:])
     return model, recorder, {"modal_error_pct": rate, "n": test_x.shape[0]}
+
+
+# model -> runner(cfg, train config, batches, train_x, test_x, test_y, out_dir),
+# which returns (model, recorder, summary fields)
+_RUNNERS = {"rbm": _run_rbm, "dnn": _run_dnn, "dbn": _run_dbn, "dae": _run_dae,
+            "dbm": _run_dbm, "bimodal": _run_bimodal}
+MODELS = tuple(_RUNNERS)
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +422,8 @@ def _add_common_flags(p: argparse.ArgumentParser, model: str):
     for f in fields(ExperimentConfig)[2:]:
         name = _FLAG_NAMES.get(f.name, f.name)
         kind = {"int": int, "float": float, "str": str, "bool": int}[f.type]
-        choices = {"anneal": list(_ANNEAL_KINDS), "decay": list(_DECAY_KINDS),
-                   "fine_tune": [0, 1]}.get(f.name)
+        choices = {"anneal": [k.value for k in AnnealKind],
+                   "decay": [k.value for k in DecayKind], "fine_tune": [0, 1]}.get(f.name)
         p.add_argument("--" + name.replace("_", "-"), type=kind, choices=choices,
                        default=kind(f.default), help=_FLAG_HELP.get(f.name))
     p.add_argument("--config", type=str, default=None,

@@ -321,7 +321,7 @@ def mean_field_train(model: DbmModel, batches, cfg: TrainConfig,
         params.step(alpha, rho)
 
     run_epochs(replace(cfg, anneal=AnnealSchedule(AnnealKind.STEP),
-                       momentum=NO_MOMENTUM), params.params, iteration, hook)
+                       momentum=NO_MOMENTUM), model, iteration, hook)
     return model
 
 

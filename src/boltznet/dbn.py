@@ -140,10 +140,7 @@ def up_down_fine_tune(model: DbnModel, batches, cfg: TrainConfig,
                 _residual_update(layer.w, layer.b_h, dream[i], dream[i + 1], lr,
                                  scratch[i])
 
-    # the wake-sleep updates change the directed arrays outside `params`
-    directed = [a for l in model.recognition for a in (l.w, l.b_h)]
-    run_epochs(cfg, params.params + directed + model.generative_w + model.generative_b,
-               epoch, hook)
+    run_epochs(cfg, model, epoch, hook)
     model.fine_tuned = model.fine_tuned or cfg.epochs > 0
     return model
 

@@ -41,8 +41,7 @@ def pretrain_stack(sizes, batches, cfg: TrainConfig, pretrain: bool = True) -> L
         raise ConfigError("a stack needs at least input and output sizes")
     hidden, rng = _pretrain_layers(sizes[:-1], batches, cfg, train=pretrain)
     head = RbmLayer.random(sizes[-2], sizes[-1], rng,
-                           activation=ActivationKind.SOFTMAX,
-                           index=len(sizes) - 2)
+                           activation=ActivationKind.SOFTMAX)
     return LayerStack(layers=hidden + [head]).check()
 
 
@@ -55,17 +54,25 @@ def forward(stack: LayerStack, batch: Matrix) -> list:
     return activations
 
 
+def _check_loss(stack: LayerStack, loss: LossKind) -> None:
+    """Raise ConfigError unless backprop can train the stack on `loss`:
+    cross entropy on a softmax output layer, or MSE on any other."""
+    softmax = stack.layers[-1].activation == ActivationKind.SOFTMAX
+    if loss == LossKind.CROSS_ENTROPY and not softmax:
+        raise ConfigError("cross entropy expects a softmax output layer")
+    if loss == LossKind.MSE and softmax:
+        raise ConfigError("softmax derivative is handled jointly with cross entropy")
+    if loss not in (LossKind.CROSS_ENTROPY, LossKind.MSE):
+        raise ConfigError(f"unsupported fine-tuning loss: {loss!r}")
+
+
 def _output_delta(a_out: Matrix, target: Matrix, loss: LossKind,
                   out_kind: ActivationKind) -> Matrix:
-    """Per-sample delta at the output layer (the 1/m factor is applied when
-    gradients are formed)."""
+    """Per-sample delta at the output layer for a loss `_check_loss` passed
+    (the 1/m factor is applied when gradients are formed)."""
     if loss == LossKind.CROSS_ENTROPY:
-        if out_kind != ActivationKind.SOFTMAX:
-            raise ConfigError("cross entropy expects a softmax output layer")
         return a_out - target
-    if loss == LossKind.MSE:
-        return (a_out - target) * activation_derivative(a_out, out_kind)
-    raise ConfigError(f"unsupported fine-tuning loss: {loss!r}")
+    return (a_out - target) * activation_derivative(a_out, out_kind)
 
 
 def _backprop(stack: LayerStack, batch: Matrix, target: Matrix, loss: LossKind,
@@ -90,6 +97,7 @@ def backprop_gradients(stack: LayerStack, batch: Matrix, target: Matrix,
     """Per-layer (dW, db) for the row-averaged loss on one batch, in fresh
     arrays."""
     [(batch, target)] = check_batches([(batch, target)], stack.sizes[0], stack.sizes[-1])
+    _check_loss(stack, loss)
     dws = [np.empty_like(layer.w) for layer in stack.layers]
     dbs = [np.empty_like(layer.b_h) for layer in stack.layers]
     _backprop(stack, batch, target, loss, dws, dbs)
@@ -100,7 +108,8 @@ def _backprop_epochs(stack: LayerStack, pairs, loss: LossKind, cfg: TrainConfig,
                      hook, noisy=None) -> None:
     """Momentum backprop over checked (input, target) pairs, updating every
     layer's weights and hidden biases in place; `noisy` corrupts each
-    input afresh every epoch."""
+    input afresh every epoch. ConfigError unless `_check_loss` passes."""
+    _check_loss(stack, loss)
     n = len(stack.layers)
     params = ParamGroup([l.w for l in stack.layers], [l.b_h for l in stack.layers],
                         cfg.decay)
@@ -111,7 +120,7 @@ def _backprop_epochs(stack: LayerStack, pairs, loss: LossKind, cfg: TrainConfig,
                       params.grads[:n], params.grads[n:])
             params.step(lr, rho)
 
-    run_epochs(cfg, params.params, epoch, hook)
+    run_epochs(cfg, stack, epoch, hook)
 
 
 def backprop_fine_tune(stack: LayerStack, batches, loss: LossKind, cfg: TrainConfig,

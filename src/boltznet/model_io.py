@@ -112,13 +112,12 @@ def _pack_layer(layer: RbmLayer) -> bytes:
     return head + b"".join(_f64_bytes(a) for a in (layer.w, layer.b_v, layer.b_h))
 
 
-def _read_layer(r: _Reader, index: int) -> RbmLayer:
+def _read_layer(r: _Reader) -> RbmLayer:
     n_v, n_h, tag = r.unpack("<QQB")
     if tag not in _ACT_FROM_TAG:
         raise FormatError(f"unknown activation tag {tag}")
     return RbmLayer(w=r.f64_array(n_v, n_h), b_v=r.f64_array(1, n_v),
-                    b_h=r.f64_array(1, n_h), activation=_ACT_FROM_TAG[tag],
-                    index=index)
+                    b_h=r.f64_array(1, n_h), activation=_ACT_FROM_TAG[tag])
 
 
 def _build_dbn(layers, s) -> DbnModel:
@@ -132,7 +131,7 @@ def _build_dbn(layers, s) -> DbnModel:
 def _dbm_parts(model: DbmModel):
     # one RBM layer per weight: the visible bias on the first, zeros above
     layers = [RbmLayer(w=w, b_v=np.zeros((1, w.shape[0])) if i else model.visible_bias,
-                       b_h=b, index=i)
+                       b_h=b)
               for i, (w, b) in enumerate(zip(model.weights, model.hidden_biases))]
     sections = {SEC_LABEL_DIM: model.label_dim}
     if model.label_dim:
@@ -209,7 +208,7 @@ def load_model(path):
         version, count = r.unpack("<II")
         if version != VERSION:
             raise FormatError(f"unsupported version {version}")
-        layers = [_read_layer(r, i) for i in range(count)]
+        layers = [_read_layer(r) for _ in range(count)]
         if not layers:
             raise FormatError("no layers")
         sections = _Sections()

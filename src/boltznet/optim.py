@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -16,8 +16,8 @@ from .core import ConfigError, DivergenceError, DomainError, Matrix, Rng, ShapeE
 
 class AnnealKind(enum.Enum):
     NONE = "none"
-    EXPONENTIAL = "exponential"
-    DIVIDE = "divide"
+    EXPONENTIAL = "exp"
+    DIVIDE = "div"
     STEP = "step"
 
 
@@ -150,18 +150,33 @@ class ParamGroup:
             _momentum_step(param, grad, vel, lr, rho, spec)
 
 
-def run_epochs(cfg, arrays, step, hook) -> None:
+def _check_finite(model, name: str, what: str = "values") -> None:
+    """Raise DivergenceError("non-finite `what` in <path>") naming the first
+    non-finite array reachable from `model`, called `name`, through
+    dataclass fields and lists."""
+    if isinstance(model, np.ndarray):
+        if not np.isfinite(model).all():
+            raise DivergenceError(f"non-finite {what} in {name}")
+    elif isinstance(model, list):
+        for i, item in enumerate(model):
+            _check_finite(item, f"{name}[{i}]", what)
+    elif is_dataclass(model):
+        for f in fields(model):
+            _check_finite(getattr(model, f.name), f"{name}.{f.name}", what)
+
+
+def run_epochs(cfg, model, step, hook) -> None:
     """The training loop every model shares: for each of `cfg.epochs`
     epochs, anneal `cfg.lr`, pick the momentum, run `step(lr, rho)` over
-    the epoch's batches, check that every array `step` changes, listed in
-    `arrays`, is finite (DivergenceError otherwise) and report `hook(epoch,
-    lr, rho)`. A truthy `step` result stops training after that epoch's report."""
+    the epoch's batches, check that every array reachable from `model` is
+    finite (DivergenceError naming the first that is not) and report
+    `hook(epoch, lr, rho)`. A truthy `step` result stops training after
+    that epoch's report."""
     for epoch in range(cfg.epochs):
         lr = anneal(cfg.lr, epoch, cfg.anneal)
         rho = momentum_coeff(epoch, cfg.momentum)
         stop = step(lr, rho)
-        if not all(np.isfinite(a).all() for a in arrays):
-            raise DivergenceError(f"non-finite parameters after epoch {epoch}")
+        _check_finite(model, type(model).__name__, f"parameters after epoch {epoch}")
         if hook is not None:
             hook(epoch, lr, rho)
         if stop:

@@ -34,7 +34,6 @@ class RbmLayer:
     b_v: np.ndarray        # (1, n_v)
     b_h: np.ndarray        # (1, n_h)
     activation: ActivationKind = ActivationKind.SIGMOID
-    index: int = 0
 
     @property
     def n_v(self) -> int:
@@ -46,18 +45,17 @@ class RbmLayer:
 
     @classmethod
     def random(cls, n_v: int, n_h: int, rng: Rng,
-               activation: ActivationKind = ActivationKind.SIGMOID,
-               index: int = 0) -> "RbmLayer":
+               activation: ActivationKind = ActivationKind.SIGMOID) -> "RbmLayer":
         """Gaussian weights (std 0.01), zero biases."""
         w = rng.normal(0.0, WEIGHT_INIT_STD, size=(n_v, n_h))
         return cls(w=w, b_v=np.zeros((1, n_v)), b_h=np.zeros((1, n_h)),
-                   activation=activation, index=index)
+                   activation=activation)
 
     def check(self) -> "RbmLayer":
         """Raise ShapeError unless each bias is one row as wide as its side of w."""
         if self.b_v.shape != (1, self.n_v) or self.b_h.shape != (1, self.n_h):
-            raise ShapeError(f"layer {self.index}: biases {self.b_v.shape}, "
-                             f"{self.b_h.shape} do not fit weight {self.w.shape}")
+            raise ShapeError(f"biases {self.b_v.shape}, {self.b_h.shape} do not fit "
+                             f"weight {self.w.shape}")
         return self
 
 
@@ -233,7 +231,7 @@ def _train_rbm(rbm: RbmLayer, data_batches, cfg: TrainConfig, up_scale: float = 
             params.step(lr, rho)
         return max_grad < TRIVIAL_GRADIENT  # gradients trivial for a full epoch
 
-    run_epochs(cfg, params.params, epoch, hook)
+    run_epochs(cfg, rbm, epoch, hook)
     return rbm
 
 
@@ -298,8 +296,8 @@ def _pretrain_layers(sizes, batches, cfg: TrainConfig, labels=False, scales=None
     pairs = check_batches(batches, sizes[0], k if labels else None, one_of_k=True)
     rng = make_rng(cfg.seed)
     n = len(sizes) - 1
-    layers = [RbmLayer.random(sizes[i] + (k if i == n - 1 else 0), sizes[i + 1], rng,
-                              index=i) for i in range(n)]
+    layers = [RbmLayer.random(sizes[i] + (k if i == n - 1 else 0), sizes[i + 1], rng)
+              for i in range(n)]
     feats = [x for x, _ in pairs]
     for i, layer in enumerate(layers if train else []):
         up, down = scales[i] if scales else (1.0, 1.0)

@@ -88,10 +88,10 @@ class TestPretrain:
         from boltznet.rbm import RbmLayer, _train_rbm, pretrain_config
 
         rng = make_rng(cfg.seed)
-        first = RbmLayer.random(5, 4, rng, index=0)
+        first = RbmLayer.random(5, 4, rng)
         _train_rbm(first, [x for x, _ in batches], pretrain_config(cfg, 0), up_scale=2.0)
         feats = [sigmoid(2.0 * (b[0] @ first.w) + first.b_h) for b in batches]
-        mid = RbmLayer.random(4, 3, rng, index=1)
+        mid = RbmLayer.random(4, 3, rng)
         _train_rbm(mid, feats, pretrain_config(cfg, 1))
         np.testing.assert_array_equal(model.weights[1], mid.w * 0.5)
         np.testing.assert_array_equal(model.hidden_biases[1], mid.b_h * 0.5)
@@ -105,9 +105,9 @@ class TestPretrain:
         from boltznet.rbm import RbmLayer, _train_rbm, pretrain_config
 
         rng = make_rng(cfg.seed)
-        first = RbmLayer.random(5, 4, rng, index=0)
-        mid = RbmLayer.random(4, 3, rng, index=1)
-        last = RbmLayer.random(3 + 3, 2, rng, index=2)
+        first = RbmLayer.random(5, 4, rng)
+        mid = RbmLayer.random(4, 3, rng)
+        last = RbmLayer.random(3 + 3, 2, rng)
         _train_rbm(first, [x for x, _ in batches], pretrain_config(cfg, 0), up_scale=2.0)
         feats = [sigmoid(2.0 * (b[0] @ first.w) + first.b_h) for b in batches]
         _train_rbm(mid, feats, pretrain_config(cfg, 1))

@@ -27,7 +27,7 @@ def random_dbn(seed, sizes=(3, 2, 2), untied=True):
     rng = make_rng(seed)
     rec = [RbmLayer(w=rng.normal(0, 1, (sizes[i], sizes[i + 1])),
                     b_v=rng.normal(0, 1, (1, sizes[i])),
-                    b_h=rng.normal(0, 1, (1, sizes[i + 1])), index=i)
+                    b_h=rng.normal(0, 1, (1, sizes[i + 1])))
            for i in range(len(sizes) - 2)]
     top = RbmLayer(w=rng.normal(0, 1, (sizes[-2], sizes[-1])),
                    b_v=rng.normal(0, 1, (1, sizes[-2])),
@@ -66,8 +66,8 @@ class TestPretrain:
         model = pretrain_dbn([4, 3, 2], batches, cfg, labels=True)
         # retrain both RBMs by hand: the top one sees [features || labels]
         rng = make_rng(cfg.seed)
-        lower = RbmLayer.random(4, 3, rng, index=0)
-        top = RbmLayer.random(3 + 3, 2, rng, index=1)
+        lower = RbmLayer.random(4, 3, rng)
+        top = RbmLayer.random(3 + 3, 2, rng)
         _train_rbm(lower, [x for x, _ in batches], pretrain_config(cfg, 0))
         feed = [np.hstack([sigmoid(x @ lower.w + lower.b_h), y]) for x, y in batches]
         _train_rbm(top, feed, pretrain_config(cfg, 1))
@@ -151,7 +151,7 @@ class TestUpDown:
             np.testing.assert_array_equal(now, then)
 
     def test_divergence_in_a_directed_weight_stops_its_epoch(self, monkeypatch):
-        # the wake-sleep arrays are checked with the top RBM's after each epoch
+        # the walk after each epoch reaches the wake-sleep arrays and names the one
         batches = toy_data(dim=6, num_batches=2)
         model = pretrain_dbn([6, 5, 4, 3], batches, TrainConfig(epochs=1, seed=9), labels=True)
         update, updated = dbn_mod._residual_update, []
@@ -164,7 +164,8 @@ class TestUpDown:
 
         monkeypatch.setattr(dbn_mod, "_residual_update", planting)
         hooks = []
-        with pytest.raises(DivergenceError, match="after epoch 0"):
+        with pytest.raises(DivergenceError,
+                           match=r"after epoch 0 in DbnModel\.recognition\[1\]\.w$"):
             up_down_fine_tune(model, batches, TrainConfig(epochs=3, seed=10),
                               hook=lambda e, lr, rho: hooks.append(e))
         assert updated[7] is model.recognition[1].w

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from boltznet.core import (ActivationKind, DivergenceError, DomainError, LossKind,
-                           ShapeError, loss, make_rng)
+from boltznet.core import (ActivationKind, ConfigError, DivergenceError, DomainError,
+                           LossKind, ShapeError, loss, make_rng)
 from boltznet.data import make_batches, one_of_k
 from boltznet.dnn import (LayerStack, backprop_fine_tune, backprop_gradients,
                           classify_dnn, forward, hidden_features, predict,
@@ -179,6 +179,19 @@ class TestBackprop:
                                TrainConfig(epochs=1, lr=lr, seed=2))
             deltas.append(stack.layers[0].w - w0)
         np.testing.assert_allclose(deltas[1], 2.0 * deltas[0], rtol=1e-3)
+
+    @pytest.mark.parametrize("loss_kind, out_kind, message", [
+        (LossKind.CROSS_ENTROPY, ActivationKind.SIGMOID, "softmax output layer"),
+        (LossKind.MSE, ActivationKind.SOFTMAX, "handled jointly with cross entropy"),
+        (LossKind.ABSOLUTE, ActivationKind.SOFTMAX, "unsupported fine-tuning loss"),
+    ], ids=["cross-entropy-on-sigmoid", "mse-on-softmax", "absolute"])
+    def test_loss_output_pairing_is_checked_without_epochs(self, loss_kind, out_kind,
+                                                           message):
+        # the pairing is checked once before training, not per batch
+        stack = randomized_stack([5, 4, 2], seed=23)
+        stack.layers[-1].activation = out_kind
+        with pytest.raises(ConfigError, match=message):
+            backprop_fine_tune(stack, toy_batches(), loss_kind, TrainConfig(epochs=0))
 
     @pytest.mark.parametrize("bad", ["wide", "short"])
     def test_targets_are_checked_before_the_first_update(self, bad):

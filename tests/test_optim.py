@@ -4,16 +4,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from boltznet import dbm as dbm_mod, dbn as dbn_mod, dnn as dnn_mod, rbm as rbm_mod
 from boltznet.autoencoder import build_symmetric, fine_tune_mse
 from boltznet.core import (ActivationKind, ConfigError, DivergenceError, DomainError,
                            LossKind, ShapeError, make_rng)
 from boltznet.data import make_batches, one_of_k
-from boltznet.dbm import mean_field_train, pretrain_dbm
-from boltznet.dbn import pretrain_dbn, up_down_fine_tune
-from boltznet.dnn import backprop_fine_tune, pretrain_stack
+from boltznet.dbm import DbmModel, mean_field_train, pretrain_dbm
+from boltznet.dbn import DbnModel, pretrain_dbn, up_down_fine_tune
+from boltznet.dnn import LayerStack, backprop_fine_tune, pretrain_stack
 from boltznet.optim import (NO_DECAY, AnnealKind, AnnealSchedule, DecayKind,
-                            MomentumSchedule, ParamGroup, WeightDecaySpec, anneal,
-                            apply_update, decay_penalty_gradient, dropout_mask,
+                            MomentumSchedule, ParamGroup, WeightDecaySpec, _check_finite,
+                            anneal, apply_update, decay_penalty_gradient, dropout_mask,
                             momentum_coeff, run_epochs)
 from boltznet.rbm import (RbmLayer, TrainConfig, train_binary, train_classifier_head,
                           train_linear)
@@ -290,6 +291,33 @@ class TestRunEpochs:
             run_epochs(TrainConfig(epochs=3), [w], step,
                        lambda e, lr, rho: hooks.append(e))
         assert hooks == [0]
+
+    @pytest.mark.parametrize("trainer", list(TRAINERS))
+    def test_every_trainer_hands_the_loop_its_model(self, trainer, monkeypatch):
+        # the loop's divergence walk starts from the trained model, so no
+        # trainer lists its arrays by hand, and the walk reaches every array
+        # training may change (no epoch runs, so none is replaced yet)
+        handed = []
+
+        def spy(cfg, model, step, hook):
+            handed.append(model)
+            run_epochs(cfg, model, step, hook)
+
+        for module in (rbm_mod, dnn_mod, dbn_mod, dbm_mod):
+            monkeypatch.setattr(module, "run_epochs", spy)
+        rng = make_rng(68)
+        x = rng.random((6, 4))
+        y = one_of_k(rng.integers(0, 2, (6, 1)).astype(float), 2)
+        run, arrays = TRAINERS[trainer][0]([(x, y)])
+        handed.clear()  # the setup's own pretraining
+        run([(x, y)], TrainConfig(epochs=0))
+        [model] = handed
+        assert isinstance(model, (RbmLayer, LayerStack, DbnModel, DbmModel))
+        for a in arrays:
+            kept, a[0, 0] = a[0, 0], np.nan
+            with pytest.raises(DivergenceError):
+                _check_finite(model, "model")
+            a[0, 0] = kept
 
     def test_every_trainer_takes_one_batch_list(self):
         # labels ride in the (x, y) batches, so no trainer takes a second list

@@ -430,6 +430,13 @@ class TestClassifierHead:
         np.testing.assert_array_equal(head.w, w)
         np.testing.assert_array_equal(head.b_h, b_h)
 
+    def test_non_softmax_head_is_rejected_without_epochs(self):
+        # the loss/output pairing is checked once, not per batch
+        feats, labels, head = self.make_toy()
+        head.activation = ActivationKind.SIGMOID
+        with pytest.raises(ConfigError, match="softmax output layer"):
+            train_classifier_head(head, [(feats, labels)], TrainConfig(epochs=0))
+
     def test_divergence_raises_at_its_epoch_before_the_hook(self):
         # a huge L2 penalty overflows the head within epoch 0; no Bernoulli
         # sample is drawn, so only the epoch loop's finiteness check sees it
