@@ -253,16 +253,10 @@ def classify(scores: Matrix, labels) -> ClassificationReport:
     if len(scores) == 0:
         raise DomainError("scoring needs at least one row")
     k = scores.shape[1]
-    return classification_report(scores.argmax(axis=1), class_indices(labels, k), k)
-
-
-def classification_report(pred_idx, true_idx, n_classes: int) -> ClassificationReport:
-    pred_idx = np.asarray(pred_idx, dtype=np.int64)
-    true_idx = np.asarray(true_idx, dtype=np.int64)
-    if pred_idx.shape != true_idx.shape:
+    pred, true = scores.argmax(axis=1), class_indices(labels, k)
+    if pred.shape != true.shape:
         raise ShapeError("prediction/label count mismatch")
-    n = pred_idx.size
-    confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
-    np.add.at(confusion, (true_idx, pred_idx), 1)
-    errors = int((pred_idx != true_idx).sum())
-    return ClassificationReport(error_rate=errors / n, confusion=confusion, n_samples=n)
+    confusion = np.zeros((k, k), dtype=np.int64)
+    np.add.at(confusion, (true, pred), 1)
+    return ClassificationReport(error_rate=int((pred != true).sum()) / pred.size,
+                                confusion=confusion, n_samples=pred.size)

@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (ClassificationReport, ConfigError, Matrix, ShapeError, as_rows,
-                   check_batches, classify, make_rng, sample_bernoulli, sigmoid)
+from .core import (ActivationKind, ClassificationReport, ConfigError, Matrix, ShapeError,
+                   as_rows, check_batches, classify, make_rng, sample_bernoulli, sigmoid)
 from .optim import ParamGroup, run_epochs
-from .rbm import (CdGradients, RbmLayer, TrainConfig, _cd_gradients, _check_chain,
+from .rbm import (CdGradients, RbmLayer, TrainConfig, _cd_step, _check_chain,
                   _pretrain_layers)
 
 
@@ -96,14 +96,17 @@ def up_down_fine_tune(model: DbnModel, batches, cfg: TrainConfig,
     Per batch: a sampled up-pass (recognition weights) trains the generative
     weights on its states; a CD-1 step with labels clamped in the positive
     phase trains the top RBM; a sampled down-pass (generative weights)
-    trains the recognition weights on its states. Every weight and bias
-    array is updated in place.
+    trains the recognition weights on its states. Every layer must have
+    SIGMOID units (ConfigError otherwise); every weight and bias array is
+    updated in place.
     """
-    if model.top is None:
+    top = model.top
+    if top is None:
         raise ConfigError("model must be pretrained before fine-tuning")
+    if {l.activation for l in model.recognition + [top]} != {ActivationKind.SIGMOID}:
+        raise ConfigError("up-down fine-tuning runs sigmoid units only")
     pairs = check_batches(batches, model.input_dim, model.label_dim or None, one_of_k=True)
     rng = make_rng(cfg.seed)
-    top = model.top
     params = ParamGroup([top.w], [top.b_v, top.b_h], cfg.decay)
     g = CdGradients(*params.grads)
     # one scratch per directed layer, shared by its two weights (same size)
@@ -121,12 +124,11 @@ def up_down_fine_tune(model: DbnModel, batches, cfg: TrainConfig,
             for i in range(len(model.recognition)):
                 _residual_update(model.generative_w[i], model.generative_b[i],
                                  states[i + 1], states[i], lr, scratch[i])
-            # top RBM CD-1 with labels clamped in the positive phase; the
-            # data statistic uses the recognition probabilities (same
+            # top RBM CD-1, undropped, with labels clamped in the positive
+            # phase; the data are the recognition probabilities (same
             # variance reduction as plain RBM training)
             top_v = np.hstack([probs, y]) if model.label_dim else probs
-            h_probs = sigmoid(top_v @ top.w + top.b_h)
-            v_recon = _cd_gradients(top, top_v, h_probs, sample_bernoulli(h_probs, rng), g)
+            v_recon = _cd_step(top, top_v, 1, 1.0, rng, g)
             params.step(lr, rho)
             # sleep: sample downward from the top reconstruction, then fit
             # the recognition weights to invert the generative pass

@@ -199,7 +199,8 @@ def save_model(path, model) -> None:
 
 def load_model(path):
     """The checked model in a container; FormatError, naming the file, when
-    the container is malformed or its model fails `check()`."""
+    the container is malformed, holds a DBN or DBM with a non-SIGMOID layer,
+    or its model fails `check()`."""
     r = _Reader(Path(path).read_bytes())
     name = "model"
     try:
@@ -218,6 +219,9 @@ def load_model(path):
         if kind not in _KINDS:
             raise FormatError(f"unknown kind {kind}")
         name, _, _, build = _KINDS[kind]
+        odd = {l.activation for l in layers} - {ActivationKind.SIGMOID}
+        if name in ("dbn", "dbm") and odd:
+            raise FormatError(f"a {name} runs SIGMOID units only, not {odd.pop().name}")
         return build(layers, sections).check()
     except (FormatError, ShapeError) as exc:
         raise FormatError(f"{path}: {name} container: {exc}") from None

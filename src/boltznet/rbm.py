@@ -152,40 +152,26 @@ def mean_free_energy(rbm: RbmLayer, data: Matrix) -> float:
     return float(per_row.mean())
 
 
-def _cd_gradients(rbm: RbmLayer, batch: Matrix, h_probs_data: Matrix, h_drive: Matrix,
-                  g: CdGradients, h_mean=None, down_scale: float = 1.0) -> Matrix:
-    """The reconstruction half of contrastive divergence: reconstruct the
-    visible units from the driving hidden state, infer the hidden means
-    again (sigmoid units unless `h_mean` says otherwise), write the
-    gradients into `g`'s buffers and return the visible reconstruction."""
-    v_recon = sigmoid(down_scale * (h_drive @ rbm.w.T) + rbm.b_v)
-    h_recon = h_mean(v_recon) if h_mean else sigmoid(v_recon @ rbm.w + rbm.b_h)
-    # one GEMM: dw = [v_recon; batch]^T [h_recon; -h_probs_data] / m
-    h = np.vstack([h_recon, -h_probs_data])
-    h /= batch.shape[0]
-    np.matmul(np.vstack([v_recon, batch]).T, h, out=g.dw)
-    np.mean(v_recon - batch, axis=0, keepdims=True, out=g.db_v)
-    np.mean(h_recon - h_probs_data, axis=0, keepdims=True, out=g.db_h)
-    return v_recon
+def _check_cd_units(rbm: RbmLayer) -> None:
+    """ConfigError unless CD can sample the hidden units: SIGMOID or IDENTITY."""
+    if rbm.activation not in (ActivationKind.SIGMOID, ActivationKind.IDENTITY):
+        raise ConfigError(f"CD cannot sample {rbm.activation.name} hidden units")
 
 
-def _cd_step(rbm: RbmLayer, batch: Matrix, k: int, dropout_rate: float, rng: Rng,
-             out: CdGradients, up_scale: float = 1.0,
-             down_scale: float = 1.0) -> CdGradients:
-    """One contrastive-divergence estimate on a batch, written into `out`'s
-    buffers.
+def _cd_step(rbm: RbmLayer, batch: Matrix, k: int, mask, rng: Rng, out: CdGradients,
+             up_scale: float = 1.0, down_scale: float = 1.0) -> Matrix:
+    """One contrastive-divergence estimate on a batch: the gradients are
+    written into `out`'s buffers and the visible reconstruction is returned.
 
     Data statistics use hidden probabilities; the Gibbs chain is driven by
-    sampled binary states (masked by dropout on every downward pass); the
-    reconstruction statistics use probabilities for both layers. up_scale /
-    down_scale support the asymmetric passes needed by DBM pretraining.
-    A layer with the IDENTITY activation has linear hidden units: identity
-    mean plus unit-variance Gaussian noise; any other has sigmoid units.
-    The batch is taken as checked.
+    sampled hidden states, multiplied on every downward pass by the caller's
+    dropout `mask` (a 1 x n_h row, or 1.0 for none); the reconstruction
+    statistics use probabilities for both layers. up_scale / down_scale
+    support the asymmetric passes needed by DBM pretraining. A layer with
+    the IDENTITY activation has linear hidden units: identity mean plus
+    unit-variance Gaussian noise; any other has sigmoid units. The batch and
+    the units are taken as checked.
     """
-    if k < 1:
-        raise ConfigError("gibbs step count must be >= 1")
-
     linear = rbm.activation is ActivationKind.IDENTITY
     def h_mean(v):
         z = up_scale * (v @ rbm.w) + rbm.b_h
@@ -197,27 +183,40 @@ def _cd_step(rbm: RbmLayer, batch: Matrix, k: int, dropout_rate: float, rng: Rng
         return sample_bernoulli(mean, rng)
 
     h_probs_data = h_mean(batch)
-    mask = dropout_mask(rbm.n_h, dropout_rate, rng)
     h_drive = h_sample(h_probs_data) * mask
-    for _ in range(k - 1):
-        v_states = sample_bernoulli(
-            sigmoid(down_scale * (h_drive @ rbm.w.T) + rbm.b_v), rng)
-        h_drive = h_sample(h_mean(v_states)) * mask
-    _cd_gradients(rbm, batch, h_probs_data, h_drive, out, h_mean, down_scale)
-    return out
+    for step in range(k):  # the last reconstruction gives the statistics
+        v_recon = sigmoid(down_scale * (h_drive @ rbm.w.T) + rbm.b_v)
+        if step < k - 1:
+            h_drive = h_sample(h_mean(sample_bernoulli(v_recon, rng))) * mask
+    h_recon = h_mean(v_recon)
+    # one GEMM: dw = [v_recon; batch]^T [h_recon; -h_probs_data] / m
+    h = np.vstack([h_recon, -h_probs_data])
+    h /= batch.shape[0]
+    np.matmul(np.vstack([v_recon, batch]).T, h, out=out.dw)
+    np.mean(v_recon - batch, axis=0, keepdims=True, out=out.db_v)
+    np.mean(h_recon - h_probs_data, axis=0, keepdims=True, out=out.db_h)
+    return v_recon
 
 
 def cd_step(rbm: RbmLayer, batch: Matrix, k: int, dropout_rate: float,
             rng: Rng) -> CdGradients:
     """Public CD-k gradient: reconstruction minus data statistics, in
-    fresh arrays."""
+    fresh arrays; ConfigError, before any draw, for k < 1 or hidden units
+    CD cannot sample."""
     [(batch, _)] = check_batches([(batch, None)], rbm.n_v)
-    return _cd_step(rbm, batch, k, dropout_rate, rng, CdGradients.like(rbm))
+    if k < 1:
+        raise ConfigError("gibbs step count must be >= 1")
+    _check_cd_units(rbm)
+    g = CdGradients.like(rbm)
+    _cd_step(rbm, batch, k, dropout_mask(rbm.n_h, dropout_rate, rng), rng, g)
+    return g
 
 
 def _train_rbm(rbm: RbmLayer, data_batches, cfg: TrainConfig, up_scale: float = 1.0,
                down_scale: float = 1.0, hook=None) -> RbmLayer:
-    """CD training on checked visible batches."""
+    """CD training on checked visible batches; ConfigError, before any draw,
+    for hidden units CD cannot sample."""
+    _check_cd_units(rbm)
     rng = make_rng(cfg.seed)
     params = ParamGroup([rbm.w], [rbm.b_v, rbm.b_h], cfg.decay)
     g = CdGradients(*params.grads)
@@ -225,7 +224,8 @@ def _train_rbm(rbm: RbmLayer, data_batches, cfg: TrainConfig, up_scale: float = 
     def epoch(lr, rho):
         max_grad = 0.0
         for data in data_batches:
-            _cd_step(rbm, data, cfg.gibbs_steps, cfg.dropout_rate, rng, g,
+            mask = dropout_mask(rbm.n_h, cfg.dropout_rate, rng)
+            _cd_step(rbm, data, cfg.gibbs_steps, mask, rng, g,
                      up_scale=up_scale, down_scale=down_scale)
             max_grad = max(max_grad, g.max_abs())
             params.step(lr, rho)
@@ -274,21 +274,16 @@ def classify_rbm(rbm: RbmLayer, head: RbmLayer, data: Matrix,
     return classify(hidden_given_visible(rbm, data) @ head.w + head.b_h, labels)
 
 
-def pretrain_config(cfg: TrainConfig, layer_index: int) -> TrainConfig:
-    """Per-layer seed derivation so stacked layers train on distinct but
-    reproducible streams."""
-    return replace(cfg, seed=cfg.seed + layer_index)
-
-
 def _pretrain_layers(sizes, batches, cfg: TrainConfig, labels=False, scales=None,
                      train: bool = True):
     """Greedy layer-wise pretraining on (x, y) batches, shared by every
     stacked model: one RBM per adjacent size pair, each trained (when
-    `train` is set) on the previous RBM's hidden probabilities. The batches
-    pass `core.check_batches` before any layer is drawn, each y read as
-    one-of-K labels as wide as the first when `labels` is set; those labels
-    are joined onto the last RBM's visible side. `scales[i]` gives RBM i's
-    (up, down) pass scales, (1, 1) by default.
+    `train` is set) on the previous RBM's hidden probabilities, RBM i on its
+    own stream, seeded `cfg.seed + i`. The batches pass `core.check_batches`
+    before any layer is drawn, each y read as one-of-K labels as wide as the
+    first when `labels` is set; those labels are joined onto the last RBM's
+    visible side. `scales[i]` gives RBM i's (up, down) pass scales, (1, 1)
+    by default.
 
     Returns (layers, rng) so callers can keep drawing from the same stream.
     """
@@ -303,7 +298,8 @@ def _pretrain_layers(sizes, batches, cfg: TrainConfig, labels=False, scales=None
         up, down = scales[i] if scales else (1.0, 1.0)
         if i == n - 1 and k:
             feats = [np.hstack([f, y]) for f, (_, y) in zip(feats, pairs)]
-        _train_rbm(layer, feats, pretrain_config(cfg, i), up_scale=up, down_scale=down)
+        _train_rbm(layer, feats, replace(cfg, seed=cfg.seed + i), up_scale=up,
+                   down_scale=down)
         if i < n - 1:
             feats = [sigmoid(up * (f @ layer.w) + layer.b_h) for f in feats]
     return layers, rng

@@ -3,8 +3,8 @@ import pytest
 
 from boltznet.core import (ActivationKind, ConfigError, DivergenceError, DomainError,
                            LossKind, ShapeError, activate, activation_derivative,
-                           classification_report, loss, loss_derivative,
-                           make_rng, matrix, sample_bernoulli, sigmoid)
+                           classify, loss, loss_derivative, make_rng, matrix,
+                           sample_bernoulli, sigmoid)
 from boltznet.data import make_batches, one_of_k
 from boltznet.dbm import classify_dbm, pretrain_dbm
 from boltznet.dbn import classify_dbn, pretrain_dbn
@@ -206,7 +206,7 @@ class TestSampleBernoulli:
 
 
 def test_classification_report_counts():
-    rep = classification_report([0, 1, 2, 1], [0, 1, 1, 1], 3)
+    rep = classify(one_of_k(np.array([[0], [1], [2], [1]]), 3), [[0], [1], [1], [1]])
     assert rep.n_samples == 4
     assert rep.error_rate == 0.25
     assert rep.confusion[1, 2] == 1

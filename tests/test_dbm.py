@@ -1,5 +1,6 @@
 import copy
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -85,14 +86,14 @@ class TestPretrain:
         cfg = TrainConfig(epochs=2, lr=0.2, seed=4)
         model = pretrain_dbm([5, 4, 3, 2], batches, cfg)
         # retrain the same intermediate RBM by hand to compare
-        from boltznet.rbm import RbmLayer, _train_rbm, pretrain_config
+        from boltznet.rbm import RbmLayer, _train_rbm
 
         rng = make_rng(cfg.seed)
         first = RbmLayer.random(5, 4, rng)
-        _train_rbm(first, [x for x, _ in batches], pretrain_config(cfg, 0), up_scale=2.0)
+        _train_rbm(first, [x for x, _ in batches], cfg, up_scale=2.0)
         feats = [sigmoid(2.0 * (b[0] @ first.w) + first.b_h) for b in batches]
         mid = RbmLayer.random(4, 3, rng)
-        _train_rbm(mid, feats, pretrain_config(cfg, 1))
+        _train_rbm(mid, feats, replace(cfg, seed=cfg.seed + 1))
         np.testing.assert_array_equal(model.weights[1], mid.w * 0.5)
         np.testing.assert_array_equal(model.hidden_biases[1], mid.b_h * 0.5)
 
@@ -102,18 +103,18 @@ class TestPretrain:
         model = pretrain_dbm([5, 4, 3, 2], batches, cfg, labels=True)
         # retrain every RBM by hand: doubled up pass first, doubled down
         # pass last on [features || labels]
-        from boltznet.rbm import RbmLayer, _train_rbm, pretrain_config
+        from boltznet.rbm import RbmLayer, _train_rbm
 
         rng = make_rng(cfg.seed)
         first = RbmLayer.random(5, 4, rng)
         mid = RbmLayer.random(4, 3, rng)
         last = RbmLayer.random(3 + 3, 2, rng)
-        _train_rbm(first, [x for x, _ in batches], pretrain_config(cfg, 0), up_scale=2.0)
+        _train_rbm(first, [x for x, _ in batches], cfg, up_scale=2.0)
         feats = [sigmoid(2.0 * (b[0] @ first.w) + first.b_h) for b in batches]
-        _train_rbm(mid, feats, pretrain_config(cfg, 1))
+        _train_rbm(mid, feats, replace(cfg, seed=cfg.seed + 1))
         feed = [np.hstack([sigmoid(f @ mid.w + mid.b_h), b[1]])
                 for f, b in zip(feats, batches)]
-        _train_rbm(last, feed, pretrain_config(cfg, 2), down_scale=2.0)
+        _train_rbm(last, feed, replace(cfg, seed=cfg.seed + 2), down_scale=2.0)
         assert model.label_dim == 3
         for got, ref in ((model.weights[0], first.w),
                          (model.hidden_biases[0], first.b_h),

@@ -1,17 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from boltznet import dbn as dbn_mod
 from boltznet import rbm as rbm_mod
-from boltznet.core import (ConfigError, DivergenceError, DomainError, ShapeError,
-                           make_rng, sigmoid)
+from boltznet.core import (ActivationKind, ConfigError, DivergenceError, DomainError,
+                           ShapeError, make_rng, sigmoid)
 from boltznet.data import make_batches, one_of_k
 from boltznet.dbn import (DbnModel, classify_dbn, predict_dbn, pretrain_dbn,
                           up_down_fine_tune)
 from boltznet.dnn import _pretrain_layers
 from boltznet.oracle import (dbn_evidence, dbn_log_joint, dbn_recognition_q,
                              variational_bound)
-from boltznet.rbm import RbmLayer, TrainConfig, _train_rbm, pretrain_config
+from boltznet.rbm import RbmLayer, TrainConfig, _train_rbm
 from boltznet.optim import NO_MOMENTUM
 
 
@@ -68,9 +70,9 @@ class TestPretrain:
         rng = make_rng(cfg.seed)
         lower = RbmLayer.random(4, 3, rng)
         top = RbmLayer.random(3 + 3, 2, rng)
-        _train_rbm(lower, [x for x, _ in batches], pretrain_config(cfg, 0))
+        _train_rbm(lower, [x for x, _ in batches], cfg)
         feed = [np.hstack([sigmoid(x @ lower.w + lower.b_h), y]) for x, y in batches]
-        _train_rbm(top, feed, pretrain_config(cfg, 1))
+        _train_rbm(top, feed, replace(cfg, seed=cfg.seed + 1))
         assert model.label_dim == 3
         for got, ref in ((model.top.w, top.w), (model.top.b_v, top.b_v),
                          (model.top.b_h, top.b_h)):
@@ -147,6 +149,22 @@ class TestUpDown:
         before = [a.copy() for a in arrays]
         with pytest.raises(error):
             up_down_fine_tune(model, good + bad, TrainConfig(epochs=1, seed=8))
+        for now, then in zip(arrays, before):
+            np.testing.assert_array_equal(now, then)
+
+    @pytest.mark.parametrize("where, kind", [("top", ActivationKind.IDENTITY),
+                                             ("recognition", ActivationKind.TANH)])
+    def test_non_sigmoid_layer_is_rejected_before_the_first_update(self, where, kind):
+        # the top trains through the shared CD step, which would read IDENTITY
+        # as linear units; up-down runs sigmoid units only
+        batches = toy_data()
+        model = pretrain_dbn([4, 3, 2], batches, TrainConfig(epochs=1, seed=7), labels=True)
+        (model.top if where == "top" else model.recognition[0]).activation = kind
+        arrays = ([a for l in model.recognition for a in (l.w, l.b_h)] + model.generative_w
+                  + model.generative_b + [model.top.w, model.top.b_v, model.top.b_h])
+        before = [a.copy() for a in arrays]
+        with pytest.raises(ConfigError, match="sigmoid units only"):
+            up_down_fine_tune(model, batches, TrainConfig(epochs=1, seed=8))
         for now, then in zip(arrays, before):
             np.testing.assert_array_equal(now, then)
 

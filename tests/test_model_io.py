@@ -147,6 +147,16 @@ class TestCraftedContainers:
         with pytest.raises(FormatError, match="m.mdlr"):
             load_model(tmp_path / "m.mdlr")
 
+    @pytest.mark.parametrize("kind", ["dbn", "dbm"])
+    def test_non_sigmoid_layer_rejected(self, tmp_path, tiny_models, kind):
+        # the first layer's tag byte follows its n_v and n_h; 1 reads TANH
+        fields = container_fields(tiny_models[kind])
+        layer = fields["layer 0"]
+        (tmp_path / "m.mdlr").write_bytes(
+            edited(fields, "layer 0", layer[:16] + bytes([1]) + layer[17:]))
+        with pytest.raises(FormatError, match="m.mdlr.*TANH"):
+            load_model(tmp_path / "m.mdlr")
+
 
 def predict_zeros(model):
     """The loaded model's prediction on a 2-row zero batch."""

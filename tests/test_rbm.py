@@ -9,7 +9,7 @@ from boltznet.optim import DecayKind, WeightDecaySpec
 from boltznet.oracle import (exact_conditional, exact_likelihood_gradient,
                              exact_partition, finite_difference_gradient,
                              _rbm_energy_grid)
-from boltznet.rbm import (CdGradients, RbmLayer, TrainConfig, _cd_gradients, cd_step,
+from boltznet.rbm import (CdGradients, RbmLayer, TrainConfig, _cd_step, cd_step,
                           classify_rbm, energy, free_energy, hidden_given_visible,
                           mean_free_energy, train_binary, train_classifier_head,
                           train_linear, visible_given_hidden)
@@ -202,9 +202,8 @@ class TestCdStep:
                        b_h=rng.normal(0.0, 1.0, (1, n_h)))
         x = (rng.random((m, n_v)) > 0.5).astype(float)
         h_data = sigmoid(x @ rbm.w + rbm.b_h)
-        h_drive = (rng.random((m, n_h)) < h_data).astype(float)
         g = CdGradients.like(rbm)
-        v_recon = _cd_gradients(rbm, x, h_data, h_drive, g)
+        v_recon = _cd_step(rbm, x, 1, 1.0, make_rng(50), g)
         want = (v_recon.T @ sigmoid(v_recon @ rbm.w + rbm.b_h) - x.T @ h_data) / m
         assert np.abs(g.dw - want).max() <= 3 * m * np.finfo(float).eps
 
@@ -230,6 +229,22 @@ class TestTrainBinary:
         assert_checked_before_update(
             lambda b: train_binary(rbm, b, TrainConfig(epochs=1, seed=42)),
             (rbm.w, rbm.b_v, rbm.b_h), batches, error)
+
+    @pytest.mark.parametrize("kind", [ActivationKind.TANH, ActivationKind.RELU,
+                                      ActivationKind.LEAKY_RELU, ActivationKind.SOFTMAX])
+    def test_units_cd_cannot_sample_are_rejected_before_any_draw(self, kind):
+        # CD samples binary (SIGMOID) or linear-Gaussian (IDENTITY) units only
+        rbm = random_rbm(6, 4, seed=46)
+        rbm.activation = kind
+        batches = make_batches((make_rng(47).random((12, 6)) > 0.5).astype(float), None, 3)
+        assert_checked_before_update(
+            lambda b: train_binary(rbm, b, TrainConfig(epochs=3, seed=48)),
+            (rbm.w, rbm.b_v, rbm.b_h), batches, ConfigError)
+        rng = make_rng(49)
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigError, match=kind.name):
+            cd_step(rbm, batches[0][0], 1, 0.0, rng)
+        assert rng.bit_generator.state == state
 
     def test_zero_epochs_is_identity(self):
         rbm = random_rbm(4, 3, seed=13)
