@@ -21,6 +21,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +86,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown model {self.model!r}")
         if len(self.layers) < 2 or any(n < 1 for n in self.layers):
             raise ConfigError("layers must list at least two positive sizes")
+        if self.model == "rbm" and len(self.layers) != 2:
+            raise ConfigError("an RBM takes two layer sizes, visible and hidden")
         if self.model == "dbm" and len(self.layers) < 3:
             raise ConfigError("a DBM needs at least two hidden layers")
         if self.model == "dnn" and self.layers[-1] != 10:
@@ -264,14 +267,6 @@ class _Recorder:
         self.records.append(rec)
 
 
-def _class_probe(predict_probs, probe_x, probe_y, test_x, test_y):
-    """Probe-row cross entropy and test error, both from `predict_probs`."""
-    def probe():
-        ce = loss_fn(predict_probs(probe_x), probe_y, LossKind.CROSS_ENTROPY)
-        return {"loss": ce, "error": classify(predict_probs(test_x), test_y).error_rate}
-    return probe
-
-
 def run_experiment(cfg: ExperimentConfig):
     """Train per config, write artifacts, return the summary record."""
     cfg.validate()
@@ -305,45 +300,49 @@ def run_experiment(cfg: ExperimentConfig):
     return summary
 
 
-def _filters_pgm(w, out_dir):
+def _classifier(model, predict, tune, w, batches, test_x, test_y, out_dir,
+                probe_rows=None):
+    """Train through `tune(hook)`, if given, recording after each epoch the
+    first batch's cross entropy and the error on the first `probe_rows` test
+    rows; then score every test row and draw the first 100 filters of `w`.
+    `predict(x)` gives the class scores."""
+    probe_x, probe_y = batches[0]
+    recorder = _Recorder(lambda: {
+        "loss": loss_fn(predict(probe_x), probe_y, LossKind.CROSS_ENTROPY),
+        "error": classify(predict(test_x[:probe_rows]), test_y[:probe_rows]).error_rate})
+    if tune:
+        tune(hook=recorder.hook)
+    report = classify(predict(test_x), test_y)
     side = int(round(math.sqrt(w.shape[0])))
     if side * side == w.shape[0]:
         export_pgm(w[:, :min(100, w.shape[1])].T, side, side, out_dir / "filters.pgm")
+    return model, recorder, {"error": report.error_rate, "n": report.n_samples}
 
 
 def _run_rbm(cfg, *args):
     # one pretrained RBM under a softmax head trained on its features
-    return _run_dnn(replace(cfg, layers=cfg.layers[:2] + [10], fine_tune=False), *args)
+    return _run_dnn(replace(cfg, layers=cfg.layers + [10], fine_tune=False), *args)
 
 
 def _run_dnn(cfg, tc, batches, train_x, test_x, test_y, out_dir):
     stack = dnn_mod.pretrain_stack(cfg.layers, batches, tc, pretrain=True)
     feats = dnn_mod.hidden_features(stack, batches)
-    recorder = _Recorder(_class_probe(
-        lambda x: dnn_mod.predict(stack, x), batches[0][0], batches[0][1],
-        test_x, test_y))
-    if cfg.fine_tune:
-        rbm_mod.train_classifier_head(stack.layers[-1], feats, tc)
-        dnn_mod.backprop_fine_tune(stack, batches, LossKind.CROSS_ENTROPY, tc,
-                                   hook=recorder.hook)
-    else:
-        rbm_mod.train_classifier_head(stack.layers[-1], feats, tc, hook=recorder.hook)
-    report = dnn_mod.classify_dnn(stack, test_x, test_y)
-    _filters_pgm(stack.layers[0].w, out_dir)
-    return stack, recorder, {"error": report.error_rate, "n": report.n_samples}
+
+    def tune(hook):  # the head's epochs are recorded when no backprop follows
+        rbm_mod.train_classifier_head(stack.layers[-1], feats, tc,
+                                      hook=None if cfg.fine_tune else hook)
+        if cfg.fine_tune:
+            dnn_mod.backprop_fine_tune(stack, batches, LossKind.CROSS_ENTROPY, tc, hook=hook)
+    return _classifier(stack, partial(dnn_mod.predict, stack), tune, stack.layers[0].w,
+                       batches, test_x, test_y, out_dir)
 
 
 def _run_dbn(cfg, tc, batches, train_x, test_x, test_y, out_dir):
     model = dbn_mod.pretrain_dbn(cfg.layers, batches, tc, labels=True)
-    recorder = _Recorder(_class_probe(
-        lambda x: dbn_mod.predict_dbn(model, x), batches[0][0], batches[0][1],
-        test_x, test_y))
-    if cfg.fine_tune:
-        dbn_mod.up_down_fine_tune(model, batches, tc, hook=recorder.hook)
-    report = dbn_mod.classify_dbn(model, test_x, test_y)
-    _filters_pgm(model.recognition[0].w if model.recognition else model.top.w,
-                 out_dir)
-    return model, recorder, {"error": report.error_rate, "n": report.n_samples}
+    tune = partial(dbn_mod.up_down_fine_tune, model, batches, tc) if cfg.fine_tune else None
+    return _classifier(model, partial(dbn_mod.predict_dbn, model), tune,
+                       model.recognition[0].w if model.recognition else model.top.w,
+                       batches, test_x, test_y, out_dir)
 
 
 def _run_dae(cfg, tc, batches, train_x, test_x, test_y, out_dir):
@@ -362,15 +361,9 @@ def _run_dae(cfg, tc, batches, train_x, test_x, test_y, out_dir):
 
 def _run_dbm(cfg, tc, batches, train_x, test_x, test_y, out_dir):
     model = dbm_mod.pretrain_dbm(cfg.layers, batches, tc, labels=True)
-    probe_n = min(500, test_x.shape[0])
-    recorder = _Recorder(_class_probe(
-        lambda x: dbm_mod.predict_dbm(model, x), batches[0][0], batches[0][1],
-        test_x[:probe_n], test_y[:probe_n]))
-    if cfg.fine_tune:
-        dbm_mod.mean_field_train(model, batches, tc, hook=recorder.hook)
-    report = dbm_mod.classify_dbm(model, test_x, test_y)
-    _filters_pgm(model.weights[0], out_dir)
-    return model, recorder, {"error": report.error_rate, "n": report.n_samples}
+    tune = partial(dbm_mod.mean_field_train, model, batches, tc) if cfg.fine_tune else None
+    return _classifier(model, partial(dbm_mod.predict_dbm, model), tune, model.weights[0],
+                       batches, test_x, test_y, out_dir, probe_rows=500)
 
 
 def _run_bimodal(cfg, tc, batches, train_x, test_x, test_y, out_dir):

@@ -73,12 +73,16 @@ def matrix(values) -> Matrix:
 
 def as_rows(data, width: int = None) -> Matrix:
     """`data` as float64 rows; ShapeError unless it is 2-D and, when `width`
-    is given, each row is `width` wide."""
+    is given, each row is `width` wide; DomainError for a NaN or infinite
+    value."""
     rows = np.asarray(data, dtype=np.float64)
     if rows.ndim != 2:
         raise ShapeError(f"input must be 2-D rows, got shape {rows.shape}")
     if width is not None and rows.shape[1] != width:
         raise ShapeError(f"input width {rows.shape[1]} != {width}")
+    # NaN propagates through min and max, and an infinity is one of them
+    if rows.size and not (np.isfinite(rows.min()) and np.isfinite(rows.max())):
+        raise DomainError("input holds a non-finite value (NaN or infinity)")
     return rows
 
 

@@ -91,7 +91,8 @@ def read_cifar10(paths: Sequence):
 
 
 def read_f32be_matrix(path, rows: int, cols: int) -> Matrix:
-    """Read big-endian 32-bit floats, widened to 64-bit, row-major."""
+    """Read big-endian 32-bit floats, widened to 64-bit, row-major. NaN and
+    infinity pass through; `core.as_rows` rejects them at any model."""
     if rows < 0 or cols < 0:
         raise DomainError(f"matrix dimensions {rows}x{cols} must not be negative")
     raw = _read_bytes(path)

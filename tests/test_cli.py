@@ -7,11 +7,12 @@ import pytest
 
 from boltznet import dbn as dbn_mod
 from boltznet.cli import (ExperimentConfig, _check_finite, emit_metrics, export_pgm,
-                          main, parse_metrics)
-from boltznet.core import ConfigError, DivergenceError, make_rng
+                          load_mnist, main, parse_metrics)
+from boltznet.core import ConfigError, DivergenceError, classify, make_rng
 from boltznet.data import make_batches, one_of_k
-from boltznet.dbm import pretrain_dbm
-from boltznet.dnn import pretrain_stack
+from boltznet.dbm import predict_dbm, pretrain_dbm
+from boltznet.dnn import predict, pretrain_stack
+from boltznet.model_io import load_model
 from boltznet.rbm import TrainConfig
 from boltznet.synth import write_idx_labels, write_mnist_style_dir
 
@@ -108,9 +109,10 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("model, layers", [("dbm", "784,500"), ("bimodal", "100,50"),
-                                               ("dnn", "100,50,10"), ("dnn", "784,300,7")],
+                                               ("dnn", "100,50,10"), ("dnn", "784,300,7"),
+                                               ("rbm", "784,16,12")],
                              ids=["dbm-one-hidden", "bimodal-width", "dnn-width",
-                                  "dnn-output"])
+                                  "dnn-output", "rbm-three-sizes"])
     def test_layer_rules_caught_before_output(self, tiny_data_dir, tmp_path, model, layers):
         out = tmp_path / "o"
         assert run([f"run-{model}", "--layers", layers, "--data-dir", tiny_data_dir,
@@ -323,3 +325,22 @@ class TestRuns:
         assert code == 0
         summary = parse_metrics(out / "metrics.txt")[-1]
         assert summary["n"] == 20
+
+    # model -> (layers, the saved model's class scores)
+    CLASSIFIERS = {"rbm": ("784,16", predict), "dnn": ("784,16,12,10", predict),
+                   "dbn": ("784,16,12", dbn_mod.predict_dbn),
+                   "dbm": ("784,16,12", predict_dbm)}
+
+    @pytest.mark.parametrize("model", list(CLASSIFIERS))
+    def test_scores_are_those_of_the_saved_model(self, tiny_data_dir, tmp_path, model):
+        # the summary and the last epoch score every test row of the saved model
+        layers, scores = self.CLASSIFIERS[model]
+        out = tmp_path / "o"
+        assert run([f"run-{model}", "--layers", layers, "--epochs", "2", "--batches", "8",
+                    "--data-dir", tiny_data_dir, "--out-dir", out]) == 0
+        _, _, test_x, test_y = load_mnist(tiny_data_dir)
+        saved = classify(scores(load_model(out / "model.mdlr"), test_x), test_y)
+        *epochs, summary = parse_metrics(out / "metrics.txt")
+        assert [r["epoch"] for r in epochs] == [0, 1]
+        assert summary["n"] == len(test_x)
+        assert summary["error"] == epochs[-1]["error"] == saved.error_rate

@@ -5,10 +5,12 @@ from boltznet.core import (ActivationKind, ConfigError, DivergenceError, DomainE
                            LossKind, ShapeError, activate, activation_derivative,
                            classify, loss, loss_derivative, make_rng, matrix,
                            sample_bernoulli, sigmoid)
+from boltznet.autoencoder import build_symmetric, reconstruct
 from boltznet.data import make_batches, one_of_k
-from boltznet.dbm import classify_dbm, pretrain_dbm
-from boltznet.dbn import classify_dbn, pretrain_dbn
-from boltznet.dnn import classify_dnn, pretrain_stack
+from boltznet.dbm import classify_dbm, predict_dbm, pretrain_dbm
+from boltznet.dbn import classify_dbn, predict_dbn, pretrain_dbn
+from boltznet.dnn import classify_dnn, predict, pretrain_stack
+from boltznet.multimodal import build_bimodal, predict_modal
 from boltznet.rbm import RbmLayer, TrainConfig, classify_rbm
 
 SIG = ActivationKind.SIGMOID
@@ -240,3 +242,38 @@ def test_every_classifier_scores_class_indices_in_range(tiny_classifiers, kind, 
     """One class index in [0, K) per data row, and at least one row."""
     with pytest.raises(error):
         tiny_classifiers[kind](np.ones((rows, 4)), np.array(labels, float).reshape(-1, 1))
+
+
+@pytest.fixture(scope="module")
+def tiny_predictors():
+    """Each prediction entry point bound to a tiny model with 4 inputs."""
+    rng = make_rng(9)
+    x = (rng.random((12, 4)) > 0.5).astype(float)
+    batches = make_batches(x, one_of_k(rng.integers(0, 3, (12, 1)), 3), 2)
+    cfg = TrainConfig(epochs=1, seed=10)
+    stack = pretrain_stack([4, 3, 3], batches, cfg)
+    dbn = pretrain_dbn([4, 3, 2], batches, cfg, labels=True)
+    dbm = pretrain_dbm([4, 3, 2], batches, cfg, labels=True)
+    dae = build_symmetric([4, 3], batches, cfg)
+    bimodal, _ = build_bimodal(x[:, :2], x[:, 2:], [4, 3], cfg, 2)
+    return {"predict": lambda d: predict(stack, d),
+            "predict_dbn": lambda d: predict_dbn(dbn, d),
+            "predict_dbm": lambda d: predict_dbm(dbm, d),
+            "reconstruct": lambda d: reconstruct(dae, d),
+            "predict_modal": lambda d: predict_modal(bimodal, d[:, :2])}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("entry", ["predict", "predict_dbn", "predict_dbm", "reconstruct",
+                                   "predict_modal", "rbm", "dnn", "dbn", "dbm"])
+def test_every_prediction_rejects_non_finite_input(tiny_predictors, tiny_classifiers,
+                                                   entry, value):
+    """A NaN or infinite input value is the caller's error: no scores come
+    out of it, and no classifier counts its argmax."""
+    data = np.full((2, 4), 0.5)
+    data[1, 1] = value
+    with pytest.raises(DomainError, match="non-finite"):
+        if entry in tiny_classifiers:
+            tiny_classifiers[entry](data, np.zeros((2, 1)))
+        else:
+            tiny_predictors[entry](data)

@@ -333,22 +333,35 @@ class TestRunEpochs:
 
     @pytest.mark.parametrize("trainer, case", [
         (trainer, case) for trainer in TRAINERS
-        for case in ["no-batches", "zero-rows", "x-width", "y-rows"]
-        if case != "y-rows" or TRAINERS[trainer][1]])
+        for case in ["no-batches", "zero-rows", "x-width", "y-rows", "x-nan", "x-inf",
+                     "y-nan", "y-inf"]
+        if not case.startswith("y-") or TRAINERS[trainer][1]])
     def test_every_trainer_checks_its_batches_before_the_first_update(self, trainer, case):
         # a good first batch, then the malformed one: the typed error comes
-        # before any array moves
+        # before any array moves; non-finite data is the caller's error, not
+        # a divergence of the model
         setup, _ = TRAINERS[trainer]
         rng = make_rng(60)
         x = rng.random((6, 4))
         y = one_of_k(rng.integers(0, 2, (6, 1)).astype(float), 2)
         run, arrays = setup([(x, y)])
-        batches, error = {"no-batches": ([], DomainError),
-                          "zero-rows": ([(x, y), (x[:0], y[:0])], DomainError),
-                          "x-width": ([(x, y), (x[:, :3], y)], ShapeError),
-                          "y-rows": ([(x, y), (x, y[:5])], ShapeError)}[case]
+
+        def planted(a, value):
+            a = a.copy()
+            a[2, 1] = value
+            return a
+
+        batches, error, match = {
+            "no-batches": ([], DomainError, None),
+            "zero-rows": ([(x, y), (x[:0], y[:0])], DomainError, None),
+            "x-width": ([(x, y), (x[:, :3], y)], ShapeError, None),
+            "y-rows": ([(x, y), (x, y[:5])], ShapeError, None),
+            "x-nan": ([(x, y), (planted(x, np.nan), y)], DomainError, "non-finite"),
+            "x-inf": ([(x, y), (planted(x, np.inf), y)], DomainError, "non-finite"),
+            "y-nan": ([(x, y), (x, planted(y, np.nan))], DomainError, "non-finite"),
+            "y-inf": ([(x, y), (x, planted(y, np.inf))], DomainError, "non-finite")}[case]
         before = [a.copy() for a in arrays]
-        with pytest.raises(error):
+        with pytest.raises(error, match=match):
             run(batches, TrainConfig(epochs=1, seed=61))
         for now, then in zip(arrays, before, strict=True):
             np.testing.assert_array_equal(now, then)

@@ -276,6 +276,19 @@ class TestTrainBinary:
         assert counted["n"] == 2000
         assert epochs_seen == list(range(10))
 
+    @pytest.mark.parametrize("scale, epochs", [(1000.0, [0]), (1e-2, [0, 1, 2, 3, 4])],
+                             ids=["saturated", "unsaturated"])
+    def test_an_epoch_of_trivial_gradients_stops_training(self, scale, epochs):
+        # saturated units reconstruct each identity row exactly, so every
+        # CD gradient is exactly zero and the first epoch is the last
+        w = scale * (2 * np.eye(4) - 1)
+        rbm = RbmLayer(w=w.copy(), b_v=np.zeros((1, 4)), b_h=np.zeros((1, 4)))
+        seen = []
+        train_binary(rbm, make_batches(np.eye(4), None, 2), TrainConfig(epochs=5),
+                     hook=lambda e, lr, rho: seen.append(e))
+        assert seen == epochs
+        assert np.array_equal(rbm.w, w) == (len(epochs) == 1)
+
     def test_training_lowers_mean_free_energy(self):
         # monotone trend with 5-epoch smoothing on a tiny synthetic set
         rng = make_rng(7)
