@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from boltznet.autoencoder import build_symmetric, reconstruct
 from boltznet.core import (ActivationKind, ConfigError, DivergenceError, DomainError,
                            LossKind, ShapeError, activate, activation_derivative,
                            classify, loss, loss_derivative, make_rng, matrix,
                            sample_bernoulli, sigmoid)
-from boltznet.autoencoder import build_symmetric, reconstruct
 from boltznet.data import make_batches, one_of_k
 from boltznet.dbm import classify_dbm, predict_dbm, pretrain_dbm
 from boltznet.dbn import classify_dbn, predict_dbn, pretrain_dbn
