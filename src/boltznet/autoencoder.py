@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ConfigError, DomainError, LossKind, Matrix, Rng, ShapeError,
-                   check_batches, loss, make_rng)
+                   check_batches, in_row_groups, loss, make_rng)
 from .dnn import LayerStack, _backprop_epochs, forward
 from .rbm import RbmLayer, TrainConfig, _pretrain_layers
 
@@ -77,12 +77,15 @@ def fine_tune_mse(model: AeModel, batches, cfg: TrainConfig, hook=None) -> AeMod
 
 
 def reconstruct(model: AeModel, data: Matrix) -> Matrix:
-    """Full forward pass; output has the input's shape."""
-    data = np.asarray(data, dtype=np.float64)
-    out = forward(model.stack, data)[-1]
-    if out.shape != data.shape:
-        raise ShapeError("reconstruction shape does not match the input")
-    return out
+    """Full forward pass in row groups (`core.in_row_groups`); output has
+    the input's shape."""
+    def group(x):
+        x = np.asarray(x, dtype=np.float64)
+        out = forward(model.stack, x)[-1]
+        if out.shape != x.shape:
+            raise ShapeError("reconstruction shape does not match the input")
+        return out
+    return in_row_groups(group, data, model.stack.group_rows)
 
 
 def reconstruction_error(model: AeModel, data: Matrix) -> float:

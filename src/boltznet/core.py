@@ -86,6 +86,29 @@ def as_rows(data, width: int = None) -> Matrix:
     return rows
 
 
+def group_rows(weights, widths) -> int:
+    """Rows per prediction group for a model with `weights` whose prediction
+    computes layers `widths` units wide: the largest weight's element count
+    over the widest of them, at least 1. A group's widest activation is
+    then no larger than the model's largest weight."""
+    return max(1, max(w.size for w in weights) // max(widths))
+
+
+def in_row_groups(predict, data, rows: int) -> Matrix:
+    """`predict(data)` for a `predict` that maps each row on its own. A 2-D
+    input of more than `rows` rows runs `rows` rows at a time into one
+    output array allocated once, so the working memory is set by the group,
+    not by the input; any other input is one call."""
+    if np.ndim(data) != 2 or len(data) <= rows:
+        return predict(data)
+    first = predict(data[:rows])
+    out = np.empty((len(data), first.shape[1]))
+    out[:rows] = first
+    for start in range(rows, len(data), rows):
+        out[start:start + rows] = predict(data[start:start + rows])
+    return out
+
+
 def check_batches(batches, width: int, y_width: int = None, one_of_k: bool = False) -> list:
     """The one rule for a training batch list: its (x, y) pairs as float64
     rows, arrays that already are left uncopied, y None unless `y_width`
@@ -184,7 +207,8 @@ def loss(pred: Matrix, target: Matrix, kind: LossKind) -> float:
     _check_same_shape(pred, target)
     m = pred.shape[0]
     if kind == LossKind.MSE:
-        return float(0.5 * np.square(pred - target).sum() / m)
+        d = pred - target
+        return float(0.5 * np.square(d, out=d).sum() / m)
     if kind == LossKind.CROSS_ENTROPY:
         return float(-(target * np.log(np.maximum(pred, LOG_FLOOR))).sum() / m)
     if kind == LossKind.ABSOLUTE:

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import (ClassificationReport, ConfigError, Matrix, ShapeError, as_rows,
-                   check_batches, classify, make_rng, sample_bernoulli, sigmoid,
-                   softmax)
+                   check_batches, classify, group_rows, in_row_groups, make_rng,
+                   sample_bernoulli, sigmoid, softmax)
 from .optim import (NO_DECAY, NO_MOMENTUM, AnnealKind, AnnealSchedule, ParamGroup,
                     run_epochs)
 from .rbm import TrainConfig, _check_binary, _check_chain, _pretrain_layers
@@ -66,6 +66,12 @@ class DbmModel:
     def n_layers(self) -> int:
         return len(self.weights)
 
+    @property
+    def group_rows(self) -> int:
+        """Rows per prediction group (`core.group_rows`): a settle computes
+        every hidden layer and the label units."""
+        return group_rows(self.weights, self.sizes[1:] + [self.label_dim])
+
     def top_feature_rows(self) -> int:
         return self.weights[-1].shape[0] - self.label_dim
 
@@ -103,15 +109,17 @@ def _states_below(model: DbmModel, v: Matrix, hs, y: Matrix) -> list:
 
 
 def _statistics(model: DbmModel, v: Matrix, hs, y: Matrix) -> list:
-    """Sufficient statistics of one set of states, summed over rows: the
-    pair products per weight, then the unit sums per bias (hidden layers,
-    visible, labels), in the order of the model's parameter group."""
-    stats = [below.T @ h for below, h in zip(_states_below(model, v, hs, y), hs)]
-    stats += [h.sum(axis=0, keepdims=True) for h in hs]
-    stats.append(v.sum(axis=0, keepdims=True))
+    """Sufficient statistics of one set of states, summed over rows and
+    formed one at a time: the pair products per weight, then the unit sums
+    per bias (hidden layers, visible, labels), in the order of the model's
+    parameter group."""
+    for l, h in enumerate(hs):
+        yield _state_below(model, l, v, hs, y).T @ h
+    for h in hs:
+        yield h.sum(axis=0, keepdims=True)
+    yield v.sum(axis=0, keepdims=True)
     if model.label_dim:
-        stats.append(y.sum(axis=0, keepdims=True))
-    return stats
+        yield y.sum(axis=0, keepdims=True)
 
 
 def _layer_input(model: DbmModel, l: int, vw: Matrix, hs, y: Matrix) -> Matrix:
@@ -293,7 +301,10 @@ def mean_field_train(model: DbmModel, batches, cfg: TrainConfig,
     The batches pass `core.check_batches` first, y read as one-of-K labels
     when the model has label units. The update is plain SGD on `cfg.lr`,
     always STEP-annealed and without momentum or weight decay, and changes
-    the model's arrays in place; the hook reports momentum 0.0.
+    the model's arrays in place; the hook reports momentum 0.0. Its
+    parameter group holds no velocities, and the data statistics sum in
+    the group's gradient buffers, so an iteration adds no weight-sized
+    array beyond one statistic at a time.
     """
     if model.chain_v is None:
         raise ConfigError("model must be pretrained before mean-field training")
@@ -304,20 +315,27 @@ def mean_field_train(model: DbmModel, batches, cfg: TrainConfig,
     biases = model.hidden_biases + [model.visible_bias]
     if model.label_dim:
         biases.append(model.label_bias)
-    params = ParamGroup(model.weights, biases, NO_DECAY)
+    params = ParamGroup(model.weights, biases, NO_DECAY, NO_MOMENTUM)
 
     def iteration(alpha, rho):
-        data = [np.zeros_like(p) for p in params.params]
+        # the data statistics sum in the gradient buffers; each statistic,
+        # and each group's means, is dropped before the next is formed
+        for g in params.grads:
+            g.fill(0.0)
         for x, yb in _row_groups(pairs, max(model.sizes[1:])):
             mus, _ = mean_field_states(model, x, y=yb)
-            for total, s in zip(data, _statistics(model, x, mus, yb)):
-                total += s
+            stats = _statistics(model, x, mus, yb)
+            for g in params.grads:
+                g += next(stats)
+            del mus, stats
         _gibbs_sweep(model, rng)
         chain = _statistics(model, model.chain_v, model.chain_h, model.chain_y)
-        for g, c, d in zip(params.grads, chain, data):
-            np.divide(c, m_chains, out=g)
-            d /= d_total
-            g -= d
+        for g in params.grads:
+            c = next(chain)
+            g /= d_total
+            c /= m_chains
+            np.subtract(c, g, out=g)
+            del c
         params.step(alpha, rho)
 
     run_epochs(replace(cfg, anneal=AnnealSchedule(AnnealKind.STEP),
@@ -344,11 +362,10 @@ def _row_groups(pairs, rows: int):
 
 def predict_dbm(model: DbmModel, data: Matrix) -> Matrix:
     """Label-unit means after a mean-field settle with labels free and
-    initialized to zero."""
+    initialized to zero, settled in row groups (`core.in_row_groups`)."""
     if model.label_dim == 0:
         raise ConfigError("model was pretrained without labels")
-    _, y_mu = mean_field_states(model, data)
-    return y_mu
+    return in_row_groups(lambda x: mean_field_states(model, x)[1], data, model.group_rows)
 
 
 def classify_dbm(model: DbmModel, data: Matrix, labels: Matrix) -> ClassificationReport:

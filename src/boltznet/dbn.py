@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (ActivationKind, ClassificationReport, ConfigError, Matrix, ShapeError,
-                   as_rows, check_batches, classify, make_rng, sample_bernoulli, sigmoid)
+                   as_rows, check_batches, classify, group_rows, in_row_groups, make_rng,
+                   sample_bernoulli, sigmoid)
 from .optim import ParamGroup, run_epochs
 from .rbm import (CdGradients, RbmLayer, TrainConfig, _cd_step, _check_chain,
                   _pretrain_layers)
@@ -44,6 +45,13 @@ class DbnModel:
     @property
     def input_dim(self) -> int:
         return self.recognition[0].n_v if self.recognition else self.feature_dim
+
+    @property
+    def group_rows(self) -> int:
+        """Rows per prediction group (`core.group_rows`): the prediction
+        computes every hidden layer and the top RBM's visible side."""
+        layers = self.recognition + [self.top]
+        return group_rows([l.w for l in layers], [l.n_h for l in layers] + [self.top.n_v])
 
     def check(self) -> "DbnModel":
         """Raise ShapeError unless the recognition layers chain into the top
@@ -107,7 +115,7 @@ def up_down_fine_tune(model: DbnModel, batches, cfg: TrainConfig,
         raise ConfigError("up-down fine-tuning runs sigmoid units only")
     pairs = check_batches(batches, model.input_dim, model.label_dim or None, one_of_k=True)
     rng = make_rng(cfg.seed)
-    params = ParamGroup([top.w], [top.b_v, top.b_h], cfg.decay)
+    params = ParamGroup([top.w], [top.b_v, top.b_h], cfg.decay, cfg.momentum)
     g = CdGradients(*params.grads)
     # one scratch per directed layer, shared by its two weights (same size)
     scratch = [np.empty(layer.w.size) for layer in model.recognition]
@@ -152,17 +160,20 @@ def predict_dbn(model: DbnModel, data: Matrix) -> Matrix:
 
     Upward pass to the top features, label slots clamped to zero, one
     up-down step of the top RBM, then the label-slot reconstruction
-    renormalized to sum to 1.
+    renormalized to sum to 1. Rows run in groups (`core.in_row_groups`).
     """
     if model.label_dim == 0:
         raise ConfigError("model was pretrained without labels")
-    feats = model.recognition_pass(data)
-    top_v = np.hstack([feats, np.zeros((feats.shape[0], model.label_dim))])
-    h = sigmoid(top_v @ model.top.w + model.top.b_h)
-    recon = sigmoid(h @ model.top.w.T + model.top.b_v)
-    label_slots = recon[:, model.feature_dim:]
-    total = label_slots.sum(axis=1, keepdims=True)
-    return label_slots / np.maximum(total, 1e-300)
+
+    def group(x):
+        feats = model.recognition_pass(x)
+        top_v = np.hstack([feats, np.zeros((feats.shape[0], model.label_dim))])
+        h = sigmoid(top_v @ model.top.w + model.top.b_h)
+        recon = sigmoid(h @ model.top.w.T + model.top.b_v)
+        label_slots = recon[:, model.feature_dim:]
+        total = label_slots.sum(axis=1, keepdims=True)
+        return label_slots / np.maximum(total, 1e-300)
+    return in_row_groups(group, data, model.group_rows)
 
 
 def classify_dbn(model: DbnModel, data: Matrix, labels: Matrix) -> ClassificationReport:

@@ -10,7 +10,7 @@ import numpy as np
 
 from .core import (ActivationKind, ClassificationReport, ConfigError, LossKind,
                    Matrix, activate, activation_derivative, as_rows, check_batches,
-                   classify)
+                   classify, group_rows, in_row_groups)
 from .optim import ParamGroup, run_epochs
 from .rbm import (RbmLayer, TrainConfig, _check_chain, _pretrain_layers,
                   hidden_given_visible)
@@ -25,6 +25,11 @@ class LayerStack:
     @property
     def sizes(self):
         return [self.layers[0].n_v] + [layer.n_h for layer in self.layers]
+
+    @property
+    def group_rows(self) -> int:
+        """Rows per prediction group (`core.group_rows`)."""
+        return group_rows([layer.w for layer in self.layers], self.sizes[1:])
 
     def check(self) -> "LayerStack":
         """Raise ShapeError unless every layer checks and feeds the next."""
@@ -112,7 +117,7 @@ def _backprop_epochs(stack: LayerStack, pairs, loss: LossKind, cfg: TrainConfig,
     _check_loss(stack, loss)
     n = len(stack.layers)
     params = ParamGroup([l.w for l in stack.layers], [l.b_h for l in stack.layers],
-                        cfg.decay)
+                        cfg.decay, cfg.momentum)
 
     def epoch(lr, rho):
         for x, t in pairs:
@@ -134,7 +139,9 @@ def backprop_fine_tune(stack: LayerStack, batches, loss: LossKind, cfg: TrainCon
 
 
 def predict(stack: LayerStack, data: Matrix) -> np.ndarray:
-    return forward(stack, data)[-1]
+    """The output layer's activations, forwarded in row groups
+    (`core.in_row_groups`)."""
+    return in_row_groups(lambda x: forward(stack, x)[-1], data, stack.group_rows)
 
 
 def classify_dnn(stack: LayerStack, data: Matrix, labels: Matrix) -> ClassificationReport:

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autoencoder import AeModel, build_symmetric, reconstruct
-from .core import ConfigError, DomainError, Matrix, ShapeError, as_rows, make_rng
+from .core import (ConfigError, DomainError, Matrix, ShapeError, as_rows, in_row_groups,
+                   make_rng)
 from .data import make_batches
 from .rbm import TrainConfig
 
@@ -78,12 +79,14 @@ def build_bimodal(data_a: Matrix, data_b: Matrix, sizes_half, cfg: TrainConfig,
 
 def predict_modal(model: BimodalAe, given_a: Matrix) -> Matrix:
     """Predict modality b from modality a by reconstructing with the b
-    slots zero-filled. The output is in modality b's original scale."""
-    given_a = as_rows(given_a, model.dim_a)
-    x = np.hstack([model.scale_a.forward(given_a),
-                   np.zeros((given_a.shape[0], model.dim_b))])
-    recon = reconstruct(model.ae, x)
-    return model.scale_b.inverse(recon[:, model.dim_a:])
+    slots zero-filled, in row groups (`core.in_row_groups`). The output is
+    in modality b's original scale."""
+    def group(a):
+        a = as_rows(a, model.dim_a)
+        x = np.hstack([model.scale_a.forward(a), np.zeros((a.shape[0], model.dim_b))])
+        recon = reconstruct(model.ae, x)
+        return model.scale_b.inverse(recon[:, model.dim_a:])
+    return in_row_groups(group, given_a, model.ae.stack.group_rows)
 
 
 def modal_error_rate(pred: Matrix, truth: Matrix) -> float:

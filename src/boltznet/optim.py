@@ -91,24 +91,52 @@ def momentum_coeff(epoch: int, sched: MomentumSchedule) -> float:
     return sched.early if epoch < sched.threshold else sched.late
 
 
-def decay_penalty_gradient(w: Matrix, spec: WeightDecaySpec) -> Matrix:
-    """Gradient of the weight-decay penalty: k*sign(w) for L1, 2k*w for L2."""
+def decay_penalty_gradient(w: Matrix, spec: WeightDecaySpec, out: Matrix = None) -> Matrix:
+    """Gradient of the weight-decay penalty: k*sign(w) for L1, 2k*w for L2,
+    written into `out` (w's shape) when it is given."""
+    out = np.empty_like(w) if out is None else out
     if spec.kind == DecayKind.NONE:
-        return np.zeros_like(w)
-    if spec.kind == DecayKind.L1:
-        return spec.k * np.sign(w)
-    if spec.kind == DecayKind.L2:
-        return 2.0 * spec.k * w
-    raise ConfigError(f"unknown decay kind: {spec.kind!r}")
+        out[...] = 0.0
+    elif spec.kind == DecayKind.L1:
+        np.sign(w, out=out)
+        out *= spec.k
+    elif spec.kind == DecayKind.L2:
+        np.multiply(w, 2.0 * spec.k, out=out)
+    else:
+        raise ConfigError(f"unknown decay kind: {spec.kind!r}")
+    return out
 
 
-def _momentum_step(param: Matrix, grad: Matrix, vel: Matrix, lr: float, rho: float,
-                   spec: WeightDecaySpec) -> None:
-    """In place: vel *= rho; vel -= lr * (grad + penalty); param += vel.
-    `grad` is consumed as the scratch for lr * (grad + penalty); adding 0.0
-    without decay turns -0.0 into +0.0 as the out-of-place formula does."""
-    grad += 0.0 if spec.kind == DecayKind.NONE else decay_penalty_gradient(param, spec)
+PENALTY_BLOCK = 4096  # elements of a weight-decay penalty formed at once
+
+
+def _add_penalty(grad: Matrix, param: Matrix, spec: WeightDecaySpec, scratch) -> None:
+    """grad += the decay penalty of `param`, formed block by block in the
+    flat `PENALTY_BLOCK`-element buffer `scratch` over flat views (`grad`
+    C-contiguous), so no weight-sized array is made. Without decay
+    grad += 0.0, which turns -0.0 into +0.0 as the out-of-place formula
+    does."""
+    if spec.kind == DecayKind.NONE:
+        grad += 0.0
+        return
+    g, p = grad.reshape(-1), param.reshape(-1)
+    for start in range(0, g.size, scratch.size):
+        block = g[start:start + scratch.size]
+        block += decay_penalty_gradient(p[start:start + scratch.size], spec,
+                                        out=scratch[:block.size])
+
+
+def _momentum_step(param: Matrix, grad: Matrix, vel, lr: float, rho: float,
+                   spec: WeightDecaySpec, scratch) -> None:
+    """In place: vel *= rho; vel -= lr * (grad + penalty); param += vel, or
+    param -= lr * (grad + penalty) when `vel` is None, which is the same
+    result from a zero velocity. `grad` is consumed as the scratch for
+    lr * (grad + penalty), whose penalty is formed in `scratch`."""
+    _add_penalty(grad, param, spec, scratch)
     grad *= lr
+    if vel is None:
+        param -= grad
+        return
     vel *= rho
     vel -= grad
     param += vel
@@ -127,27 +155,33 @@ def apply_update(param: Matrix, grad: Matrix, vel: Matrix, lr: float, rho: float
     """
     if param.shape != grad.shape or param.shape != vel.shape:
         raise ShapeError("param/grad/velocity shapes must match")
-    param, grad, vel = (np.array(a, dtype=np.float64) for a in (param, grad, vel))
-    _momentum_step(param, grad, vel, lr, rho, spec)
+    param, grad, vel = (np.array(a, dtype=np.float64, order="C") for a in (param, grad, vel))
+    _momentum_step(param, grad, vel, lr, rho, spec, np.empty(PENALTY_BLOCK))
     return param, vel
 
 
 class ParamGroup:
-    """Arrays trained together, each with its own velocity and gradient
-    buffer, updated in place: weights with the weight decay, biases without
-    it. Trainers write each step's gradients into `grads`, which follows
-    the weights-then-biases order of `params`."""
+    """Arrays trained together, updated in place: weights with the weight
+    decay, biases without it. Each array has a gradient buffer, which
+    trainers fill each step in the weights-then-biases order of `params`,
+    and a velocity unless the `momentum` schedule the trainer runs is zero
+    throughout; then `vels` is None and each step is plain gradient
+    descent. With decay the group owns one block-sized penalty buffer."""
 
-    def __init__(self, weights, biases, decay: WeightDecaySpec):
+    def __init__(self, weights, biases, decay: WeightDecaySpec, momentum: MomentumSchedule):
         self.params = list(weights) + list(biases)
         self.decays = [decay] * len(weights) + [NO_DECAY] * len(biases)
-        self.vels = [np.zeros_like(p) for p in self.params]
-        self.grads = [np.zeros_like(p) for p in self.params]
+        self.grads = [np.zeros(p.shape) for p in self.params]  # C-contiguous
+        self.vels = ([np.zeros_like(p) for p in self.params]
+                     if momentum.early or momentum.late else None)
+        self.scratch = None if decay.kind == DecayKind.NONE else np.empty(PENALTY_BLOCK)
 
     def step(self, lr: float, rho: float) -> None:
-        """One momentum step on the gradients in `grads`, which it consumes."""
-        for param, grad, vel, spec in zip(self.params, self.grads, self.vels, self.decays):
-            _momentum_step(param, grad, vel, lr, rho, spec)
+        """One step on the gradients in `grads`, which it consumes; `rho`
+        is 0 for a group without velocities."""
+        vels = self.vels or [None] * len(self.params)
+        for param, grad, vel, spec in zip(self.params, self.grads, vels, self.decays):
+            _momentum_step(param, grad, vel, lr, rho, spec, self.scratch)
 
 
 def _check_finite(model, name: str, what: str = "values") -> None:

@@ -218,18 +218,18 @@ def _train_rbm(rbm: RbmLayer, data_batches, cfg: TrainConfig, up_scale: float = 
     for hidden units CD cannot sample."""
     _check_cd_units(rbm)
     rng = make_rng(cfg.seed)
-    params = ParamGroup([rbm.w], [rbm.b_v, rbm.b_h], cfg.decay)
+    params = ParamGroup([rbm.w], [rbm.b_v, rbm.b_h], cfg.decay, cfg.momentum)
     g = CdGradients(*params.grads)
 
     def epoch(lr, rho):
-        max_grad = 0.0
+        trivial = True  # every gradient so far below TRIVIAL_GRADIENT
         for data in data_batches:
             mask = dropout_mask(rbm.n_h, cfg.dropout_rate, rng)
             _cd_step(rbm, data, cfg.gibbs_steps, mask, rng, g,
                      up_scale=up_scale, down_scale=down_scale)
-            max_grad = max(max_grad, g.max_abs())
+            trivial = trivial and g.max_abs() < TRIVIAL_GRADIENT
             params.step(lr, rho)
-        return max_grad < TRIVIAL_GRADIENT  # gradients trivial for a full epoch
+        return trivial  # gradients trivial for a full epoch: stop
 
     run_epochs(cfg, rbm, epoch, hook)
     return rbm
@@ -293,13 +293,15 @@ def _pretrain_layers(sizes, batches, cfg: TrainConfig, labels=False, scales=None
     n = len(sizes) - 1
     layers = [RbmLayer.random(sizes[i] + (k if i == n - 1 else 0), sizes[i + 1], rng)
               for i in range(n)]
+    scales = scales or [(1.0, 1.0)] * n
     feats = [x for x, _ in pairs]
     for i, layer in enumerate(layers if train else []):
-        up, down = scales[i] if scales else (1.0, 1.0)
-        if i == n - 1 and k:
-            feats = [np.hstack([f, y]) for f, (_, y) in zip(feats, pairs)]
-        _train_rbm(layer, feats, replace(cfg, seed=cfg.seed + i), up_scale=up,
-                   down_scale=down)
-        if i < n - 1:
-            feats = [sigmoid(up * (f @ layer.w) + layer.b_h) for f in feats]
+        # RBM i's input, each batch replacing the one below it as it is formed
+        for j, (_, y) in enumerate(pairs):
+            if i:
+                below = layers[i - 1]
+                feats[j] = sigmoid(scales[i - 1][0] * (feats[j] @ below.w) + below.b_h)
+            if i == n - 1 and k:
+                feats[j] = np.hstack([feats[j], y])
+        _train_rbm(layer, feats, replace(cfg, seed=cfg.seed + i), *scales[i])
     return layers, rng

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -344,3 +345,26 @@ class TestRuns:
         assert [r["epoch"] for r in epochs] == [0, 1]
         assert summary["n"] == len(test_x)
         assert summary["error"] == epochs[-1]["error"] == saved.error_rate
+
+    def test_a_dbm_run_holds_its_data_and_model_sized_work(self, tmp_path):
+        # 784-16-200 with 10 labels predicts in groups of 784*16 // 200 = 62
+        # rows, so its 500-row probe and 1,000-row final score run 9 and 17
+        # groups. The run holds its rows as float64 and at most twice the
+        # training rows more (their shuffled copy; a training group joined
+        # and settled), plus working arrays within 20 times the model's
+        # size; a whole-set settle of the test rows would not fit
+        d = tmp_path / "corpus"
+        write_mnist_style_dir(d, n_train=200, n_test=1000, seed=3)
+        tracemalloc.start()
+        try:
+            code = run(["run-dbm", "--layers", "784,16,200", "--epochs", "1",
+                        "--batches", "4", "--data-dir", d, "--out-dir", tmp_path / "o"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        model = load_model(tmp_path / "o" / "model.mdlr")
+        assert model.group_rows == 62
+        train_bytes, data_bytes = 200 * 784 * 8, 1200 * 784 * 8
+        model_bytes = sum(w.nbytes for w in model.weights)
+        assert peak < data_bytes + 2 * train_bytes + 20 * model_bytes

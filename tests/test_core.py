@@ -1,11 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from boltznet.autoencoder import build_symmetric, reconstruct
 from boltznet.core import (ActivationKind, ConfigError, DivergenceError, DomainError,
                            LossKind, ShapeError, activate, activation_derivative,
-                           classify, loss, loss_derivative, make_rng, matrix,
-                           sample_bernoulli, sigmoid)
+                           classify, group_rows, in_row_groups, loss, loss_derivative,
+                           make_rng, matrix, sample_bernoulli, sigmoid)
 from boltznet.data import make_batches, one_of_k
 from boltznet.dbm import classify_dbm, predict_dbm, pretrain_dbm
 from boltznet.dbn import classify_dbn, predict_dbn, pretrain_dbn
@@ -277,3 +279,91 @@ def test_every_prediction_rejects_non_finite_input(tiny_predictors, tiny_classif
             tiny_classifiers[entry](data, np.zeros((2, 1)))
         else:
             tiny_predictors[entry](data)
+
+
+def test_row_groups_pass_one_group_through_and_split_more():
+    """At most one group is one call on the caller's own array; more rows
+    run as views of consecutive groups into one output."""
+    seen = []
+
+    def twice_first_column(part):
+        seen.append(part)
+        return part[:, :1] * 2.0
+
+    x = np.arange(14.0).reshape(7, 2)
+    in_row_groups(twice_first_column, x, 7)
+    assert len(seen) == 1 and seen[0] is x
+    seen.clear()
+    out = in_row_groups(twice_first_column, x, 3)
+    assert [len(p) for p in seen] == [3, 3, 1] and all(np.shares_memory(p, x) for p in seen)
+    np.testing.assert_array_equal(out, x[:, :1] * 2.0)
+    assert group_rows([np.zeros((6, 4)), np.zeros((4, 2))], [4, 2]) == 6
+
+
+@pytest.fixture(scope="module")
+def grouped_models():
+    """Each of the six models' prediction entry points on 60-wide rows,
+    with its rows per prediction group: name -> (predict(x), rows). Every
+    weight is redrawn at std 0.3, so outputs vary from row to row and the
+    DBM's rows settle in different sweep counts."""
+    rng = make_rng(11)
+    x = (rng.random((40, 60)) > 0.5).astype(float)
+    batches = make_batches(x, one_of_k(rng.integers(0, 10, (40, 1)), 10), 4)
+    cfg = TrainConfig(epochs=0, seed=12)
+    rbm = pretrain_stack([60, 50, 10], batches, cfg)
+    dnn = pretrain_stack([60, 50, 40, 10], batches, cfg)
+    dbn = pretrain_dbn([60, 50, 40], batches, cfg, labels=True)
+    dae = build_symmetric([60, 50, 40], batches, cfg)
+    dbm = pretrain_dbm([60, 50, 50], batches, cfg, labels=True)
+    bimodal, _ = build_bimodal(x[:, :30], x[:, 30:], [60, 50, 40], cfg, 4)
+    stacks = [rbm, dnn, dae.stack, bimodal.ae.stack]
+    for w in ([l.w for s in stacks for l in s.layers] + dbm.weights + dbn.generative_w
+              + [l.w for l in dbn.recognition + [dbn.top]]):
+        w[...] = rng.normal(0.0, 0.3, w.shape)
+    return {"rbm": (lambda d: predict(rbm, d), rbm.group_rows),
+            "dnn": (lambda d: predict(dnn, d), dnn.group_rows),
+            "dbn": (lambda d: predict_dbn(dbn, d), dbn.group_rows),
+            "dae": (lambda d: reconstruct(dae, d), dae.stack.group_rows),
+            "dbm": (lambda d: predict_dbm(dbm, d), dbm.group_rows),
+            "bimodal": (lambda d: predict_modal(bimodal, d[:, :30]),
+                        bimodal.ae.stack.group_rows)}
+
+
+SIX_MODELS = ["rbm", "dnn", "dbn", "dae", "dbm", "bimodal"]
+
+
+@pytest.mark.parametrize("name", SIX_MODELS)
+def test_grouped_predictions_do_not_depend_on_batching(grouped_models, name):
+    """Over 2.5 groups of rows, the prediction equals each row's own and
+    each one-group slice's, wherever the slice starts."""
+    run, rows = grouped_models[name]
+    x = make_rng(13).random((5 * rows // 2 + 7, 60))
+    whole = run(x)
+    assert whole.shape[0] == len(x)
+    singles = np.vstack([run(x[i:i + 1]) for i in range(len(x))])
+    np.testing.assert_allclose(whole, singles, rtol=0, atol=1e-12)
+    for start in (0, rows // 3, len(x) - rows):
+        np.testing.assert_allclose(whole[start:start + rows], run(x[start:start + rows]),
+                                   rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", SIX_MODELS)
+def test_a_prediction_works_in_one_group_of_memory(grouped_models, name):
+    """On eight groups of rows, the traced peak stays below the output plus
+    one group's own peak and half again, where a whole-set pass would hold
+    eight groups' activations."""
+    run, rows = grouped_models[name]
+    x = make_rng(14).random((8 * rows, 60))
+    run(x[:rows])  # warm-up: first-call allocations are not a group's
+
+    def traced_peak(part):
+        tracemalloc.start()
+        try:
+            out = run(part)
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    _, one_group = traced_peak(x[:rows])
+    out, every_group = traced_peak(x)
+    assert every_group < out.nbytes + 1.5 * one_group

@@ -42,6 +42,16 @@ def random_dbm(sizes, seed, scale=0.7):
                     hidden_biases=[rng.normal(0, scale, (1, n)) for n in sizes[1:]])
 
 
+def traced_peak(run):
+    """The largest traced allocation while `run()` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def product_bernoulli_log(states, means):
     p = np.clip(means, 1e-12, 1 - 1e-12)
     return (states * np.log(p) + (1 - states) * np.log1p(-p)).sum(axis=1)
@@ -590,19 +600,30 @@ class TestTrainingReference:
         x = (rng.random((400, 20)) > 0.5).astype(float)
         batches = make_batches(x, None, 100)
         model = pretrain_dbm([20, 16, 16], batches, TrainConfig(epochs=0, seed=37))
-
-        def peak(run):
-            tracemalloc.start()
-            try:
-                run()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        whole = peak(lambda: mean_field_states(model, x))
-        grouped = peak(lambda: mean_field_train(model, batches,
-                                                TrainConfig(epochs=1, lr=0.01, seed=38)))
+        whole = traced_peak(lambda: mean_field_states(model, x))
+        grouped = traced_peak(lambda: mean_field_train(
+            model, batches, TrainConfig(epochs=1, lr=0.01, seed=38)))
         assert grouped < whole / 2
+
+    def test_an_iteration_holds_no_velocity_and_one_set_of_sums(self):
+        # the data statistics sum in the gradient buffers, the update keeps
+        # no velocity and each statistic is formed alone, so on four rows an
+        # iteration's peak stays below those buffers, one weight matrix and
+        # one settle of the rows (a velocity or a second set of sums would
+        # each add every trained array)
+        rng = make_rng(39)
+        x = (rng.random((4, 200)) > 0.5).astype(float)
+        y = one_of_k(rng.integers(0, 10, (4, 1)).astype(float), 10)
+        batches = make_batches(x, y, 1)
+        model = pretrain_dbm([200, 150, 150], batches, TrainConfig(epochs=0, seed=40),
+                             labels=True)
+        trained = model.weights + model.hidden_biases + [model.visible_bias,
+                                                         model.label_bias]
+        settle = traced_peak(lambda: mean_field_states(model, x, y))
+        used = traced_peak(lambda: mean_field_train(
+            model, batches, TrainConfig(epochs=1, lr=0.01, seed=41)))
+        assert used < (sum(a.nbytes for a in trained)
+                       + max(w.nbytes for w in model.weights) + settle)
 
     def test_hook_sees_step_anneal_and_no_momentum(self):
         batches = toy_batches(classes=2)

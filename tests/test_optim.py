@@ -12,8 +12,9 @@ from boltznet.data import make_batches, one_of_k
 from boltznet.dbm import DbmModel, mean_field_train, pretrain_dbm
 from boltznet.dbn import DbnModel, pretrain_dbn, up_down_fine_tune
 from boltznet.dnn import LayerStack, backprop_fine_tune, pretrain_stack
-from boltznet.optim import (NO_DECAY, AnnealKind, AnnealSchedule, DecayKind,
-                            MomentumSchedule, ParamGroup, WeightDecaySpec, _check_finite,
+from boltznet.optim import (NO_DECAY, NO_MOMENTUM, PENALTY_BLOCK, AnnealKind,
+                            AnnealSchedule, DecayKind, MomentumSchedule, ParamGroup,
+                            WeightDecaySpec, _check_finite,
                             anneal, apply_update, decay_penalty_gradient, dropout_mask,
                             momentum_coeff, run_epochs)
 from boltznet.rbm import (RbmLayer, TrainConfig, train_binary, train_classifier_head,
@@ -115,8 +116,10 @@ class TestApplyUpdate:
     @pytest.mark.parametrize("kind", list(DecayKind))
     @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9])
     def test_bitwise_equal_to_the_out_of_place_formula(self, kind, rho):
+        # 9,000 elements: with decay the penalty spans blocks, the last partial
         rng = make_rng(3)
-        param, grad, vel = (rng.normal(size=(6, 5)) for _ in range(3))
+        param, grad, vel = (rng.normal(size=(90, 100)) for _ in range(3))
+        assert param.size % PENALTY_BLOCK and param.size > PENALTY_BLOCK
         param[0, :2] = grad[1, :2] = vel[2, :2] = -0.0
         spec = WeightDecaySpec(kind, 0.01)
         ref_vel = rho * vel - 0.05 * (grad + decay_penalty_gradient(param, spec))
@@ -168,7 +171,7 @@ class TestParamGroup:
         rng = make_rng(4)
         w, b = rng.normal(size=(4, 3)), rng.normal(size=(1, 3))
         spec = WeightDecaySpec(DecayKind.L2, 0.1)
-        group = ParamGroup([w], [b], spec)
+        group = ParamGroup([w], [b], spec, MomentumSchedule())
         ref_w, ref_b = w.copy(), b.copy()
         ref_vw, ref_vb = np.zeros_like(w), np.zeros_like(b)
         for rho in (0.5, 0.9):
@@ -181,25 +184,57 @@ class TestParamGroup:
         np.testing.assert_array_equal(w, ref_w)
         np.testing.assert_array_equal(b, ref_b)
 
-    @pytest.mark.parametrize("trainer", ["train_binary", "backprop_fine_tune"])
-    def test_an_epoch_makes_no_weight_sized_temporaries(self, trainer):
-        # without decay, an epoch's peak allocation is the group's velocity
-        # and gradient buffers (twice the trained arrays) and batch-sized
-        # arrays: below those buffers plus one weight matrix
+    @pytest.mark.parametrize("kind", list(DecayKind))
+    def test_a_momentum_free_group_holds_no_velocities(self, kind):
+        # a zero schedule: no velocity arrays, and each step is bitwise the
+        # momentum step from a zero velocity (PENALTY_BLOCK does not divide
+        # the weight, so the penalty's last block is partial)
+        rng = make_rng(5)
+        w, b = rng.normal(size=(130, 70)), rng.normal(size=(1, 70))
+        w[0, :3] = 0.0
+        spec = WeightDecaySpec(kind, 0.1)
+        group = ParamGroup([w], [b], spec, NO_MOMENTUM)
+        assert group.vels is None
+        ref_w, ref_b = w.copy(), b.copy()
+        for lr in (0.1, 0.05):
+            gw, gb = rng.normal(size=w.shape), rng.normal(size=b.shape)
+            gw[0, :2] = 0.0
+            gw[1, :2] = -0.0
+            group.grads[0][...], group.grads[1][...] = gw, gb
+            group.step(lr, 0.0)
+            ref_w, _ = apply_update(ref_w, gw, np.zeros_like(w), lr, 0.0, spec)
+            ref_b, _ = apply_update(ref_b, gb, np.zeros_like(b), lr, 0.0)
+        assert group.params[0] is w and group.params[1] is b
+        assert w.size % PENALTY_BLOCK != 0
+        assert w.tobytes() == ref_w.tobytes() and b.tobytes() == ref_b.tobytes()
+
+    @pytest.mark.parametrize("trainer, decay", [
+        ("train_binary", DecayKind.NONE), ("backprop_fine_tune", DecayKind.NONE),
+        ("train_binary", DecayKind.L1), ("train_binary", DecayKind.L2),
+        ("backprop_fine_tune", DecayKind.L1), ("backprop_fine_tune", DecayKind.L2),
+    ], ids=["train_binary", "backprop_fine_tune", "train_binary-l1", "train_binary-l2",
+            "backprop_fine_tune-l1", "backprop_fine_tune-l2"])
+    def test_an_epoch_makes_no_weight_sized_temporaries(self, trainer, decay):
+        # an epoch's peak allocation is the group's velocity and gradient
+        # buffers (twice the trained arrays), batch-sized arrays and, with
+        # decay, the group's block-sized penalty buffer: below those
+        # buffers plus one weight matrix
         rng = make_rng(50)
         x = rng.random((40, 200))
         y = one_of_k(rng.integers(0, 10, (40, 1)).astype(float), 10)
         batches = make_batches(x, y, 8)
+        spec = WeightDecaySpec(decay, 0.01 if decay != DecayKind.NONE else 0.0)
         if trainer == "train_binary":
             rbm = RbmLayer.random(200, 150, rng)
             arrays = [rbm.w, rbm.b_v, rbm.b_h]
-            run = lambda: train_binary(rbm, batches, TrainConfig(epochs=1, seed=51))
+            run = lambda: train_binary(rbm, batches,
+                                       TrainConfig(epochs=1, seed=51, decay=spec))
         else:
             stack = pretrain_stack([200, 150, 10], batches, TrainConfig(epochs=0, seed=51),
                                    pretrain=False)
             arrays = [a for layer in stack.layers for a in (layer.w, layer.b_h)]
             run = lambda: backprop_fine_tune(stack, batches, LossKind.CROSS_ENTROPY,
-                                             TrainConfig(epochs=1, seed=52))
+                                             TrainConfig(epochs=1, seed=52, decay=spec))
         bound = 2 * sum(a.nbytes for a in arrays) + max(a.nbytes for a in arrays)
         tracemalloc.start()
         try:
