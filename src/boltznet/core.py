@@ -136,13 +136,15 @@ def check_batches(batches, width: int, y_width: int = None, one_of_k: bool = Fal
     return pairs
 
 
-def sigmoid(z: Matrix) -> Matrix:
+def sigmoid(z: Matrix, out: Matrix = None) -> Matrix:
+    """The logistic function of `z`, written into `out` when it is given
+    (a float64 array of `z`'s shape, which may be `z` itself)."""
     # e = exp(-|z|) never overflows: 1/(1+e) where z >= 0, e/(1+e) below.
     # As e <= 1, that numerator is max(e, z >= 0).
     e = np.abs(z, dtype=np.float64)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    out = np.maximum(e, z >= 0)
+    out = np.maximum(e, z >= 0, out=out)
     e += 1.0
     out /= e
     return out

@@ -239,8 +239,8 @@ def mean_field_states(model: DbmModel, data: Matrix, y: Matrix = None,
     history = []
     for sweep in range(max_sweeps):
         for l in range(model.n_layers):
-            mus[l] = _advance(mus[l], sigmoid(_layer_input(model, l, vw, mus, y_mu)),
-                              change[l])
+            z = _layer_input(model, l, vw, mus, y_mu)  # a fresh array, so sigmoid reuses it
+            mus[l] = _advance(mus[l], sigmoid(z, out=z), change[l])
         if free and model.label_dim:
             y_mu = _advance(y_mu, softmax(_label_input(model, mus[-1])), change[-1])
         history.append(float(change.max(initial=0.0)))

@@ -19,12 +19,17 @@ Layout (all integers little-endian):
 Two tables drive both `save_model` and `load_model`: `_SECTIONS` (each
 section's payload format) and `_KINDS` (each model kind's layers and
 sections). `load_model` ends with the model's own `check()`.
+
+Both stream: `save_model` writes each array from its own buffer and
+`load_model` reads each array straight into the buffer the model keeps,
+so the working memory of either is the model itself, never a copy of the
+file.
 """
 
 from __future__ import annotations
 
+import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -53,42 +58,48 @@ _SECTIONS = {SEC_LABEL_DIM: "<Q", SEC_CHAINS: None, SEC_MODAL: "<QQdddd",
              SEC_FINE_TUNED: "<B", SEC_KIND: "<B"}
 
 
-def _f64_bytes(a: np.ndarray) -> bytes:
-    return np.ascontiguousarray(a, dtype="<f8").tobytes()
+def _f64(a) -> np.ndarray:
+    """`a` as a C-contiguous little-endian float64 matrix, written as is."""
+    return np.ascontiguousarray(np.atleast_2d(a), dtype="<f8")
 
 
-def _pack_section(tag: int, value) -> bytes:
-    """One tagged section: a scalar or tuple packed by its format, or a list
-    of arrays."""
+def _pack_section(tag: int, value) -> list:
+    """One tagged section as pieces in file order: a scalar or tuple packed
+    by its format, or a list of arrays."""
     fmt = _SECTIONS[tag]
     if fmt is None:
-        arrays = [np.atleast_2d(np.asarray(a, dtype=np.float64)) for a in value]
-        return struct.pack("<BQ", tag, len(arrays)) + b"".join(
-            struct.pack("<QQ", *a.shape) + _f64_bytes(a) for a in arrays)
-    return struct.pack("<B", tag) + struct.pack(
-        fmt, *(value if isinstance(value, tuple) else (value,)))
+        arrays = [_f64(a) for a in value]
+        return [struct.pack("<BQ", tag, len(arrays))] + [
+            piece for a in arrays for piece in (struct.pack("<QQ", *a.shape), a)]
+    return [struct.pack("<B", tag) + struct.pack(
+        fmt, *(value if isinstance(value, tuple) else (value,)))]
 
 
 class _Reader:
-    def __init__(self, raw: bytes):
-        self.raw = raw
-        self.pos = 0
+    def __init__(self, f):
+        self.f = f
+        self.size = os.fstat(f.fileno()).st_size
 
     def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.raw):
+        chunk = self.f.read(n)
+        if len(chunk) != n:
             raise FormatError("truncated")
-        chunk = self.raw[self.pos:self.pos + n]
-        self.pos += n
         return chunk
 
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def f64_array(self, rows: int, cols: int) -> np.ndarray:
-        if max(rows, cols) > len(self.raw):  # so even an empty array's shape fits
+        """The next rows x cols array, read into a fresh buffer once the
+        bytes left in the file are known to hold it."""
+        left = self.size - self.f.tell()
+        # the shape must fit the file too, so that even an empty array's does
+        if max(rows, cols) > self.size or 8 * rows * cols > left:
             raise FormatError(f"array shape {rows}x{cols} exceeds the file")
-        data = np.frombuffer(self.take(8 * rows * cols), dtype="<f8")
-        return data.reshape(rows, cols).astype(np.float64)
+        data = np.empty((rows, cols), dtype="<f8")
+        if self.f.readinto(data) != data.nbytes:
+            raise FormatError("truncated")
+        return data.astype(np.float64, copy=False)
 
     def section(self, tag: int):
         """The payload of a section whose tag was just read."""
@@ -107,9 +118,9 @@ class _Sections(dict):
         raise FormatError(f"missing section {tag}")
 
 
-def _pack_layer(layer: RbmLayer) -> bytes:
+def _pack_layer(layer: RbmLayer) -> list:
     head = struct.pack("<QQB", layer.n_v, layer.n_h, _ACT_TAGS[layer.activation])
-    return head + b"".join(_f64_bytes(a) for a in (layer.w, layer.b_v, layer.b_h))
+    return [head] + [_f64(a) for a in (layer.w, layer.b_v, layer.b_h)]
 
 
 def _read_layer(r: _Reader) -> RbmLayer:
@@ -186,42 +197,49 @@ _KINDS = {
 
 
 def save_model(path, model) -> None:
+    """Write `model`'s container: the header and every array from its own
+    buffer, in file order."""
     kind = next((k for k, entry in _KINDS.items() if isinstance(model, entry[1])), None)
     if kind is None:
         raise FormatError(f"cannot serialize {type(model).__name__}")
     layers, sections = _KINDS[kind][2](model)
-    out = [MAGIC, struct.pack("<II", VERSION, len(layers))]
-    out += [_pack_layer(l) for l in layers]
-    out += [_pack_section(tag, v) for tag, v in {SEC_KIND: kind, **sections}.items()]
-    out.append(struct.pack("<B", SEC_END))
-    Path(path).write_bytes(b"".join(out))
+    pieces = [MAGIC, struct.pack("<II", VERSION, len(layers))]
+    for layer in layers:
+        pieces += _pack_layer(layer)
+    for tag, value in {SEC_KIND: kind, **sections}.items():
+        pieces += _pack_section(tag, value)
+    pieces.append(struct.pack("<B", SEC_END))
+    with open(path, "wb") as f:
+        for piece in pieces:
+            f.write(piece)
 
 
 def load_model(path):
     """The checked model in a container; FormatError, naming the file, when
     the container is malformed, holds a DBN or DBM with a non-SIGMOID layer,
     or its model fails `check()`."""
-    r = _Reader(Path(path).read_bytes())
     name = "model"
-    try:
-        if r.take(4) != MAGIC:
-            raise FormatError("bad magic")
-        version, count = r.unpack("<II")
-        if version != VERSION:
-            raise FormatError(f"unsupported version {version}")
-        layers = [_read_layer(r) for _ in range(count)]
-        if not layers:
-            raise FormatError("no layers")
-        sections = _Sections()
-        while (tag := r.unpack("<B")[0]) != SEC_END:
-            sections[tag] = r.section(tag)
-        kind = sections.get(SEC_KIND, 0)
-        if kind not in _KINDS:
-            raise FormatError(f"unknown kind {kind}")
-        name, _, _, build = _KINDS[kind]
-        odd = {l.activation for l in layers} - {ActivationKind.SIGMOID}
-        if name in ("dbn", "dbm") and odd:
-            raise FormatError(f"a {name} runs SIGMOID units only, not {odd.pop().name}")
-        return build(layers, sections).check()
-    except (FormatError, ShapeError) as exc:
-        raise FormatError(f"{path}: {name} container: {exc}") from None
+    with open(path, "rb") as f:
+        r = _Reader(f)
+        try:
+            if r.take(4) != MAGIC:
+                raise FormatError("bad magic")
+            version, count = r.unpack("<II")
+            if version != VERSION:
+                raise FormatError(f"unsupported version {version}")
+            layers = [_read_layer(r) for _ in range(count)]
+            if not layers:
+                raise FormatError("no layers")
+            sections = _Sections()
+            while (tag := r.unpack("<B")[0]) != SEC_END:
+                sections[tag] = r.section(tag)
+            kind = sections.get(SEC_KIND, 0)
+            if kind not in _KINDS:
+                raise FormatError(f"unknown kind {kind}")
+            name, _, _, build = _KINDS[kind]
+            odd = {l.activation for l in layers} - {ActivationKind.SIGMOID}
+            if name in ("dbn", "dbm") and odd:
+                raise FormatError(f"a {name} runs SIGMOID units only, not {odd.pop().name}")
+            return build(layers, sections).check()
+        except (FormatError, ShapeError) as exc:
+            raise FormatError(f"{path}: {name} container: {exc}") from None

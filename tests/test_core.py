@@ -79,6 +79,9 @@ class TestSigmoidReference:
         got, want = sigmoid(z), masked_sigmoid(z)
         assert got.dtype == np.float64 and got.shape == z.shape
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        inplace = z.copy()
+        assert sigmoid(inplace, out=inplace) is inplace
+        np.testing.assert_array_equal(inplace.view(np.int64), want.view(np.int64))
 
     def test_bitwise_on_edge_values(self):
         z = matrix(self.EDGES)

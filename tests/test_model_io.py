@@ -1,4 +1,6 @@
+import dataclasses
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,6 +68,9 @@ def crafted_container(kind_tag, layer_shapes, sections=b""):
     return b"".join(out)
 
 
+MODEL_KINDS = ["stack", "dbn", "ae", "dbm", "bimodal"]  # the keys of each fixture below
+
+
 @pytest.fixture(scope="module")
 def tiny_models():
     """One small trained model per kind, keyed by kind name."""
@@ -85,6 +90,47 @@ def tiny_models():
     }
 
 
+@pytest.fixture(scope="module")
+def wide_models():
+    """One model per kind, keyed by kind name, with 784 inputs and a
+    500-unit first layer, so its arrays dwarf any fixed overhead."""
+    batches = toy_batches(n=12, dim=784, num_batches=2)
+    cfg = TrainConfig(epochs=1, seed=21)
+    rng = make_rng(22)
+    bimodal, bimodal_batches = build_bimodal(rng.random((12, 392)), rng.random((12, 392)),
+                                             [784, 500], cfg, 2)
+    fine_tune_mse(bimodal.ae, bimodal_batches, cfg)
+    return {
+        "stack": pretrain_stack([784, 500, 2], batches, cfg),
+        "dbn": pretrain_dbn([784, 500, 2], batches, cfg, labels=True),
+        "ae": build_symmetric([784, 500], batches, cfg),
+        "dbm": pretrain_dbm([784, 500, 2], batches, cfg, labels=True),
+        "bimodal": bimodal,
+    }
+
+
+def model_arrays(obj):
+    """Every array reachable from a model through dataclass fields and lists."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, list):
+        for item in obj:
+            yield from model_arrays(item)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from model_arrays(getattr(obj, f.name))
+
+
+def traced_peak(run):
+    """The largest traced allocation while `run()` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def container_fields(model) -> dict:
     """The container `save_model` writes for `model`, field by field in file
     order, built from the kind table: magic, version, layer count, each
@@ -93,8 +139,9 @@ def container_fields(model) -> dict:
     layers, sections = _KINDS[kind][2](model)
     fields = {"magic": b"MDLR", "version": struct.pack("<I", 1),
               "count": struct.pack("<I", len(layers))}
-    fields.update({f"layer {i}": _pack_layer(layer) for i, layer in enumerate(layers)})
-    fields.update({tag: _pack_section(tag, value)
+    fields.update({f"layer {i}": b"".join(_pack_layer(layer))
+                   for i, layer in enumerate(layers)})
+    fields.update({tag: b"".join(_pack_section(tag, value))
                    for tag, value in {SEC_KIND: kind, **sections}.items()})
     fields["end"] = b"\x00"
     return fields
@@ -118,25 +165,34 @@ class TestCraftedContainers:
         crafted_container(3, []),
         crafted_container(0, [(6, 4), (5, 3)]),
         crafted_container(3, [(4, 3), (5, 2)], struct.pack("<BQ", SEC_LABEL_DIM, 9)
-                          + _pack_section(SEC_LABEL_BIAS, [np.zeros((1, 9))])),
+                          + b"".join(_pack_section(SEC_LABEL_BIAS, [np.zeros((1, 9))]))),
         crafted_container(3, [(5, 3)], struct.pack("<BQ", SEC_LABEL_DIM, 2)
-                          + _pack_section(SEC_LABEL_BIAS, [np.zeros((1, 2))])),
+                          + b"".join(_pack_section(SEC_LABEL_BIAS, [np.zeros((1, 2))]))),
+        # 2^60 elements declared, but the file ends after 64 zero bytes
+        b"MDLR" + struct.pack("<IIQQB", 1, 1, 2**30, 2**30, 0) + bytes(64),
+        # a weight with zero rows: read as zero bytes, then refused by the shape check
+        crafted_container(0, [(0, 3)]),
     ], ids=["bimodal-without-modal-section", "dbm-labels-without-label-bias",
             "dbm-without-layers", "stack-layers-not-chained",
-            "dbm-label-dim-exceeds-top-rows", "dbm-labels-on-its-only-layer"])
+            "dbm-label-dim-exceeds-top-rows", "dbm-labels-on-its-only-layer",
+            "layer-larger-than-the-file", "layer-with-zero-rows"])
     def test_rejected_with_format_error(self, tmp_path, raw):
         (tmp_path / "m.mdlr").write_bytes(raw)
-        with pytest.raises(FormatError):
-            load_model(tmp_path / "m.mdlr")
+
+        def load():
+            with pytest.raises(FormatError):
+                load_model(tmp_path / "m.mdlr")
+
+        assert traced_peak(load) < 2**20
 
     @pytest.mark.parametrize("kind, tag, edit", [
         ("dbm", SEC_LABEL_DIM, lambda raw, m: flip_bit(raw, 8 + 47)),
         ("dbn", SEC_LABEL_DIM, lambda raw, m: struct.pack("<BQ", SEC_LABEL_DIM, 0)),
         ("dbn", SEC_GENERATIVE, lambda raw, m: b""),
-        ("dbm", SEC_LABEL_BIAS, lambda raw, m: _pack_section(
-            SEC_LABEL_BIAS, [np.zeros((1, m.label_dim + 1))])),
-        ("dbm", SEC_CHAINS, lambda raw, m: _pack_section(
-            SEC_CHAINS, [m.chain_v[:, :-1], *m.chain_h, m.chain_y])),
+        ("dbm", SEC_LABEL_BIAS, lambda raw, m: b"".join(_pack_section(
+            SEC_LABEL_BIAS, [np.zeros((1, m.label_dim + 1))]))),
+        ("dbm", SEC_CHAINS, lambda raw, m: b"".join(_pack_section(
+            SEC_CHAINS, [m.chain_v[:, :-1], *m.chain_h, m.chain_y]))),
     ], ids=["dbm-label-dim-bit-flipped", "dbn-label-dim-zeroed",
             "dbn-without-generative-section", "dbm-label-bias-too-wide",
             "dbm-visible-chain-too-narrow"])
@@ -241,7 +297,7 @@ class TestCorruption:
                 continue
             sound(result, len(raw))
 
-    @pytest.mark.parametrize("kind", ["stack", "dbn", "ae", "dbm", "bimodal"])
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_model_container(self, tmp_path, tiny_models, kind):
         model = tiny_models[kind]
         save_model(tmp_path / "saved.mdlr", model)
@@ -259,7 +315,38 @@ class TestCorruption:
         self.check_all(tmp_path / "f", fields, 41, read, sound)
 
 
+class TestWorkingMemory:
+    """Load and save stream each array between the file and its own
+    buffer: loading holds the model and 64 kB more, saving 64 kB."""
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_load_holds_only_the_model(self, tmp_path, wide_models, kind):
+        save_model(tmp_path / "m.mdlr", wide_models[kind])
+        loaded = []
+        peak = traced_peak(lambda: loaded.append(load_model(tmp_path / "m.mdlr")))
+        arrays = {id(a): a.nbytes for a in model_arrays(loaded[0])}
+        assert peak <= sum(arrays.values()) + 2**16
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_save_holds_no_copy(self, tmp_path, wide_models, kind):
+        model = wide_models[kind]
+        assert traced_peak(lambda: save_model(tmp_path / "m.mdlr", model)) <= 2**16
+
+
 class TestRoundTrips:
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_save_of_load_reproduces_the_file(self, tmp_path, tiny_models, kind):
+        save_model(tmp_path / "a.mdlr", tiny_models[kind])
+        save_model(tmp_path / "b.mdlr", load_model(tmp_path / "a.mdlr"))
+        assert (tmp_path / "b.mdlr").read_bytes() == (tmp_path / "a.mdlr").read_bytes()
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_loaded_arrays_are_writable_float64(self, tmp_path, tiny_models, kind):
+        save_model(tmp_path / "m.mdlr", tiny_models[kind])
+        for a in model_arrays(load_model(tmp_path / "m.mdlr")):
+            assert a.dtype == np.float64
+            assert a.flags.c_contiguous and a.flags.writeable
+
     def test_stack(self, tmp_path):
         stack = pretrain_stack([4, 3, 2], toy_batches(), TrainConfig(epochs=1, seed=1))
         save_model(tmp_path / "m", stack)
