@@ -8,10 +8,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ConfigError, DomainError, LossKind, Matrix, Rng, ShapeError,
-                   check_batches, in_row_groups, loss, make_rng)
-from .dnn import LayerStack, _backprop_epochs, forward
-from .rbm import RbmLayer, TrainConfig, _pretrain_layers
+from .core import (ConfigError, DomainError, LossKind, Matrix, Rng, ShapeError, as_rows,
+                   check_batches, in_row_groups, make_rng)
+from .dnn import LayerStack, _backprop_epochs
+from .rbm import RbmLayer, TrainConfig, _last_activation, _pretrain_layers
 
 
 @dataclass
@@ -77,11 +77,11 @@ def fine_tune_mse(model: AeModel, batches, cfg: TrainConfig, hook=None) -> AeMod
 
 
 def reconstruct(model: AeModel, data: Matrix) -> Matrix:
-    """Full forward pass in row groups (`core.in_row_groups`); output has
-    the input's shape."""
+    """Full forward pass in row groups (`core.in_row_groups`) that hold one
+    activation at a time; output has the input's shape, in a fresh array."""
     def group(x):
-        x = np.asarray(x, dtype=np.float64)
-        out = forward(model.stack, x)[-1]
+        x = as_rows(x, model.sizes[0])
+        out = _last_activation(model.stack.layers, x)
         if out.shape != x.shape:
             raise ShapeError("reconstruction shape does not match the input")
         return out
@@ -89,6 +89,9 @@ def reconstruct(model: AeModel, data: Matrix) -> Matrix:
 
 
 def reconstruction_error(model: AeModel, data: Matrix) -> float:
-    """Mean over samples of half the summed squared reconstruction error."""
-    return loss(reconstruct(model, data), np.asarray(data, dtype=np.float64),
-                LossKind.MSE)
+    """Mean over samples of half the summed squared reconstruction error,
+    `core.loss`'s MSE formed in the reconstruction's own buffer."""
+    data = np.asarray(data, dtype=np.float64)
+    d = reconstruct(model, data)
+    np.subtract(d, data, out=d)
+    return float(0.5 * np.square(d, out=d).sum() / len(d))

@@ -104,6 +104,7 @@ def in_row_groups(predict, data, rows: int) -> Matrix:
     first = predict(data[:rows])
     out = np.empty((len(data), first.shape[1]))
     out[:rows] = first
+    del first  # the next groups run without it
     for start in range(rows, len(data), rows):
         out[start:start + rows] = predict(data[start:start + rows])
     return out

@@ -18,7 +18,7 @@ from .core import (ActivationKind, ClassificationReport, ConfigError, Matrix, Sh
                    sample_bernoulli, sigmoid)
 from .optim import ParamGroup, run_epochs
 from .rbm import (CdGradients, RbmLayer, TrainConfig, _cd_step, _check_chain,
-                  _pretrain_layers)
+                  _pre_activation, _pretrain_layers)
 
 
 @dataclass
@@ -65,10 +65,13 @@ class DbnModel:
         return self
 
     def recognition_pass(self, data: Matrix) -> Matrix:
-        """Deterministic upward pass through the lower layers."""
+        """Deterministic upward pass through the lower layers, each sigmoid
+        written into its fresh pre-activation; a layer's input is released
+        once that is formed."""
         h = as_rows(data, self.input_dim)
         for layer in self.recognition:
-            h = sigmoid(h @ layer.w + layer.b_h)
+            h = _pre_activation(h, layer.w, layer.b_h)
+            sigmoid(h, out=h)
         return h
 
 
@@ -89,7 +92,8 @@ def _residual_update(w, b, source, target, lr, scratch):
     """Wake-sleep delta rule, in place: move the sigmoid prediction of
     `target` from `source` toward it by lr * source^T (target - pred) / m,
     formed in `scratch`, a flat buffer of w's size."""
-    residual = target - sigmoid(source @ w + b)
+    residual = _pre_activation(source, w, b)
+    np.subtract(target, sigmoid(residual, out=residual), out=residual)
     b += lr * residual.mean(axis=0, keepdims=True)
     residual *= lr / source.shape[0]
     w += np.matmul(source.T, residual, out=scratch.reshape(w.shape))
@@ -127,7 +131,8 @@ def up_down_fine_tune(model: DbnModel, batches, cfg: TrainConfig,
             states = [x]
             probs = states[-1]
             for layer in model.recognition:
-                probs = sigmoid(states[-1] @ layer.w + layer.b_h)
+                probs = _pre_activation(states[-1], layer.w, layer.b_h)
+                sigmoid(probs, out=probs)
                 states.append(sample_bernoulli(probs, rng))
             for i in range(len(model.recognition)):
                 _residual_update(model.generative_w[i], model.generative_b[i],
@@ -142,8 +147,9 @@ def up_down_fine_tune(model: DbnModel, batches, cfg: TrainConfig,
             # the recognition weights to invert the generative pass
             dream = [sample_bernoulli(v_recon[:, :model.feature_dim], rng)]
             for i in range(len(model.recognition) - 1, -1, -1):
-                p = sigmoid(dream[-1] @ model.generative_w[i]
-                            + model.generative_b[i])
+                p = _pre_activation(dream[-1], model.generative_w[i],
+                                    model.generative_b[i])
+                sigmoid(p, out=p)
                 dream.append(sample_bernoulli(p, rng))
             dream.reverse()  # dream[i] now sits at layer i
             for i, layer in enumerate(model.recognition):
@@ -165,12 +171,20 @@ def predict_dbn(model: DbnModel, data: Matrix) -> Matrix:
     if model.label_dim == 0:
         raise ConfigError("model was pretrained without labels")
 
+    top = model.top
+
     def group(x):
         feats = model.recognition_pass(x)
-        top_v = np.hstack([feats, np.zeros((feats.shape[0], model.label_dim))])
-        h = sigmoid(top_v @ model.top.w + model.top.b_h)
-        recon = sigmoid(h @ model.top.w.T + model.top.b_v)
-        label_slots = recon[:, model.feature_dim:]
+        v = np.zeros((len(feats), top.n_v))
+        v[:, :model.feature_dim] = feats
+        del feats
+        # up and down again, each sigmoid in place, each operand released
+        # once the next pre-activation is formed
+        v = _pre_activation(v, top.w, top.b_h)
+        sigmoid(v, out=v)
+        v = _pre_activation(v, top.w.T, top.b_v)
+        sigmoid(v, out=v)
+        label_slots = v[:, model.feature_dim:]
         total = label_slots.sum(axis=1, keepdims=True)
         return label_slots / np.maximum(total, 1e-300)
     return in_row_groups(group, data, model.group_rows)

@@ -9,11 +9,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ActivationKind, ClassificationReport, ConfigError, LossKind,
-                   Matrix, activate, activation_derivative, as_rows, check_batches,
-                   classify, group_rows, in_row_groups)
+                   Matrix, activation_derivative, as_rows, check_batches, classify,
+                   group_rows, in_row_groups)
 from .optim import ParamGroup, run_epochs
-from .rbm import (RbmLayer, TrainConfig, _check_chain, _pretrain_layers,
-                  hidden_given_visible)
+from .rbm import (RbmLayer, TrainConfig, _check_chain, _last_activation, _layer_step,
+                  _pretrain_layers, hidden_given_visible)
 
 
 @dataclass
@@ -54,8 +54,7 @@ def forward(stack: LayerStack, batch: Matrix) -> list:
     """Full forward pass keeping every activation a(0..N); a[0] is the input."""
     activations = [as_rows(batch, stack.layers[0].n_v)]
     for layer in stack.layers:
-        activations.append(activate(activations[-1] @ layer.w + layer.b_h,
-                                    layer.activation))
+        activations.append(_layer_step(layer, activations[-1]))
     return activations
 
 
@@ -140,8 +139,10 @@ def backprop_fine_tune(stack: LayerStack, batches, loss: LossKind, cfg: TrainCon
 
 def predict(stack: LayerStack, data: Matrix) -> np.ndarray:
     """The output layer's activations, forwarded in row groups
-    (`core.in_row_groups`)."""
-    return in_row_groups(lambda x: forward(stack, x)[-1], data, stack.group_rows)
+    (`core.in_row_groups`) that hold one activation at a time."""
+    n_v = stack.layers[0].n_v
+    return in_row_groups(lambda x: _last_activation(stack.layers, as_rows(x, n_v)),
+                         data, stack.group_rows)
 
 
 def classify_dnn(stack: LayerStack, data: Matrix, labels: Matrix) -> ClassificationReport:

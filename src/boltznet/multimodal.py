@@ -10,11 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autoencoder import AeModel, build_symmetric, reconstruct
+from .autoencoder import AeModel, build_symmetric
 from .core import (ConfigError, DomainError, Matrix, ShapeError, as_rows, in_row_groups,
                    make_rng)
 from .data import make_batches
-from .rbm import TrainConfig
+from .rbm import TrainConfig, _last_activation
 
 
 @dataclass
@@ -79,12 +79,17 @@ def build_bimodal(data_a: Matrix, data_b: Matrix, sizes_half, cfg: TrainConfig,
 
 def predict_modal(model: BimodalAe, given_a: Matrix) -> Matrix:
     """Predict modality b from modality a by reconstructing with the b
-    slots zero-filled, in row groups (`core.in_row_groups`). The output is
-    in modality b's original scale."""
+    slots zero-filled, in row groups (`core.in_row_groups`) that hold one
+    activation at a time. The output is in modality b's original scale."""
+    def joined(a):
+        x = np.zeros((len(a), model.dim_a + model.dim_b))
+        x[:, :model.dim_a] = model.scale_a.forward(a)
+        return x
+
     def group(a):
-        a = as_rows(a, model.dim_a)
-        x = np.hstack([model.scale_a.forward(a), np.zeros((a.shape[0], model.dim_b))])
-        recon = reconstruct(model.ae, x)
+        # the joined input is passed on unnamed, so the pass releases it
+        recon = _last_activation(model.ae.stack.layers,
+                                 joined(as_rows(a, model.dim_a)))
         return model.scale_b.inverse(recon[:, model.dim_a:])
     return in_row_groups(group, given_a, model.ae.stack.group_rows)
 

@@ -110,14 +110,46 @@ class TrainConfig:
             raise ConfigError("learning rate must be positive")
 
 
+def _pre_activation(a: Matrix, w: np.ndarray, b: np.ndarray, scale: float = 1.0) -> Matrix:
+    """scale * (a @ w) + b, formed in one fresh array that an activation may
+    overwrite."""
+    z = a @ w
+    if scale != 1.0:
+        z *= scale
+    z += b
+    return z
+
+
+def _activated(z: Matrix, kind: ActivationKind) -> Matrix:
+    """activate(z, kind) for a fresh pre-activation `z`: a sigmoid is
+    written into `z` itself."""
+    return sigmoid(z, out=z) if kind is ActivationKind.SIGMOID else activate(z, kind)
+
+
+def _layer_step(layer: RbmLayer, a: Matrix) -> Matrix:
+    """One layer's activation of checked rows `a`: activation(a W + b_h)."""
+    return _activated(_pre_activation(a, layer.w, layer.b_h), layer.activation)
+
+
+def _last_activation(layers, a: Matrix) -> Matrix:
+    """The last of `layers`' activations of checked rows `a`, holding one
+    activation at a time: each is released once the next pre-activation is
+    formed, before the activation writes into it."""
+    for layer in layers:
+        a = _pre_activation(a, layer.w, layer.b_h)
+        a = _activated(a, layer.activation)
+    return a
+
+
 def hidden_given_visible(rbm: RbmLayer, v: Matrix) -> Matrix:
     """P(h_j = 1 | v) per row: activation(v W + b_h)."""
-    return activate(as_rows(v, rbm.n_v) @ rbm.w + rbm.b_h, rbm.activation)
+    return _layer_step(rbm, as_rows(v, rbm.n_v))
 
 
 def visible_given_hidden(rbm: RbmLayer, h: Matrix) -> Matrix:
     """P(v_i = 1 | h) per row: sigmoid(h W^T + b_v) via the tied weights."""
-    return sigmoid(as_rows(h, rbm.n_h) @ rbm.w.T + rbm.b_v)
+    z = _pre_activation(as_rows(h, rbm.n_h), rbm.w.T, rbm.b_v)
+    return sigmoid(z, out=z)
 
 
 def _check_binary(x: Matrix, name: str) -> Matrix:
@@ -174,8 +206,8 @@ def _cd_step(rbm: RbmLayer, batch: Matrix, k: int, mask, rng: Rng, out: CdGradie
     """
     linear = rbm.activation is ActivationKind.IDENTITY
     def h_mean(v):
-        z = up_scale * (v @ rbm.w) + rbm.b_h
-        return z if linear else sigmoid(z)
+        z = _pre_activation(v, rbm.w, rbm.b_h, up_scale)
+        return z if linear else sigmoid(z, out=z)
 
     def h_sample(mean):
         if linear:
@@ -185,7 +217,8 @@ def _cd_step(rbm: RbmLayer, batch: Matrix, k: int, mask, rng: Rng, out: CdGradie
     h_probs_data = h_mean(batch)
     h_drive = h_sample(h_probs_data) * mask
     for step in range(k):  # the last reconstruction gives the statistics
-        v_recon = sigmoid(down_scale * (h_drive @ rbm.w.T) + rbm.b_v)
+        v_recon = _pre_activation(h_drive, rbm.w.T, rbm.b_v, down_scale)
+        sigmoid(v_recon, out=v_recon)
         if step < k - 1:
             h_drive = h_sample(h_mean(sample_bernoulli(v_recon, rng))) * mask
     h_recon = h_mean(v_recon)
@@ -300,7 +333,8 @@ def _pretrain_layers(sizes, batches, cfg: TrainConfig, labels=False, scales=None
         for j, (_, y) in enumerate(pairs):
             if i:
                 below = layers[i - 1]
-                feats[j] = sigmoid(scales[i - 1][0] * (feats[j] @ below.w) + below.b_h)
+                feats[j] = _pre_activation(feats[j], below.w, below.b_h, scales[i - 1][0])
+                sigmoid(feats[j], out=feats[j])
             if i == n - 1 and k:
                 feats[j] = np.hstack([feats[j], y])
         _train_rbm(layer, feats, replace(cfg, seed=cfg.seed + i), *scales[i])

@@ -12,8 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from boltznet.autoencoder import build_symmetric, fine_tune_mse
 from boltznet.core import DomainError, ShapeError, make_rng
 from boltznet.data import make_batches, one_of_k, shuffle_paired
+from boltznet.dbm import pretrain_dbm
+from boltznet.dbn import pretrain_dbn
+from boltznet.dnn import pretrain_stack
+from boltznet.multimodal import build_bimodal
+from boltznet.rbm import TrainConfig
 from boltznet.synth import make_digit_corpus
 
 
@@ -66,6 +72,28 @@ def desk5k():
 def desk3k():
     """3,000/1,000 split in 100 batches (criterion 8)."""
     return _load_desk(3000, 1000, 100)
+
+
+@pytest.fixture(scope="session")
+def wide_models():
+    """One model per kind ("stack", "dbn", "ae", "dbm", "bimodal"), with 784
+    inputs and a 500-unit first layer, so its arrays and activations dwarf
+    any fixed overhead. Tests read these models and never change them."""
+    rng = make_rng(0)
+    x = (rng.random((12, 784)) > 0.5).astype(float)
+    batches = make_batches(x, one_of_k(rng.integers(0, 2, (12, 1)).astype(float), 2), 2)
+    cfg = TrainConfig(epochs=1, seed=21)
+    rng = make_rng(22)
+    bimodal, bimodal_batches = build_bimodal(rng.random((12, 392)), rng.random((12, 392)),
+                                             [784, 500], cfg, 2)
+    fine_tune_mse(bimodal.ae, bimodal_batches, cfg)
+    return {
+        "stack": pretrain_stack([784, 500, 2], batches, cfg),
+        "dbn": pretrain_dbn([784, 500, 2], batches, cfg, labels=True),
+        "ae": build_symmetric([784, 500], batches, cfg),
+        "dbm": pretrain_dbm([784, 500, 2], batches, cfg, labels=True),
+        "bimodal": bimodal,
+    }
 
 
 @pytest.fixture()

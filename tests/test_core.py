@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from boltznet.autoencoder import build_symmetric, reconstruct
+from boltznet.autoencoder import build_symmetric, reconstruct, reconstruction_error
 from boltznet.core import (ActivationKind, ConfigError, DivergenceError, DomainError,
                            LossKind, ShapeError, activate, activation_derivative,
                            classify, group_rows, in_row_groups, loss, loss_derivative,
@@ -11,7 +11,7 @@ from boltznet.core import (ActivationKind, ConfigError, DivergenceError, DomainE
 from boltznet.data import make_batches, one_of_k
 from boltznet.dbm import classify_dbm, predict_dbm, pretrain_dbm
 from boltznet.dbn import classify_dbn, predict_dbn, pretrain_dbn
-from boltznet.dnn import classify_dnn, predict, pretrain_stack
+from boltznet.dnn import classify_dnn, forward, predict, pretrain_stack
 from boltznet.multimodal import build_bimodal, predict_modal
 from boltznet.rbm import RbmLayer, TrainConfig, classify_rbm
 
@@ -303,12 +303,14 @@ def test_row_groups_pass_one_group_through_and_split_more():
     assert group_rows([np.zeros((6, 4)), np.zeros((4, 2))], [4, 2]) == 6
 
 
+SIX_MODELS = ["rbm", "dnn", "dbn", "dae", "dbm", "bimodal"]
+
+
 @pytest.fixture(scope="module")
-def grouped_models():
-    """Each of the six models' prediction entry points on 60-wide rows,
-    with its rows per prediction group: name -> (predict(x), rows). Every
-    weight is redrawn at std 0.3, so outputs vary from row to row and the
-    DBM's rows settle in different sweep counts."""
+def grouped_nets():
+    """The six models on 60-wide rows, by name. Every weight is redrawn at
+    std 0.3, so outputs vary from row to row and the DBM's rows settle in
+    different sweep counts."""
     rng = make_rng(11)
     x = (rng.random((40, 60)) > 0.5).astype(float)
     batches = make_batches(x, one_of_k(rng.integers(0, 10, (40, 1)), 10), 4)
@@ -323,6 +325,14 @@ def grouped_models():
     for w in ([l.w for s in stacks for l in s.layers] + dbm.weights + dbn.generative_w
               + [l.w for l in dbn.recognition + [dbn.top]]):
         w[...] = rng.normal(0.0, 0.3, w.shape)
+    return {"rbm": rbm, "dnn": dnn, "dbn": dbn, "dae": dae, "dbm": dbm, "bimodal": bimodal}
+
+
+@pytest.fixture(scope="module")
+def grouped_models(grouped_nets):
+    """Each of `grouped_nets`' prediction entry points on 60-wide rows,
+    with its rows per prediction group: name -> (predict(x), rows)."""
+    rbm, dnn, dbn, dae, dbm, bimodal = (grouped_nets[n] for n in SIX_MODELS)
     return {"rbm": (lambda d: predict(rbm, d), rbm.group_rows),
             "dnn": (lambda d: predict(dnn, d), dnn.group_rows),
             "dbn": (lambda d: predict_dbn(dbn, d), dbn.group_rows),
@@ -330,9 +340,6 @@ def grouped_models():
             "dbm": (lambda d: predict_dbm(dbm, d), dbm.group_rows),
             "bimodal": (lambda d: predict_modal(bimodal, d[:, :30]),
                         bimodal.ae.stack.group_rows)}
-
-
-SIX_MODELS = ["rbm", "dnn", "dbn", "dae", "dbm", "bimodal"]
 
 
 @pytest.mark.parametrize("name", SIX_MODELS)
@@ -370,3 +377,112 @@ def test_a_prediction_works_in_one_group_of_memory(grouped_models, name):
     _, one_group = traced_peak(x[:rows])
     out, every_group = traced_peak(x)
     assert every_group < out.nbytes + 1.5 * one_group
+
+
+def every_activation_output(layers, x):
+    """The last activation of a forward pass that keeps every activation,
+    each formed beside its pre-activation."""
+    a = x
+    for layer in layers:
+        a = activate(a @ layer.w + layer.b_h, layer.activation)
+    return a
+
+
+def top_rbm_label_slots(model, x):
+    """`predict_dbn` with the joined input built by `np.hstack` and no array
+    written in place."""
+    h = x
+    for layer in model.recognition:
+        h = sigmoid(h @ layer.w + layer.b_h)
+    top_v = np.hstack([h, np.zeros((len(h), model.label_dim))])
+    h = sigmoid(top_v @ model.top.w + model.top.b_h)
+    slots = sigmoid(h @ model.top.w.T + model.top.b_v)[:, model.feature_dim:]
+    return slots / np.maximum(slots.sum(axis=1, keepdims=True), 1e-300)
+
+
+def zero_filled_modal_output(model, x):
+    """`predict_modal` with the joined input built by `np.hstack`."""
+    a = x[:, :model.dim_a]
+    joined = np.hstack([model.scale_a.forward(a), np.zeros((len(a), model.dim_b))])
+    recon = every_activation_output(model.ae.stack.layers, joined)
+    return model.scale_b.inverse(recon[:, model.dim_a:])
+
+
+EVERY_ACTIVATION_FORMULAS = {
+    "rbm": lambda net, x: every_activation_output(net.layers, x),
+    "dnn": lambda net, x: every_activation_output(net.layers, x),
+    "dbn": top_rbm_label_slots,
+    "dae": lambda net, x: every_activation_output(net.stack.layers, x),
+    "bimodal": zero_filled_modal_output,
+}
+
+
+@pytest.mark.parametrize("groups", [1, 2.5])
+@pytest.mark.parametrize("name", EVERY_ACTIVATION_FORMULAS)
+def test_predictions_equal_the_every_activation_formulas_bitwise(grouped_nets,
+                                                                 grouped_models, name,
+                                                                 groups):
+    """Holding one activation and writing each sigmoid in place leaves every
+    output bit for bit as the formulas that keep every activation, on one
+    group of rows and on 2.5 groups run in the same row groups."""
+    run, rows = grouped_models[name]
+    net, formula = grouped_nets[name], EVERY_ACTIVATION_FORMULAS[name]
+    x = make_rng(15).random((int(groups * rows), 60))
+    expected = in_row_groups(lambda part: formula(net, part), x, rows)
+    np.testing.assert_array_equal(run(x), expected)
+    if name in ("rbm", "dnn", "dae"):
+        stack = getattr(net, "stack", net)
+        np.testing.assert_array_equal(
+            in_row_groups(lambda part: forward(stack, part)[-1], x, rows), expected)
+
+
+def traced(run):
+    """(run(), the traced peak in bytes while it ran)."""
+    tracemalloc.start()
+    try:
+        out = run()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# kind of `wide_models` -> (predict(model, x), rows per group, input width,
+# widths of the activations the prediction computes, bottom first)
+WIDE_PREDICTIONS = {
+    "stack": lambda m: (predict, m.group_rows, m.sizes[0], m.sizes),
+    "dbn": lambda m: (predict_dbn, m.group_rows, m.input_dim,
+                      [m.input_dim] + [l.n_h for l in m.recognition]
+                      + [m.top.n_v, m.top.n_h, m.top.n_v]),
+    "ae": lambda m: (reconstruct, m.stack.group_rows, m.sizes[0], m.sizes),
+    "bimodal": lambda m: (predict_modal, m.ae.stack.group_rows, m.dim_a, m.ae.sizes),
+}
+
+
+@pytest.mark.parametrize("kind", WIDE_PREDICTIONS)
+def test_a_group_holds_its_input_output_and_two_adjacent_activations(wide_models, kind):
+    """At bench width, one group's traced peak, its input made inside the
+    trace, stays at most its input, its output and the widest two adjacent
+    activations of the prediction, plus 64 kB. Keeping every activation, or
+    a sigmoid's result beside its pre-activation, goes beyond it."""
+    model = wide_models[kind]
+    run, rows, width, widths = WIDE_PREDICTIONS[kind](model)
+    x = make_rng(16).random((rows, width))
+    run(model, x)  # warm-up: first-call allocations are not a group's
+    out, peak = traced(lambda: run(model, x.copy()))
+    pair = max(a + b for a, b in zip(widths, widths[1:]))
+    assert peak <= x.nbytes + out.nbytes + 8 * rows * pair + 2**16
+
+
+def test_reconstruction_error_holds_one_reconstruction(wide_models):
+    """Over eight groups, `reconstruction_error`'s traced peak stays at most
+    the reconstruction's bytes and one group's `reconstruct` peak, plus
+    64 kB: the error is formed in the reconstruction's own buffer. Its value
+    is `core.loss`'s MSE of the reconstruction bit for bit."""
+    model = wide_models["ae"]
+    rows = model.stack.group_rows
+    x = make_rng(17).random((8 * rows, model.sizes[0]))
+    reconstruct(model, x[:rows])  # warm-up
+    _, one_group = traced(lambda: reconstruct(model, x[:rows]))
+    error, peak = traced(lambda: reconstruction_error(model, x))
+    assert peak <= x.nbytes + one_group + 2**16
+    assert error == loss(reconstruct(model, x), x, LossKind.MSE)

@@ -90,25 +90,6 @@ def tiny_models():
     }
 
 
-@pytest.fixture(scope="module")
-def wide_models():
-    """One model per kind, keyed by kind name, with 784 inputs and a
-    500-unit first layer, so its arrays dwarf any fixed overhead."""
-    batches = toy_batches(n=12, dim=784, num_batches=2)
-    cfg = TrainConfig(epochs=1, seed=21)
-    rng = make_rng(22)
-    bimodal, bimodal_batches = build_bimodal(rng.random((12, 392)), rng.random((12, 392)),
-                                             [784, 500], cfg, 2)
-    fine_tune_mse(bimodal.ae, bimodal_batches, cfg)
-    return {
-        "stack": pretrain_stack([784, 500, 2], batches, cfg),
-        "dbn": pretrain_dbn([784, 500, 2], batches, cfg, labels=True),
-        "ae": build_symmetric([784, 500], batches, cfg),
-        "dbm": pretrain_dbm([784, 500, 2], batches, cfg, labels=True),
-        "bimodal": bimodal,
-    }
-
-
 def model_arrays(obj):
     """Every array reachable from a model through dataclass fields and lists."""
     if isinstance(obj, np.ndarray):
