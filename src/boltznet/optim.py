@@ -107,39 +107,36 @@ def decay_penalty_gradient(w: Matrix, spec: WeightDecaySpec, out: Matrix = None)
     return out
 
 
-PENALTY_BLOCK = 4096  # elements of a weight-decay penalty formed at once
-
-
-def _add_penalty(grad: Matrix, param: Matrix, spec: WeightDecaySpec, scratch) -> None:
-    """grad += the decay penalty of `param`, formed block by block in the
-    flat `PENALTY_BLOCK`-element buffer `scratch` over flat views (`grad`
-    C-contiguous), so no weight-sized array is made. Without decay
-    grad += 0.0, which turns -0.0 into +0.0 as the out-of-place formula
-    does."""
-    if spec.kind == DecayKind.NONE:
-        grad += 0.0
-        return
-    g, p = grad.reshape(-1), param.reshape(-1)
-    for start in range(0, g.size, scratch.size):
-        block = g[start:start + scratch.size]
-        block += decay_penalty_gradient(p[start:start + scratch.size], spec,
-                                        out=scratch[:block.size])
+STEP_BLOCK = 16384  # elements of each array one block of the parameter step touches
 
 
 def _momentum_step(param: Matrix, grad: Matrix, vel, lr: float, rho: float,
                    spec: WeightDecaySpec, scratch) -> None:
     """In place: vel *= rho; vel -= lr * (grad + penalty); param += vel, or
     param -= lr * (grad + penalty) when `vel` is None, which is the same
-    result from a zero velocity. `grad` is consumed as the scratch for
-    lr * (grad + penalty), whose penalty is formed in `scratch`."""
-    _add_penalty(grad, param, spec, scratch)
-    grad *= lr
-    if vel is None:
-        param -= grad
-        return
-    vel *= rho
-    vel -= grad
-    param += vel
+    result from a zero velocity. The arrays are C-contiguous and run block
+    by block over flat views, so each block stays in cache through every
+    pass. `grad` is consumed as the scratch for lr * (grad + penalty); the
+    penalty of a block is formed in `scratch` (flat, at least one block or
+    all of `param`). Without decay grad += 0.0, which turns -0.0 into +0.0
+    as the out-of-place formula does."""
+    p, g = param.reshape(-1), grad.reshape(-1)
+    v = None if vel is None else vel.reshape(-1)
+    for start in range(0, p.size, STEP_BLOCK):
+        end = start + STEP_BLOCK
+        pb, gb = p[start:end], g[start:end]
+        if spec.kind == DecayKind.NONE:
+            gb += 0.0
+        else:
+            gb += decay_penalty_gradient(pb, spec, out=scratch[:gb.size])
+        gb *= lr
+        if v is None:
+            pb -= gb
+            continue
+        vb = v[start:end]
+        vb *= rho
+        vb -= gb
+        pb += vb
 
 
 def apply_update(param: Matrix, grad: Matrix, vel: Matrix, lr: float, rho: float,
@@ -156,7 +153,7 @@ def apply_update(param: Matrix, grad: Matrix, vel: Matrix, lr: float, rho: float
     if param.shape != grad.shape or param.shape != vel.shape:
         raise ShapeError("param/grad/velocity shapes must match")
     param, grad, vel = (np.array(a, dtype=np.float64, order="C") for a in (param, grad, vel))
-    _momentum_step(param, grad, vel, lr, rho, spec, np.empty(PENALTY_BLOCK))
+    _momentum_step(param, grad, vel, lr, rho, spec, np.empty(min(param.size, STEP_BLOCK)))
     return param, vel
 
 
@@ -166,15 +163,20 @@ class ParamGroup:
     trainers fill each step in the weights-then-biases order of `params`,
     and a velocity unless the `momentum` schedule the trainer runs is zero
     throughout; then `vels` is None and each step is plain gradient
-    descent. With decay the group owns one block-sized penalty buffer."""
+    descent. With decay the group owns one penalty buffer of a block, or of
+    the largest weight when that is smaller. The arrays must be
+    C-contiguous (ShapeError otherwise): the step runs over flat views."""
 
     def __init__(self, weights, biases, decay: WeightDecaySpec, momentum: MomentumSchedule):
         self.params = list(weights) + list(biases)
+        if not all(p.flags.c_contiguous for p in self.params):
+            raise ShapeError("trained arrays must be C-contiguous")
         self.decays = [decay] * len(weights) + [NO_DECAY] * len(biases)
         self.grads = [np.zeros(p.shape) for p in self.params]  # C-contiguous
         self.vels = ([np.zeros_like(p) for p in self.params]
                      if momentum.early or momentum.late else None)
-        self.scratch = None if decay.kind == DecayKind.NONE else np.empty(PENALTY_BLOCK)
+        self.scratch = (None if decay.kind == DecayKind.NONE or not weights else
+                        np.empty(min(STEP_BLOCK, max(w.size for w in weights))))
 
     def step(self, lr: float, rho: float) -> None:
         """One step on the gradients in `grads`, which it consumes; `rho`

@@ -396,6 +396,23 @@ class TestPerRowStop:
         np.testing.assert_array_equal(x, x_before)
         np.testing.assert_array_equal(y, y_before)
 
+    def test_a_compaction_releases_the_means_of_the_rows_it_drops(self):
+        # 1,000 rows of a 784-500-500 DBM with 10 labels settle in 784-row
+        # groups, rows leaving at different sweeps. A settle holds five
+        # rows-by-500 arrays: the visible drive, both layers' means, a layer
+        # input and the sigmoid's temporary. The top layer's means from
+        # before a compaction must not outlive it as a sixth
+        rng = make_rng(0)
+        model = DbmModel(weights=[rng.normal(0, 0.1, (784, 500)),
+                                  rng.normal(0, 0.1, (510, 500))],
+                         visible_bias=np.zeros((1, 784)),
+                         hidden_biases=[np.zeros((1, 500)), np.zeros((1, 500))],
+                         label_dim=10, label_bias=np.zeros((1, 10))).check()
+        x = (rng.random((1000, 784)) < rng.random((1000, 1))).astype(float)
+        assert model.group_rows == 784
+        peak = traced_peak(lambda: predict_dbm(model, x))
+        assert peak < 5.5 * 784 * 500 * 8
+
     def test_early_row_keeps_its_one_row_settle(self):
         # row 0 saturates layer 1 and settles in one sweep; row 1 sits on a
         # frustrated pair of units and runs out of the sweep budget

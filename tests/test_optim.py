@@ -12,7 +12,7 @@ from boltznet.data import make_batches, one_of_k
 from boltznet.dbm import DbmModel, mean_field_train, pretrain_dbm
 from boltznet.dbn import DbnModel, pretrain_dbn, up_down_fine_tune
 from boltznet.dnn import LayerStack, backprop_fine_tune, pretrain_stack
-from boltznet.optim import (NO_DECAY, NO_MOMENTUM, PENALTY_BLOCK, AnnealKind,
+from boltznet.optim import (NO_DECAY, NO_MOMENTUM, STEP_BLOCK, AnnealKind,
                             AnnealSchedule, DecayKind, MomentumSchedule, ParamGroup,
                             WeightDecaySpec, _check_finite,
                             anneal, apply_update, decay_penalty_gradient, dropout_mask,
@@ -116,10 +116,10 @@ class TestApplyUpdate:
     @pytest.mark.parametrize("kind", list(DecayKind))
     @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9])
     def test_bitwise_equal_to_the_out_of_place_formula(self, kind, rho):
-        # 9,000 elements: with decay the penalty spans blocks, the last partial
+        # 19,000 elements: the step spans blocks, the last partial
         rng = make_rng(3)
-        param, grad, vel = (rng.normal(size=(90, 100)) for _ in range(3))
-        assert param.size % PENALTY_BLOCK and param.size > PENALTY_BLOCK
+        param, grad, vel = (rng.normal(size=(190, 100)) for _ in range(3))
+        assert param.size % STEP_BLOCK and param.size > STEP_BLOCK
         param[0, :2] = grad[1, :2] = vel[2, :2] = -0.0
         spec = WeightDecaySpec(kind, 0.01)
         ref_vel = rho * vel - 0.05 * (grad + decay_penalty_gradient(param, spec))
@@ -187,10 +187,10 @@ class TestParamGroup:
     @pytest.mark.parametrize("kind", list(DecayKind))
     def test_a_momentum_free_group_holds_no_velocities(self, kind):
         # a zero schedule: no velocity arrays, and each step is bitwise the
-        # momentum step from a zero velocity (PENALTY_BLOCK does not divide
-        # the weight, so the penalty's last block is partial)
+        # momentum step from a zero velocity (STEP_BLOCK does not divide
+        # the weight, so the step's last block is partial)
         rng = make_rng(5)
-        w, b = rng.normal(size=(130, 70)), rng.normal(size=(1, 70))
+        w, b = rng.normal(size=(260, 70)), rng.normal(size=(1, 70))
         w[0, :3] = 0.0
         spec = WeightDecaySpec(kind, 0.1)
         group = ParamGroup([w], [b], spec, NO_MOMENTUM)
@@ -205,8 +205,40 @@ class TestParamGroup:
             ref_w, _ = apply_update(ref_w, gw, np.zeros_like(w), lr, 0.0, spec)
             ref_b, _ = apply_update(ref_b, gb, np.zeros_like(b), lr, 0.0)
         assert group.params[0] is w and group.params[1] is b
-        assert w.size % PENALTY_BLOCK != 0
+        assert w.size % STEP_BLOCK != 0 and w.size > STEP_BLOCK
         assert w.tobytes() == ref_w.tobytes() and b.tobytes() == ref_b.tobytes()
+
+    @pytest.mark.parametrize("kind", list(DecayKind))
+    @pytest.mark.parametrize("momentum", [MomentumSchedule(), NO_MOMENTUM],
+                             ids=["velocities", "no-velocities"])
+    @pytest.mark.parametrize("size", [STEP_BLOCK - 1, STEP_BLOCK, STEP_BLOCK + 1,
+                                      5 * STEP_BLOCK // 2])
+    def test_the_blocked_step_equals_the_whole_array_step(self, size, momentum, kind):
+        # each element meets the same operations in whichever block it
+        # falls, with signed zeros on both sides of every block boundary
+        rng = make_rng(size)
+        w, b = rng.normal(size=(1, size)), rng.normal(size=(1, 3))
+        edges = [i for s in range(0, size + 1, STEP_BLOCK) for i in (s - 1, s)
+                 if 0 <= i < size]
+        w[0, edges] = 0.0
+        spec = WeightDecaySpec(kind, 0.01)
+        group = ParamGroup([w], [b], spec, momentum)
+        ref = [[w.copy(), np.zeros_like(w), spec], [b.copy(), np.zeros_like(b), NO_DECAY]]
+        for lr, rho in ((0.1, 0.5), (0.05, 0.9)):
+            rho = rho if group.vels else 0.0
+            grads = [rng.normal(size=a.shape) for a in (w, b)]
+            grads[0][0, edges] = -0.0
+            for buf, g in zip(group.grads, grads):
+                buf[...] = g
+            group.step(lr, rho)
+            for r, g in zip(ref, grads):
+                param, vel, decay = r
+                vel = rho * vel - lr * (g + decay_penalty_gradient(param, decay))
+                r[:2] = param + vel, vel
+        for i, (param, vel, _) in enumerate(ref):
+            assert group.params[i].tobytes() == param.tobytes()
+            if group.vels:
+                assert group.vels[i].tobytes() == vel.tobytes()
 
     @pytest.mark.parametrize("trainer, decay", [
         ("train_binary", DecayKind.NONE), ("backprop_fine_tune", DecayKind.NONE),

@@ -289,6 +289,28 @@ class TestTrainBinary:
         assert seen == epochs
         assert np.array_equal(rbm.w, w) == (len(epochs) == 1)
 
+    @pytest.mark.parametrize("lr", [1.0, 0.01])
+    @pytest.mark.parametrize("size, epochs", [(0.5e-8, [0]), (2e-8, [0, 1, 2, 3])],
+                             ids=["below", "above"])
+    def test_the_early_stop_reads_the_unscaled_gradient(self, size, epochs, lr,
+                                                         monkeypatch):
+        # every CD estimate has largest magnitude `size`: below
+        # TRIVIAL_GRADIENT training stops after epoch 0, above it every
+        # epoch runs, whatever learning rate the update scales it by
+        import boltznet.rbm as rbm_mod
+
+        def fixed(rbm, batch, k, mask, rng, out, up_scale=1.0, down_scale=1.0, lr=1.0):
+            for g in (out.dw, out.db_v, out.db_h):
+                g.fill(size * lr / 2)
+            out.dw[0, 0] = -size * lr
+
+        monkeypatch.setattr(rbm_mod, "_cd_step", fixed)
+        assert rbm_mod.TRIVIAL_GRADIENT == 1e-8
+        seen = []
+        train_binary(random_rbm(4, 3, seed=16), make_batches(np.eye(4), None, 2),
+                     TrainConfig(epochs=4, lr=lr), hook=lambda e, lr, rho: seen.append(e))
+        assert seen == epochs
+
     def test_training_lowers_mean_free_energy(self):
         # monotone trend with 5-epoch smoothing on a tiny synthetic set
         rng = make_rng(7)
