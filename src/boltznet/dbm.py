@@ -331,10 +331,10 @@ def mean_field_train(model: DbmModel, batches, cfg: TrainConfig,
             del mus, stats
         _gibbs_sweep(model, rng)
         chain = _statistics(model, model.chain_v, model.chain_h, model.chain_y)
-        for g in params.grads:
+        for g in params.grads:  # chain minus data statistics, alpha folded in
             c = next(chain)
-            g /= d_total
-            c /= m_chains
+            g /= d_total / alpha
+            c /= m_chains / alpha
             np.subtract(c, g, out=g)
             del c
         params.step(alpha, rho)

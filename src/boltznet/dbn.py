@@ -141,7 +141,7 @@ def up_down_fine_tune(model: DbnModel, batches, cfg: TrainConfig,
             # phase; the data are the recognition probabilities (same
             # variance reduction as plain RBM training)
             top_v = np.hstack([probs, y]) if model.label_dim else probs
-            v_recon = _cd_step(top, top_v, 1, 1.0, rng, g)
+            v_recon = _cd_step(top, top_v, 1, 1.0, rng, g, lr=lr)
             params.step(lr, rho)
             # sleep: sample downward from the top reconstruction, then fit
             # the recognition weights to invert the generative pass

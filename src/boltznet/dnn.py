@@ -80,16 +80,18 @@ def _output_delta(a_out: Matrix, target: Matrix, loss: LossKind,
 
 
 def _backprop(stack: LayerStack, batch: Matrix, target: Matrix, loss: LossKind,
-              dws, dbs) -> None:
+              dws, dbs, lr: float = 1.0) -> None:
     """Each layer's dW and db for the row-averaged loss on one batch,
-    written into its buffers in `dws` and `dbs`."""
+    scaled by `lr`, written into its buffers in `dws` and `dbs`."""
     a = forward(stack, batch)
     m = batch.shape[0]
     delta = _output_delta(a[-1], target, loss, stack.layers[-1].activation)
     for l in range(len(stack.layers) - 1, -1, -1):
         layer = stack.layers[l]
-        np.matmul(a[l].T, delta / m, out=dws[l])
+        # lr folded into the batch-sized operand (exactly / m when lr is 1)
+        np.matmul(a[l].T, delta / (m / lr), out=dws[l])
         np.mean(delta, axis=0, keepdims=True, out=dbs[l])
+        dbs[l] *= lr
         if l > 0:
             below = stack.layers[l - 1]
             delta = (delta @ layer.w.T) * activation_derivative(
@@ -121,7 +123,7 @@ def _backprop_epochs(stack: LayerStack, pairs, loss: LossKind, cfg: TrainConfig,
     def epoch(lr, rho):
         for x, t in pairs:
             _backprop(stack, noisy(x) if noisy else x, t, loss,
-                      params.grads[:n], params.grads[n:])
+                      params.grads[:n], params.grads[n:], lr)
             params.step(lr, rho)
 
     run_epochs(cfg, stack, epoch, hook)

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -112,24 +112,21 @@ STEP_BLOCK = 16384  # elements of each array one block of the parameter step tou
 
 def _momentum_step(param: Matrix, grad: Matrix, vel, lr: float, rho: float,
                    spec: WeightDecaySpec, scratch) -> None:
-    """In place: vel *= rho; vel -= lr * (grad + penalty); param += vel, or
-    param -= lr * (grad + penalty) when `vel` is None, which is the same
-    result from a zero velocity. The arrays are C-contiguous and run block
-    by block over flat views, so each block stays in cache through every
-    pass. `grad` is consumed as the scratch for lr * (grad + penalty); the
-    penalty of a block is formed in `scratch` (flat, at least one block or
-    all of `param`). Without decay grad += 0.0, which turns -0.0 into +0.0
-    as the out-of-place formula does."""
+    """In place, on a gradient `grad` already scaled by `lr`: vel *= rho;
+    vel -= grad + lr * penalty; param += vel, or param -= grad + lr * penalty
+    when `vel` is None, the same result from a zero velocity. The arrays
+    are C-contiguous and run block by block over flat views, so each block
+    stays in cache through every pass. With decay `grad` is consumed, and
+    each block's penalty, its coefficient scaled by `lr`, is formed in
+    `scratch` (flat, at least one block or all of `param`)."""
+    penalty = None if spec.kind == DecayKind.NONE else replace(spec, k=spec.k * lr)
     p, g = param.reshape(-1), grad.reshape(-1)
     v = None if vel is None else vel.reshape(-1)
     for start in range(0, p.size, STEP_BLOCK):
         end = start + STEP_BLOCK
         pb, gb = p[start:end], g[start:end]
-        if spec.kind == DecayKind.NONE:
-            gb += 0.0
-        else:
-            gb += decay_penalty_gradient(pb, spec, out=scratch[:gb.size])
-        gb *= lr
+        if penalty is not None:
+            gb += decay_penalty_gradient(pb, penalty, out=scratch[:gb.size])
         if v is None:
             pb -= gb
             continue
@@ -148,11 +145,14 @@ def apply_update(param: Matrix, grad: Matrix, vel: Matrix, lr: float, rho: float
 
     The penalty is scaled by the learning rate together with the gradient,
     so annealing does not change the model the decay steers toward.
-    Returns (param', vel'): the in-place training step applied to copies.
+    Returns (param', vel'): the in-place training step applied to copies,
+    with `lr` folded into the gradient and the decay coefficient as the
+    trainers fold it, so the formula holds to rounding.
     """
     if param.shape != grad.shape or param.shape != vel.shape:
         raise ShapeError("param/grad/velocity shapes must match")
-    param, grad, vel = (np.array(a, dtype=np.float64, order="C") for a in (param, grad, vel))
+    param, vel = (np.array(a, dtype=np.float64, order="C") for a in (param, vel))
+    grad = np.multiply(grad, lr, dtype=np.float64, order="C")
     _momentum_step(param, grad, vel, lr, rho, spec, np.empty(min(param.size, STEP_BLOCK)))
     return param, vel
 
@@ -160,12 +160,13 @@ def apply_update(param: Matrix, grad: Matrix, vel: Matrix, lr: float, rho: float
 class ParamGroup:
     """Arrays trained together, updated in place: weights with the weight
     decay, biases without it. Each array has a gradient buffer, which
-    trainers fill each step in the weights-then-biases order of `params`,
-    and a velocity unless the `momentum` schedule the trainer runs is zero
-    throughout; then `vels` is None and each step is plain gradient
-    descent. With decay the group owns one penalty buffer of a block, or of
-    the largest weight when that is smaller. The arrays must be
-    C-contiguous (ShapeError otherwise): the step runs over flat views."""
+    trainers fill each step, already scaled by the step's learning rate, in
+    the weights-then-biases order of `params`, and a velocity unless the
+    `momentum` schedule the trainer runs is zero throughout; then `vels` is
+    None and each step is plain gradient descent. With decay the group owns
+    one penalty buffer of a block, or of the largest weight when that is
+    smaller. The arrays must be C-contiguous (ShapeError otherwise): the
+    step runs over flat views."""
 
     def __init__(self, weights, biases, decay: WeightDecaySpec, momentum: MomentumSchedule):
         self.params = list(weights) + list(biases)
@@ -179,8 +180,9 @@ class ParamGroup:
                         np.empty(min(STEP_BLOCK, max(w.size for w in weights))))
 
     def step(self, lr: float, rho: float) -> None:
-        """One step on the gradients in `grads`, which it consumes; `rho`
-        is 0 for a group without velocities."""
+        """One step on the `lr`-scaled gradients in `grads`, which it may
+        consume; `lr` scales the decay penalty, and `rho` is 0 for a group
+        without velocities."""
         vels = self.vels or [None] * len(self.params)
         for param, grad, vel, spec in zip(self.params, self.grads, vels, self.decays):
             _momentum_step(param, grad, vel, lr, rho, spec, self.scratch)

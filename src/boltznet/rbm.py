@@ -191,9 +191,10 @@ def _check_cd_units(rbm: RbmLayer) -> None:
 
 
 def _cd_step(rbm: RbmLayer, batch: Matrix, k: int, mask, rng: Rng, out: CdGradients,
-             up_scale: float = 1.0, down_scale: float = 1.0) -> Matrix:
-    """One contrastive-divergence estimate on a batch: the gradients are
-    written into `out`'s buffers and the visible reconstruction is returned.
+             up_scale: float = 1.0, down_scale: float = 1.0, lr: float = 1.0) -> Matrix:
+    """One contrastive-divergence estimate on a batch: the gradients,
+    scaled by `lr`, are written into `out`'s buffers and the visible
+    reconstruction is returned.
 
     Data statistics use hidden probabilities; the Gibbs chain is driven by
     sampled hidden states, multiplied on every downward pass by the caller's
@@ -222,12 +223,15 @@ def _cd_step(rbm: RbmLayer, batch: Matrix, k: int, mask, rng: Rng, out: CdGradie
         if step < k - 1:
             h_drive = h_sample(h_mean(sample_bernoulli(v_recon, rng))) * mask
     h_recon = h_mean(v_recon)
-    # one GEMM: dw = [v_recon; batch]^T [h_recon; -h_probs_data] / m
+    # one GEMM: dw = [v_recon; batch]^T [h_recon; -h_probs_data] * lr / m,
+    # lr folded into the batch-sized operand (exactly / m when lr is 1)
     h = np.vstack([h_recon, -h_probs_data])
-    h /= batch.shape[0]
+    h /= batch.shape[0] / lr
     np.matmul(np.vstack([v_recon, batch]).T, h, out=out.dw)
     np.mean(v_recon - batch, axis=0, keepdims=True, out=out.db_v)
     np.mean(h_recon - h_probs_data, axis=0, keepdims=True, out=out.db_h)
+    out.db_v *= lr
+    out.db_h *= lr
     return v_recon
 
 
@@ -255,12 +259,13 @@ def _train_rbm(rbm: RbmLayer, data_batches, cfg: TrainConfig, up_scale: float = 
     g = CdGradients(*params.grads)
 
     def epoch(lr, rho):
-        trivial = True  # every gradient so far below TRIVIAL_GRADIENT
+        # every gradient so far below TRIVIAL_GRADIENT; the buffers hold lr * grad
+        trivial = True
         for data in data_batches:
             mask = dropout_mask(rbm.n_h, cfg.dropout_rate, rng)
             _cd_step(rbm, data, cfg.gibbs_steps, mask, rng, g,
-                     up_scale=up_scale, down_scale=down_scale)
-            trivial = trivial and g.max_abs() < TRIVIAL_GRADIENT
+                     up_scale=up_scale, down_scale=down_scale, lr=lr)
+            trivial = trivial and g.max_abs() < TRIVIAL_GRADIENT * lr
             params.step(lr, rho)
         return trivial  # gradients trivial for a full epoch: stop
 

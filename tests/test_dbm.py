@@ -519,7 +519,9 @@ def model_arrays(m):
 
 def accumulator_mean_field_train(model, batches, iterations, lr, seed):
     """The stochastic-approximation update written out with explicit
-    accumulators and `+=` on each parameter: plain SGD, STEP-annealed."""
+    accumulators and `+=` on each parameter: plain SGD, STEP-annealed, the
+    rate folded into each average (a sum over D rows divided by D / alpha)
+    as the trainer folds it."""
     from boltznet.dbm import _gibbs_sweep
 
     def below(v, hs, y):
@@ -549,16 +551,17 @@ def accumulator_mean_field_train(model, batches, iterations, lr, seed):
             if model.label_dim:
                 acc_by += yb.sum(axis=0, keepdims=True)
         _gibbs_sweep(model, rng)
+        data, chains = d_total / alpha, m_chains / alpha
+
+        def total(s):
+            return s.sum(axis=0, keepdims=True)
+
         for l, lower in enumerate(below(model.chain_v, model.chain_h, model.chain_y)):
-            model.weights[l] += alpha * (acc_w[l] / d_total
-                                         - lower.T @ model.chain_h[l] / m_chains)
-            model.hidden_biases[l] += alpha * (
-                acc_b[l] / d_total - model.chain_h[l].mean(axis=0, keepdims=True))
-        model.visible_bias += alpha * (acc_bv / d_total
-                                       - model.chain_v.mean(axis=0, keepdims=True))
+            model.weights[l] += acc_w[l] / data - lower.T @ model.chain_h[l] / chains
+            model.hidden_biases[l] += acc_b[l] / data - total(model.chain_h[l]) / chains
+        model.visible_bias += acc_bv / data - total(model.chain_v) / chains
         if model.label_dim:
-            model.label_bias += alpha * (acc_by / d_total
-                                         - model.chain_y.mean(axis=0, keepdims=True))
+            model.label_bias += acc_by / data - total(model.chain_y) / chains
 
 
 class TestTrainingReference:

@@ -4,7 +4,7 @@ import pytest
 from boltznet.core import (ActivationKind, ConfigError, DivergenceError, DomainError,
                            LossKind, ShapeError, loss, make_rng)
 from boltznet.data import make_batches, one_of_k
-from boltznet.dnn import (LayerStack, backprop_fine_tune, backprop_gradients,
+from boltznet.dnn import (LayerStack, _backprop, backprop_fine_tune, backprop_gradients,
                           classify_dnn, forward, hidden_features, predict,
                           pretrain_stack)
 from boltznet.optim import DecayKind, WeightDecaySpec
@@ -120,6 +120,33 @@ class TestBackprop:
                 a, b = grads[i][j], fd[2 * i + j]
                 rel = np.abs(a - b).max() / max(np.abs(b).max(), 1e-12)
                 assert rel < 1e-5
+
+    def test_lr_folded_into_the_operand_matches_the_scaled_gradient(self):
+        # trainers form lr * dW as a^T (delta / (m / lr)). With |a| <= 1 the
+        # m products of a weight gradient's sum total at most lr times the
+        # largest |delta| of its unit: 1 at the softmax output, and below it
+        # a quarter (the sigmoid's slope) of the summed |W| the unit feeds.
+        # Folded or not, each side errs from the exact value by at most
+        # (m + 2) u times that total, u = eps / 2 (m for the sum, two for the
+        # operand's scaling and the product with lr), so they agree within
+        # (m + 2) eps times it. The bias gradients are the mean times lr
+        # either way, bit for bit.
+        m, lr = 50, 0.1
+        rng = make_rng(73)
+        x = rng.random((m, 784))
+        t = one_of_k(rng.integers(0, 10, (m, 1)).astype(float), 10)
+        stack = pretrain_stack([784, 500, 10], [(x, t)], TrainConfig(epochs=0, seed=74),
+                               pretrain=False)
+        for layer in stack.layers:
+            layer.w += rng.normal(0.0, 0.1, layer.w.shape)
+        dws = [np.empty_like(layer.w) for layer in stack.layers]
+        dbs = [np.empty_like(layer.b_h) for layer in stack.layers]
+        _backprop(stack, x, t, LossKind.CROSS_ENTROPY, dws, dbs, lr)
+        unscaled = backprop_gradients(stack, x, t, LossKind.CROSS_ENTROPY)
+        largest_delta = [0.25 * np.abs(stack.layers[1].w).sum(axis=1), 1.0]
+        for dw, db, (dw1, db1), d in zip(dws, dbs, unscaled, largest_delta, strict=True):
+            assert np.all(np.abs(dw - lr * dw1) <= (m + 2) * np.finfo(float).eps * lr * d)
+            assert db.tobytes() == (lr * db1).tobytes()
 
     def test_consecutive_calls_return_fresh_arrays_and_leave_the_stack(self):
         rng = make_rng(48)

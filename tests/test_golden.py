@@ -37,17 +37,17 @@ FLAGS = ["--epochs", "2", "--batches", "5", "--seed", "3", "--lr", "0.1",
 # model -> (sha256 of metrics.txt without wall_ms, sha256 of model.mdlr)
 GOLDEN = {
     "rbm": ("9fd1188fc6228a0067ef4e60edc29f795f83eef388e287a1d4e46209414a928b",
-           "2277f25f282f3e9307a7eef53795edf1ea848059ee0e8045b89b5e2763b2653a"),
+           "43d5c8f337821d5ea0cf25965aa318a3f0f077cf1afbd3be7c5525f161f193d1"),
     "dnn": ("899c3bd470e07391f0505177f92f47efed7db2d8872e5a200ff3dd6f46ddc6bd",
-           "810f62b2d9cf235ca87865a1fc47c24c12cd50361644bc7bbfa5c90d07dbcf54"),
+           "9b1e1b82c98bf0d88fe94f8e73da07d0994048b561a9c8d162d1a3fb3b1bd099"),
     "dbn": ("fa98cedef64b68f5955b6c55c694e25026e297cbb039a52e76b9c894d0a1d36d",
-           "e399d5212c56d962b7b2918a0b65f2adbfd11fc66e2b4ba1366f905db2c5f0eb"),
-    "dae": ("bed09bb3d70dbe2a771108e5a2e933bcad7a2b291e43a82c379b9ce5e2b35596",
-           "cd57505b1c04021b87abaad7d253fb8cf807de2ec3e1e9cbd96d7f5b46598e95"),
+           "d5dd670934d9989b6ef01fbdf35231f79b6e01f2be558212eccc84a1de48d74b"),
+    "dae": ("fd6495572c22c36ab7b4737f56f661ed3c45be26d779314b3f5402b3ee6806ae",
+           "cbdae6a4e838388c0c3d88de9c3ff4ff308da72ae4f5ee5cf734ea90d14464b0"),
     "dbm": ("ff4369305565a018548671eea17aeca8269cc1e776bfd370b97cabc41a5b0b1f",
-           "fb1b4579c986628b4e72d33c790d876c974eb905aa6e90fd6786b5360f943338"),
+           "529c07726a30167a2b42dc04740125f8c45a17c90ef20d4628664abff277456b"),
     "bimodal": ("b77b428b22befa6159b93c59ef6ca645b59acf077237b4d3973d70567f8c23d2",
-               "82938ba63036f4434335ad9fc4dc9aa936cc7e76129ddaafaab4c81c41cf27a3"),
+               "a0c6208a801c32354c75f3d2caed6bc4a03ded07fc306465a76400521bd7f502"),
 }
 
 

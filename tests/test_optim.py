@@ -79,6 +79,20 @@ class TestDecay:
         assert np.all(decay_penalty_gradient(w, NO_DECAY) == 0.0)
 
 
+def folded_step(param, scaled_grad, vel, lr, rho, spec):
+    """The parameter step on whole arrays, out of place, as the trainers
+    form it: the gradient arrives scaled by `lr`, and the decay penalty is
+    formed with its coefficient scaled by `lr`. Without a velocity (`vel`
+    None) it is plain gradient descent."""
+    g = scaled_grad
+    if spec.kind != DecayKind.NONE:
+        g = g + decay_penalty_gradient(param, WeightDecaySpec(spec.kind, spec.k * lr))
+    if vel is None:
+        return param - g, None
+    vel = rho * vel - g
+    return param + vel, vel
+
+
 class TestApplyUpdate:
     def test_reduces_to_vanilla_gradient_descent(self):
         rng = make_rng(1)
@@ -122,12 +136,19 @@ class TestApplyUpdate:
         assert param.size % STEP_BLOCK and param.size > STEP_BLOCK
         param[0, :2] = grad[1, :2] = vel[2, :2] = -0.0
         spec = WeightDecaySpec(kind, 0.01)
-        ref_vel = rho * vel - 0.05 * (grad + decay_penalty_gradient(param, spec))
-        ref_param = param + ref_vel
+        # bit for bit with lr folded as the trainers fold it
+        ref_param, ref_vel = folded_step(param, 0.05 * grad, vel, 0.05, rho, spec)
         before = param.copy(), grad.copy(), vel.copy()
         new_param, new_vel = apply_update(param, grad, vel, lr=0.05, rho=rho, spec=spec)
         assert new_param.tobytes() == ref_param.tobytes()
         assert new_vel.tobytes() == ref_vel.tobytes()
+        # and the unfolded formula to rounding: each side forms the exact
+        # velocity with at most four roundings of size u = eps / 2 relative
+        # to the magnitudes it sums
+        pen = decay_penalty_gradient(param, spec)
+        unfolded = rho * vel - 0.05 * (grad + pen)
+        scale = np.abs(rho * vel) + 0.05 * (np.abs(grad) + np.abs(pen))
+        assert np.all(np.abs(new_vel - unfolded) <= 4 * np.finfo(float).eps * scale)
         # the inputs are left untouched
         assert param.tobytes() == before[0].tobytes()
         assert grad.tobytes() == before[1].tobytes()
@@ -176,7 +197,8 @@ class TestParamGroup:
         ref_vw, ref_vb = np.zeros_like(w), np.zeros_like(b)
         for rho in (0.5, 0.9):
             gw, gb = rng.normal(size=w.shape), rng.normal(size=b.shape)
-            group.grads[0][...], group.grads[1][...] = gw, gb
+            # trainers hand the group gradients scaled by the learning rate
+            group.grads[0][...], group.grads[1][...] = 0.1 * gw, 0.1 * gb
             group.step(0.1, rho)
             ref_w, ref_vw = apply_update(ref_w, gw, ref_vw, 0.1, rho, spec)
             ref_b, ref_vb = apply_update(ref_b, gb, ref_vb, 0.1, rho)  # no decay
@@ -200,7 +222,7 @@ class TestParamGroup:
             gw, gb = rng.normal(size=w.shape), rng.normal(size=b.shape)
             gw[0, :2] = 0.0
             gw[1, :2] = -0.0
-            group.grads[0][...], group.grads[1][...] = gw, gb
+            group.grads[0][...], group.grads[1][...] = lr * gw, lr * gb
             group.step(lr, 0.0)
             ref_w, _ = apply_update(ref_w, gw, np.zeros_like(w), lr, 0.0, spec)
             ref_b, _ = apply_update(ref_b, gb, np.zeros_like(b), lr, 0.0)
@@ -223,22 +245,30 @@ class TestParamGroup:
         w[0, edges] = 0.0
         spec = WeightDecaySpec(kind, 0.01)
         group = ParamGroup([w], [b], spec, momentum)
-        ref = [[w.copy(), np.zeros_like(w), spec], [b.copy(), np.zeros_like(b), NO_DECAY]]
+        ref = [[a.copy(), np.zeros_like(a) if group.vels else None, decay]
+               for a, decay in ((w, spec), (b, NO_DECAY))]
         for lr, rho in ((0.1, 0.5), (0.05, 0.9)):
             rho = rho if group.vels else 0.0
-            grads = [rng.normal(size=a.shape) for a in (w, b)]
+            grads = [rng.normal(size=a.shape) for a in (w, b)]  # scaled by lr
             grads[0][0, edges] = -0.0
             for buf, g in zip(group.grads, grads):
                 buf[...] = g
             group.step(lr, rho)
             for r, g in zip(ref, grads):
-                param, vel, decay = r
-                vel = rho * vel - lr * (g + decay_penalty_gradient(param, decay))
-                r[:2] = param + vel, vel
+                r[:2] = folded_step(r[0], g, r[1], lr, rho, r[2])
         for i, (param, vel, _) in enumerate(ref):
             assert group.params[i].tobytes() == param.tobytes()
             if group.vels:
                 assert group.vels[i].tobytes() == vel.tobytes()
+
+    def test_arrays_that_are_not_c_contiguous_are_refused(self):
+        # the step runs over flat views, and a flat view of such an array
+        # would be a copy that the update never reaches
+        w = np.zeros((3, 4))
+        with pytest.raises(ShapeError, match="C-contiguous"):
+            ParamGroup([w.T], [np.zeros((1, 3))], NO_DECAY, NO_MOMENTUM)
+        with pytest.raises(ShapeError, match="C-contiguous"):
+            ParamGroup([w], [w[:1, ::2]], NO_DECAY, NO_MOMENTUM)
 
     @pytest.mark.parametrize("trainer, decay", [
         ("train_binary", DecayKind.NONE), ("backprop_fine_tune", DecayKind.NONE),

@@ -207,6 +207,28 @@ class TestCdStep:
         want = (v_recon.T @ sigmoid(v_recon @ rbm.w + rbm.b_h) - x.T @ h_data) / m
         assert np.abs(g.dw - want).max() <= 3 * m * np.finfo(float).eps
 
+    def test_lr_folded_into_the_operand_matches_the_scaled_gradient(self):
+        # trainers form lr * dw as [v_recon; x]^T ([h_recon; -h_data] / (m / lr)).
+        # Every term lies in [-1, 1], so the 2m products of each sum are at
+        # most lr / m in size, 2 lr in all. Folded (m / lr rounded, the
+        # division, the sum) or not (the division by m, the sum, the product
+        # with lr), each side errs from the exact value by at most
+        # (2m + 2) u * 2 lr, u = eps / 2: they agree within (4m + 4) lr eps.
+        # The bias gradients are the mean times lr either way, bit for bit.
+        n_v, n_h, m, lr = 784, 500, 50, 0.1
+        rng = make_rng(51)
+        rbm = RbmLayer(w=rng.normal(0.0, 0.1, (n_v, n_h)),
+                       b_v=rng.normal(0.0, 1.0, (1, n_v)), b_h=rng.normal(0.0, 1.0, (1, n_h)))
+        x = (rng.random((m, n_v)) > 0.5).astype(float)
+        unscaled, scaled = CdGradients.like(rbm), CdGradients.like(rbm)
+        recon = _cd_step(rbm, x, 1, 1.0, make_rng(52), unscaled)
+        np.testing.assert_array_equal(_cd_step(rbm, x, 1, 1.0, make_rng(52), scaled, lr=lr),
+                                      recon)
+        error = np.abs(scaled.dw - lr * unscaled.dw).max()
+        assert error <= (4 * m + 4) * lr * np.finfo(float).eps
+        assert scaled.db_v.tobytes() == (lr * unscaled.db_v).tobytes()
+        assert scaled.db_h.tobytes() == (lr * unscaled.db_h).tobytes()
+
     def test_consecutive_calls_return_fresh_arrays_and_leave_the_layer(self):
         rbm = random_rbm(5, 4, seed=43)
         batch = (make_rng(44).random((6, 5)) > 0.5).astype(float)
