@@ -142,7 +142,11 @@ def sigmoid(z: Matrix, out: Matrix = None) -> Matrix:
     (a float64 array of `z`'s shape, which may be `z` itself)."""
     # e = exp(-|z|) never overflows: 1/(1+e) where z >= 0, e/(1+e) below.
     # As e <= 1, that numerator is max(e, z >= 0).
-    e = np.copysign(z, -1.0, dtype=np.float64)
+    # Two passes, not np.copysign(z, -1.0): its loop over a scalar operand
+    # is not vectorised, and it made the whole call 1-12% slower on 30 to
+    # 1,000 rows of 500.
+    e = np.abs(z, dtype=np.float64)
+    np.negative(e, out=e)
     np.exp(e, out=e)
     out = np.maximum(e, z >= 0, out=out)
     e += 1.0
