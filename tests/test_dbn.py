@@ -234,6 +234,16 @@ class TestClassify:
         assert predict_dbn(model, np.zeros((0, 4))).shape == (0, 3)
 
 
+@pytest.mark.parametrize("sizes", [(5, 4, 3, 2), (5, 2)], ids=["two-layers", "none"])
+def test_recognition_pass_is_the_explicit_sigmoid_loop(sizes):
+    model = random_dbn(30, sizes)
+    x = make_rng(31).random((6, sizes[0]))
+    h = x
+    for layer in model.recognition:
+        h = sigmoid(h @ layer.w + layer.b_h)
+    np.testing.assert_array_equal(model.recognition_pass(x), h)
+
+
 class TestVariationalBound:
     def test_bound_below_evidence_and_tight_at_posterior(self):
         for seed in range(30):

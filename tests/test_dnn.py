@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from boltznet.core import (ActivationKind, ConfigError, DivergenceError, DomainError,
-                           LossKind, ShapeError, loss, make_rng)
+                           LossKind, ShapeError, activate, loss, make_rng)
 from boltznet.data import make_batches, one_of_k
 from boltznet.dnn import (LayerStack, _backprop, backprop_fine_tune, backprop_gradients,
                           classify_dnn, forward, hidden_features, predict,
@@ -78,6 +78,16 @@ class TestForward:
         x = rng.random((5, 4))
         trace = forward(LayerStack([layer]), x)
         np.testing.assert_array_equal(trace[-1], hidden_given_visible(layer, x))
+
+    @pytest.mark.parametrize("kind", list(ActivationKind), ids=lambda k: k.name)
+    def test_one_layer_is_activate_of_the_affine_map(self, kind):
+        rng = make_rng(8)
+        layer = RbmLayer(w=rng.normal(size=(4, 3)), b_v=np.zeros((1, 4)),
+                         b_h=rng.normal(size=(1, 3)), activation=kind)
+        v = rng.random((5, 4))
+        ref = activate(v @ layer.w + layer.b_h, kind)
+        np.testing.assert_array_equal(hidden_given_visible(layer, v), ref)
+        np.testing.assert_array_equal(forward(LayerStack([layer]), v)[1], ref)
 
     def test_trace_shapes(self):
         stack = randomized_stack([5, 6, 4, 3], seed=5)
@@ -286,6 +296,15 @@ def test_hidden_features_stops_before_head():
     feats = hidden_features(stack, batches)
     assert all(f.shape[1] == 4 for f, _ in feats)
     assert all(y is b[1] for (_, y), b in zip(feats, batches))
+
+
+def test_hidden_features_match_the_per_layer_chain_bit_for_bit():
+    stack = randomized_stack([5, 4, 3, 2], seed=21)
+    stack.layers[1].activation = ActivationKind.TANH
+    batches = toy_batches()
+    for (f, _), (x, _) in zip(hidden_features(stack, batches), batches):
+        below = hidden_given_visible(stack.layers[0], x)
+        np.testing.assert_array_equal(f, hidden_given_visible(stack.layers[1], below))
 
 
 def test_backprop_divergence_raises_at_its_epoch_before_the_hook():
