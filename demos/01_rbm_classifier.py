@@ -7,7 +7,7 @@ Run from the repository root:  python demos/01_rbm_classifier.py
 import numpy as np
 
 import boltznet as bn
-from boltznet import rbm
+from boltznet import dnn, rbm
 from boltznet.data import make_batches, one_of_k, shuffle_paired
 from boltznet.synth import make_digit_corpus
 
@@ -34,6 +34,7 @@ feats = [(rbm.hidden_given_visible(layer, x), y) for x, y in batches]
 print("training the classifier head...")
 rbm.train_classifier_head(head, feats, cfg)
 
-report = rbm.classify_rbm(layer, head, test_x, test_y)
+# the classifier is the stack [RBM, head]; the class is each row's argmax
+report = bn.classify(dnn.predict(dnn.LayerStack([layer, head]), test_x), test_y)
 print(f"\ntest error rate: {report.error_rate:.4f} on {report.n_samples} samples")
 print("confusion row sums (true-class counts):", report.confusion.sum(axis=1))

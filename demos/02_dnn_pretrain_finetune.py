@@ -28,13 +28,13 @@ stack = dnn.pretrain_stack(sizes, batches, cfg)
 # the output layer is trained on the top-layer features before fine-tuning
 feats = dnn.hidden_features(stack, batches)
 rbm.train_classifier_head(stack.layers[-1], feats, cfg)
-pre = dnn.classify_dnn(stack, test_x, test_y)
+pre = bn.classify(dnn.predict(stack, test_x), test_y)
 print(f"pretrain-only test error: {pre.error_rate:.4f}")
 
 print("fine-tuning with backpropagation (12 epochs)...")
 dnn.backprop_fine_tune(stack, batches, LossKind.CROSS_ENTROPY,
                        replace(cfg, epochs=12),
                        hook=lambda e, lr, rho: print(f"  epoch {e} done"))
-post = dnn.classify_dnn(stack, test_x, test_y)
+post = bn.classify(dnn.predict(stack, test_x), test_y)
 print(f"fine-tuned test error:   {post.error_rate:.4f}")
 print(f"improvement: {pre.error_rate - post.error_rate:+.4f}")

@@ -24,14 +24,14 @@ model = dbn.pretrain_dbn([784, 300, 200], batches,
                          bn.TrainConfig(epochs=2, lr=0.1, seed=0), labels=True)
 print(f"top RBM visible width: {model.top.n_v} (= 300 features + 10 labels)")
 
-pre = dbn.classify_dbn(model, test_x, test_y)
+pre = bn.classify(dbn.predict_dbn(model, test_x), test_y)
 print(f"pretrain-only test error: {pre.error_rate:.4f}")
 
 print("up-down fine-tuning (wake-sleep + CD at the top, 5 epochs)...")
 dbn.up_down_fine_tune(model, batches,
                       bn.TrainConfig(epochs=5, lr=0.02, seed=1,
                                      momentum=NO_MOMENTUM))
-post = dbn.classify_dbn(model, test_x, test_y)
+post = bn.classify(dbn.predict_dbn(model, test_x), test_y)
 print(f"fine-tuned test error:    {post.error_rate:.4f}")
 
 # recognition and generative weights untie during fine-tuning

@@ -34,7 +34,7 @@ mus, _ = dbm.mean_field_states(zero, np.zeros((2, 4)))
 print("zero-weight mean-field fixed point is 0.5 everywhere:",
       all(np.all(m == 0.5) for m in mus))
 
-pre = dbm.classify_dbm(model, test_x, test_y)
+pre = bn.classify(dbm.predict_dbm(model, test_x), test_y)
 print(f"pretrain-only accuracy: {1 - pre.error_rate:.4f}")
 
 print("mean-field training (25 iterations, step-annealed rate)...")
@@ -43,5 +43,5 @@ dbm.mean_field_train(model, batches,
                                     momentum=NO_MOMENTUM),
                      hook=lambda t, a, _: print(f"  iteration {t}: alpha={a:.5f}")
                      if t % 5 == 0 else None)
-post = dbm.classify_dbm(model, test_x, test_y)
+post = bn.classify(dbm.predict_dbm(model, test_x), test_y)
 print(f"trained accuracy:       {1 - post.error_rate:.4f}")

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ConfigError, DomainError, LossKind, Matrix, Rng, ShapeError, as_rows,
-                   check_batches, in_row_groups, make_rng)
+from .core import (ConfigError, DomainError, LossKind, Matrix, Rng, ShapeError, _row_count,
+                   as_rows, check_batches, in_row_groups, make_rng)
 from .dnn import LayerStack, _backprop_epochs
 from .rbm import RbmLayer, TrainConfig, _last_activation, _pretrain_layers
 
@@ -89,9 +89,9 @@ def reconstruct(model: AeModel, data: Matrix) -> Matrix:
 
 
 def reconstruction_error(model: AeModel, data: Matrix) -> float:
-    """Mean over samples of half the summed squared reconstruction error,
-    `core.loss`'s MSE formed in the reconstruction's own buffer."""
+    """`core.loss`'s MSE of the reconstruction, formed in its own buffer;
+    DomainError for zero rows."""
     data = np.asarray(data, dtype=np.float64)
     d = reconstruct(model, data)
     np.subtract(d, data, out=d)
-    return float(0.5 * np.square(d, out=d).sum() / len(d))
+    return float(0.5 * np.square(d, out=d).sum() / _row_count(d))

@@ -206,12 +206,19 @@ def _check_same_shape(pred: Matrix, target: Matrix) -> None:
         raise ShapeError(f"shape mismatch: {pred.shape} vs {target.shape}")
 
 
+def _row_count(x: Matrix) -> int:
+    """The divisor of a row average: `x`'s row count; DomainError for none."""
+    if len(x) == 0:
+        raise DomainError("a row average needs at least one row")
+    return len(x)
+
+
 def loss(pred: Matrix, target: Matrix, kind: LossKind) -> float:
-    """Scalar loss averaged over rows (samples)."""
+    """Scalar loss averaged over rows (samples); DomainError for zero rows."""
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     _check_same_shape(pred, target)
-    m = pred.shape[0]
+    m = _row_count(pred)
     if kind == LossKind.MSE:
         d = pred - target
         return float(0.5 * np.square(d, out=d).sum() / m)

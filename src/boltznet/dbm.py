@@ -1,6 +1,6 @@
 """Deep Boltzmann machine: layered undirected energy model with
 adjusted-weight RBM pretraining, persistent-chain stochastic approximation
-guided by mean-field variational inference, and label-unit classification.
+guided by mean-field variational inference, and label-unit prediction.
 
 Weight bookkeeping: the stored weights are the DBM weights. The bottom-up
 initialization pass doubles every weight except the top one (compensating
@@ -14,9 +14,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import (ClassificationReport, ConfigError, Matrix, ShapeError, as_rows,
-                   check_batches, classify, group_rows, in_row_groups, make_rng,
-                   sample_bernoulli, sigmoid, softmax)
+from .core import (ConfigError, Matrix, ShapeError, as_rows, check_batches, group_rows,
+                   in_row_groups, make_rng, sample_bernoulli, sigmoid, softmax)
 from .optim import (NO_DECAY, NO_MOMENTUM, AnnealKind, AnnealSchedule, ParamGroup,
                     run_epochs)
 from .rbm import TrainConfig, _check_binary, _check_chain, _pretrain_layers
@@ -72,9 +71,6 @@ class DbmModel:
         every hidden layer and the label units."""
         return group_rows(self.weights, self.sizes[1:] + [self.label_dim])
 
-    def top_feature_rows(self) -> int:
-        return self.weights[-1].shape[0] - self.label_dim
-
     def check(self) -> "DbmModel":
         """Raise ShapeError unless the weights chain (the top one with the
         label rows) and every bias and persistent chain fits its units.
@@ -102,10 +98,6 @@ def _state_below(model: DbmModel, l: int, v: Matrix, hs, y: Matrix) -> Matrix:
     if l == model.n_layers - 1 and model.label_dim:
         below = np.hstack([below, y])
     return below
-
-
-def _states_below(model: DbmModel, v: Matrix, hs, y: Matrix) -> list:
-    return [_state_below(model, l, v, hs, y) for l in range(model.n_layers)]
 
 
 def _statistics(model: DbmModel, v: Matrix, hs, y: Matrix) -> list:
@@ -141,7 +133,7 @@ def _layer_input(model: DbmModel, l: int, vw: Matrix, hs, y: Matrix) -> Matrix:
 
 def _label_input(model: DbmModel, h_top: Matrix) -> Matrix:
     """Total input to the label units from the top hidden layer."""
-    return h_top @ model.weights[-1][model.top_feature_rows():].T + model.label_bias
+    return h_top @ model.weights[-1][-model.label_dim:].T + model.label_bias
 
 
 def _bottom_up(model: DbmModel, vw: Matrix, y: Matrix, settle) -> list:
@@ -167,7 +159,8 @@ def dbm_energy(model: DbmModel, v: Matrix, h_list, y: Matrix = None) -> float:
             raise ShapeError("model has label units; pass their state")
         y = _check_binary(y, "label state").reshape(1, -1)
     total = 0.0
-    for lower, w, upper in zip(_states_below(model, v, hs, y), model.weights, hs):
+    for l, (w, upper) in enumerate(zip(model.weights, hs)):
+        lower = _state_below(model, l, v, hs, y)
         if lower.shape[1] != w.shape[0] or upper.shape[1] != w.shape[1]:
             raise ShapeError("state widths do not match the weights")
         total -= (lower @ w @ upper.T).item()
@@ -367,7 +360,3 @@ def predict_dbm(model: DbmModel, data: Matrix) -> Matrix:
     if model.label_dim == 0:
         raise ConfigError("model was pretrained without labels")
     return in_row_groups(lambda x: mean_field_states(model, x)[1], data, model.group_rows)
-
-
-def classify_dbm(model: DbmModel, data: Matrix, labels: Matrix) -> ClassificationReport:
-    return classify(predict_dbm(model, data), labels)

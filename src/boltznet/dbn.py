@@ -1,6 +1,6 @@
 """Deep belief network: stacked-RBM pretraining with a label-joined top
-RBM, wake-sleep plus contrastive-divergence fine-tuning, and label-clamped
-classification.
+RBM, wake-sleep plus contrastive-divergence fine-tuning, and label-slot
+prediction.
 
 The directed lower layers carry untied recognition weights (upward) and
 generative weights (downward); both start from the pretrained RBM weights
@@ -13,12 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (ActivationKind, ClassificationReport, ConfigError, Matrix, ShapeError,
-                   as_rows, check_batches, classify, group_rows, in_row_groups, make_rng,
-                   sample_bernoulli, sigmoid)
+from .core import (ActivationKind, ConfigError, Matrix, ShapeError, as_rows,
+                   check_batches, group_rows, in_row_groups, make_rng, sample_bernoulli,
+                   sigmoid)
 from .optim import ParamGroup, run_epochs
 from .rbm import (CdGradients, RbmLayer, TrainConfig, _cd_step, _check_chain,
-                  _pre_activation, _pretrain_layers)
+                  _last_activation, _pre_activation, _pretrain_layers)
 
 
 @dataclass
@@ -65,14 +65,8 @@ class DbnModel:
         return self
 
     def recognition_pass(self, data: Matrix) -> Matrix:
-        """Deterministic upward pass through the lower layers, each sigmoid
-        written into its fresh pre-activation; a layer's input is released
-        once that is formed."""
-        h = as_rows(data, self.input_dim)
-        for layer in self.recognition:
-            h = _pre_activation(h, layer.w, layer.b_h)
-            sigmoid(h, out=h)
-        return h
+        """Deterministic upward pass through the lower layers."""
+        return _last_activation(self.recognition, as_rows(data, self.input_dim))
 
 
 def pretrain_dbn(sizes, batches, cfg: TrainConfig, labels=False) -> DbnModel:
@@ -128,11 +122,9 @@ def up_down_fine_tune(model: DbnModel, batches, cfg: TrainConfig,
         for x, y in pairs:
             # wake: sample upward, then fit the generative weights to
             # reproduce each layer from the one above
-            states = [x]
-            probs = states[-1]
+            states, probs = [x], x
             for layer in model.recognition:
-                probs = _pre_activation(states[-1], layer.w, layer.b_h)
-                sigmoid(probs, out=probs)
+                probs = _last_activation([layer], states[-1])
                 states.append(sample_bernoulli(probs, rng))
             for i in range(len(model.recognition)):
                 _residual_update(model.generative_w[i], model.generative_b[i],
@@ -188,7 +180,3 @@ def predict_dbn(model: DbnModel, data: Matrix) -> Matrix:
         total = label_slots.sum(axis=1, keepdims=True)
         return label_slots / np.maximum(total, 1e-300)
     return in_row_groups(group, data, model.group_rows)
-
-
-def classify_dbn(model: DbnModel, data: Matrix, labels: Matrix) -> ClassificationReport:
-    return classify(predict_dbn(model, data), labels)

@@ -1,5 +1,5 @@
 """Deep neural network: greedy layer-wise RBM pretraining, forward pass,
-backpropagation fine-tuning, and classification.
+backpropagation fine-tuning, and prediction.
 """
 
 from __future__ import annotations
@@ -8,12 +8,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ActivationKind, ClassificationReport, ConfigError, LossKind,
-                   Matrix, activation_derivative, as_rows, check_batches, classify,
-                   group_rows, in_row_groups)
+from .core import (ActivationKind, ConfigError, LossKind, Matrix, activation_derivative,
+                   as_rows, check_batches, group_rows, in_row_groups)
 from .optim import ParamGroup, run_epochs
-from .rbm import (RbmLayer, TrainConfig, _check_chain, _last_activation, _layer_step,
-                  _pretrain_layers, hidden_given_visible)
+from .rbm import RbmLayer, TrainConfig, _check_chain, _last_activation, _pretrain_layers
 
 
 @dataclass
@@ -54,7 +52,7 @@ def forward(stack: LayerStack, batch: Matrix) -> list:
     """Full forward pass keeping every activation a(0..N); a[0] is the input."""
     activations = [as_rows(batch, stack.layers[0].n_v)]
     for layer in stack.layers:
-        activations.append(_layer_step(layer, activations[-1]))
+        activations.append(_last_activation([layer], activations[-1]))
     return activations
 
 
@@ -147,15 +145,8 @@ def predict(stack: LayerStack, data: Matrix) -> np.ndarray:
                          data, stack.group_rows)
 
 
-def classify_dnn(stack: LayerStack, data: Matrix, labels: Matrix) -> ClassificationReport:
-    """Argmax of the final softmax emission against the true classes."""
-    return classify(predict(stack, data), labels)
-
-
 def hidden_features(stack: LayerStack, batches):
     """Propagate each (x, y) batch through every layer except the output
     head: the (features, y) pairs that `train_classifier_head` takes."""
-    feats = [x for x, _ in batches]
-    for layer in stack.layers[:-1]:
-        feats = [hidden_given_visible(layer, f) for f in feats]
-    return [(f, y) for f, (_, y) in zip(feats, batches)]
+    n_v = stack.layers[0].n_v
+    return [(_last_activation(stack.layers[:-1], as_rows(x, n_v)), y) for x, y in batches]

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import (ActivationKind, ClassificationReport, ConfigError, DomainError,
-                   LossKind, Matrix, Rng, ShapeError, activate, as_rows, check_batches,
-                   classify, make_rng, sample_bernoulli, sigmoid)
+from .core import (ActivationKind, ConfigError, DomainError, LossKind, Matrix, Rng,
+                   ShapeError, _row_count, activate, as_rows, check_batches, make_rng,
+                   sample_bernoulli, sigmoid)
 from .optim import (AnnealSchedule, MomentumSchedule, ParamGroup, WeightDecaySpec,
                     dropout_mask, run_epochs)
 
@@ -120,30 +120,22 @@ def _pre_activation(a: Matrix, w: np.ndarray, b: np.ndarray, scale: float = 1.0)
     return z
 
 
-def _activated(z: Matrix, kind: ActivationKind) -> Matrix:
-    """activate(z, kind) for a fresh pre-activation `z`: a sigmoid is
-    written into `z` itself."""
-    return sigmoid(z, out=z) if kind is ActivationKind.SIGMOID else activate(z, kind)
-
-
-def _layer_step(layer: RbmLayer, a: Matrix) -> Matrix:
-    """One layer's activation of checked rows `a`: activation(a W + b_h)."""
-    return _activated(_pre_activation(a, layer.w, layer.b_h), layer.activation)
-
-
 def _last_activation(layers, a: Matrix) -> Matrix:
-    """The last of `layers`' activations of checked rows `a`, holding one
-    activation at a time: each is released once the next pre-activation is
-    formed, before the activation writes into it."""
+    """The last of `layers`' activations of checked rows `a`: the one upward
+    pass, each layer's activation(a W + b_h) of the one below. One activation
+    is held at a time, and a sigmoid is written into its fresh pre-activation."""
     for layer in layers:
         a = _pre_activation(a, layer.w, layer.b_h)
-        a = _activated(a, layer.activation)
+        if layer.activation is ActivationKind.SIGMOID:
+            sigmoid(a, out=a)
+        else:
+            a = activate(a, layer.activation)
     return a
 
 
 def hidden_given_visible(rbm: RbmLayer, v: Matrix) -> Matrix:
     """P(h_j = 1 | v) per row: activation(v W + b_h)."""
-    return _layer_step(rbm, as_rows(v, rbm.n_v))
+    return _last_activation([rbm], as_rows(v, rbm.n_v))
 
 
 def visible_given_hidden(rbm: RbmLayer, h: Matrix) -> Matrix:
@@ -178,10 +170,11 @@ def free_energy(rbm: RbmLayer, x: Matrix) -> float:
 
 
 def mean_free_energy(rbm: RbmLayer, data: Matrix) -> float:
+    """`free_energy` averaged over the rows of `data`; DomainError for none."""
     data = as_rows(data, rbm.n_v)
     z = data @ rbm.w + rbm.b_h
     per_row = -(data * rbm.b_v).sum(axis=1) - np.logaddexp(0.0, z).sum(axis=1)
-    return float(per_row.mean())
+    return float(per_row.sum() / _row_count(data))
 
 
 def _check_cd_units(rbm: RbmLayer) -> None:
@@ -303,13 +296,6 @@ def train_classifier_head(head: RbmLayer, batches, cfg: TrainConfig,
     pairs = check_batches(batches, head.n_v, head.n_h, one_of_k=True)
     _backprop_epochs(LayerStack([head]), pairs, LossKind.CROSS_ENTROPY, cfg, hook)
     return head
-
-
-def classify_rbm(rbm: RbmLayer, head: RbmLayer, data: Matrix,
-                 labels: Matrix) -> ClassificationReport:
-    """Predict through hidden probabilities and the softmax head; the class
-    is the index of the maximum emission."""
-    return classify(hidden_given_visible(rbm, data) @ head.w + head.b_h, labels)
 
 
 def _pretrain_layers(sizes, batches, cfg: TrainConfig, labels=False, scales=None,

@@ -21,7 +21,7 @@ from boltznet import dbn as dbn_mod
 from boltznet import dnn as dnn_mod
 from boltznet import rbm as rbm_mod
 from boltznet.cli import main
-from boltznet.core import ActivationKind, LossKind, loss, make_rng
+from boltznet.core import ActivationKind, LossKind, classify, loss, make_rng
 from boltznet.data import (FormatError, one_of_k, read_cifar10,
                            read_mnist_images, read_mnist_labels)
 from boltznet.oracle import (dbn_evidence, dbn_log_joint, dbn_recognition_q,
@@ -162,7 +162,8 @@ def test_criterion_04_rbm_classification(desk10k):
     head = RbmLayer.random(500, 10, rng, activation=ActivationKind.SOFTMAX)
     feats = [(rbm_mod.hidden_given_visible(layer, x), y) for x, y in desk10k.batches]
     rbm_mod.train_classifier_head(head, feats, cfg)
-    report = rbm_mod.classify_rbm(layer, head, desk10k.test_x, desk10k.test_y)
+    report = classify(dnn_mod.predict(dnn_mod.LayerStack([layer, head]), desk10k.test_x),
+                      desk10k.test_y)
     elapsed = time.monotonic() - t0
     ok = report.error_rate <= 0.12 and elapsed < 600
     _report(4, "RBM + softmax head on the 10k/2k subset", ok,
@@ -176,10 +177,10 @@ def test_criterion_05_dnn_fine_tuning_gain(desk10k):
     stack = dnn_mod.pretrain_stack([784, 500, 300, 200, 10], desk10k.batches, cfg)
     feats = dnn_mod.hidden_features(stack, desk10k.batches)
     rbm_mod.train_classifier_head(stack.layers[-1], feats, cfg)
-    pre_err = dnn_mod.classify_dnn(stack, desk10k.test_x, desk10k.test_y).error_rate
+    pre_err = classify(dnn_mod.predict(stack, desk10k.test_x), desk10k.test_y).error_rate
     dnn_mod.backprop_fine_tune(stack, desk10k.batches, LossKind.CROSS_ENTROPY,
                                replace(cfg, epochs=12))
-    ft_err = dnn_mod.classify_dnn(stack, desk10k.test_x, desk10k.test_y).error_rate
+    ft_err = classify(dnn_mod.predict(stack, desk10k.test_x), desk10k.test_y).error_rate
     elapsed = time.monotonic() - t0
     ok = ft_err < pre_err and ft_err <= 0.08 and elapsed < 1200
     _report(5, "DNN fine-tuning strictly improves", ok,
@@ -217,11 +218,11 @@ def test_criterion_07_dbn_fine_tuning_gain(desk10k):
     t0 = time.monotonic()
     model = dbn_mod.pretrain_dbn([784, 500, 300], desk10k.batches,
                                  TrainConfig(epochs=1, lr=0.1, seed=0), labels=True)
-    pre = dbn_mod.classify_dbn(model, desk10k.test_x, desk10k.test_y).error_rate
+    pre = classify(dbn_mod.predict_dbn(model, desk10k.test_x), desk10k.test_y).error_rate
     dbn_mod.up_down_fine_tune(model, desk10k.batches,
                               TrainConfig(epochs=5, lr=0.02, seed=1,
                                           momentum=NO_MOMENTUM))
-    ft = dbn_mod.classify_dbn(model, desk10k.test_x, desk10k.test_y).error_rate
+    ft = classify(dbn_mod.predict_dbn(model, desk10k.test_x), desk10k.test_y).error_rate
     elapsed = time.monotonic() - t0
     ok = ft < pre
     _report(7, "up-down fine-tuning strictly improves the DBN", ok,
@@ -241,13 +242,13 @@ def test_criterion_08_dbm_mean_field_gain(desk3k):
 
     model = dbm_mod.pretrain_dbm([784, 500, 500], desk3k.batches,
                                  TrainConfig(epochs=2, lr=0.05, seed=0), labels=True)
-    pre_acc = 1.0 - dbm_mod.classify_dbm(model, desk3k.test_x,
-                                         desk3k.test_y).error_rate
+    pre_acc = 1.0 - classify(dbm_mod.predict_dbm(model, desk3k.test_x),
+                             desk3k.test_y).error_rate
     dbm_mod.mean_field_train(model, desk3k.batches,
                              TrainConfig(epochs=40, lr=0.004, seed=1,
                                          momentum=NO_MOMENTUM))
-    ft_acc = 1.0 - dbm_mod.classify_dbm(model, desk3k.test_x,
-                                        desk3k.test_y).error_rate
+    ft_acc = 1.0 - classify(dbm_mod.predict_dbm(model, desk3k.test_x),
+                            desk3k.test_y).error_rate
     elapsed = time.monotonic() - t0
     ok = fixed_ok and ft_acc > pre_acc
     _report(8, "mean-field training strictly improves the DBM", ok,

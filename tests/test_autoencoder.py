@@ -170,6 +170,11 @@ class TestReconstruct:
         x = (make_rng(23).random((50, 8)) > 0.5).astype(float)
         np.testing.assert_allclose(reconstruction_error(model, x), 8 / 8.0)
 
+    def test_zero_rows_are_a_domain_error(self):
+        model = build_symmetric([6, 3], toy_batches(), TrainConfig(epochs=0, seed=26))
+        with pytest.raises(DomainError, match="at least one row"):
+            reconstruction_error(model, np.zeros((0, 6)))
+
     def test_matches_loss_mse(self):
         model = build_symmetric([6, 3], toy_batches(), TrainConfig(epochs=1, lr=0.2, seed=24))
         x = make_rng(25).random((7, 6))

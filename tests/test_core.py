@@ -9,11 +9,11 @@ from boltznet.core import (ActivationKind, ConfigError, DivergenceError, DomainE
                            classify, group_rows, in_row_groups, loss, loss_derivative,
                            make_rng, matrix, sample_bernoulli, sigmoid)
 from boltznet.data import make_batches, one_of_k
-from boltznet.dbm import classify_dbm, predict_dbm, pretrain_dbm
-from boltznet.dbn import classify_dbn, predict_dbn, pretrain_dbn
-from boltznet.dnn import classify_dnn, forward, predict, pretrain_stack
+from boltznet.dbm import predict_dbm, pretrain_dbm
+from boltznet.dbn import predict_dbn, pretrain_dbn
+from boltznet.dnn import LayerStack, forward, predict, pretrain_stack
 from boltznet.multimodal import build_bimodal, predict_modal
-from boltznet.rbm import RbmLayer, TrainConfig, classify_rbm
+from boltznet.rbm import RbmLayer, TrainConfig
 
 SIG = ActivationKind.SIGMOID
 
@@ -180,6 +180,12 @@ class TestLoss:
         with pytest.raises(ConfigError):
             loss_derivative(matrix([0.5]), matrix([1.0]), LossKind.BINARY)
 
+    @pytest.mark.parametrize("kind", list(LossKind), ids=lambda k: k.name)
+    def test_zero_rows_are_a_domain_error(self, kind):
+        # a mean over no rows is 0/0, not a NaN with a warning
+        with pytest.raises(DomainError, match="at least one row"):
+            loss(np.zeros((0, 3)), np.zeros((0, 3)), kind)
+
 
 class TestSampleBernoulli:
     def test_all_ones(self):
@@ -222,19 +228,20 @@ def test_classification_report_counts():
 
 @pytest.fixture(scope="module")
 def tiny_classifiers():
-    """Each classify_* function bound to a tiny 4-visible, 3-class model."""
+    """Each classifier's prediction function bound to a tiny 4-visible,
+    3-class model; `classify` scores its output. The RBM classifier is the
+    stack [RBM, softmax head], as the CLI builds it."""
     rng = make_rng(7)
     x = (rng.random((12, 4)) > 0.5).astype(float)
     batches = make_batches(x, one_of_k(rng.integers(0, 3, (12, 1)), 3), 2)
     cfg = TrainConfig(epochs=1, seed=8)
-    rbm, head = RbmLayer.random(4, 3, rng), RbmLayer.random(3, 3, rng)
+    rbm = LayerStack([RbmLayer.random(4, 3, rng),
+                      RbmLayer.random(3, 3, rng, activation=ActivationKind.SOFTMAX)])
     stack = pretrain_stack([4, 3, 3], batches, cfg)
     dbn = pretrain_dbn([4, 3, 2], batches, cfg, labels=True)
     dbm = pretrain_dbm([4, 3, 2], batches, cfg, labels=True)
-    return {"rbm": lambda d, y: classify_rbm(rbm, head, d, y),
-            "dnn": lambda d, y: classify_dnn(stack, d, y),
-            "dbn": lambda d, y: classify_dbn(dbn, d, y),
-            "dbm": lambda d, y: classify_dbm(dbm, d, y)}
+    return {"rbm": lambda d: predict(rbm, d), "dnn": lambda d: predict(stack, d),
+            "dbn": lambda d: predict_dbn(dbn, d), "dbm": lambda d: predict_dbm(dbm, d)}
 
 
 @pytest.mark.parametrize("kind", ["rbm", "dnn", "dbn", "dbm"])
@@ -245,8 +252,9 @@ def tiny_classifiers():
 def test_every_classifier_scores_class_indices_in_range(tiny_classifiers, kind, rows,
                                                         labels, error):
     """One class index in [0, K) per data row, and at least one row."""
+    scores = tiny_classifiers[kind](np.ones((rows, 4)))
     with pytest.raises(error):
-        tiny_classifiers[kind](np.ones((rows, 4)), np.array(labels, float).reshape(-1, 1))
+        classify(scores, np.array(labels, float).reshape(-1, 1))
 
 
 @pytest.fixture(scope="module")
@@ -279,7 +287,7 @@ def test_every_prediction_rejects_non_finite_input(tiny_predictors, tiny_classif
     data[1, 1] = value
     with pytest.raises(DomainError, match="non-finite"):
         if entry in tiny_classifiers:
-            tiny_classifiers[entry](data, np.zeros((2, 1)))
+            classify(tiny_classifiers[entry](data), np.zeros((2, 1)))
         else:
             tiny_predictors[entry](data)
 

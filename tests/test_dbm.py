@@ -5,11 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from boltznet.core import (ConfigError, DomainError, ShapeError, make_rng, sigmoid,
-                           softmax)
+from boltznet.core import (ConfigError, DomainError, ShapeError, classify, make_rng,
+                           sigmoid, softmax)
 from boltznet.data import make_batches, one_of_k
 from boltznet.dbm import (MEAN_FIELD_MAX_SWEEPS, MEAN_FIELD_TOL, DbmModel,
-                          classify_dbm, dbm_energy, mean_field_states,
+                          dbm_energy, mean_field_states,
                           mean_field_train, predict_dbm, pretrain_dbm)
 from boltznet.oracle import dbm_joint, exact_partition
 from boltznet import dbm as dbm_mod
@@ -673,8 +673,8 @@ class TestClassify:
                              labels=True)
         data = make_rng(20).random((6, 4))
         labels = make_rng(21).integers(0, 2, (6, 1)).astype(float)
-        a = classify_dbm(model, data, labels)
-        b = classify_dbm(model, data, labels)
+        a = classify(predict_dbm(model, data), labels)
+        b = classify(predict_dbm(model, data), labels)
         assert a.error_rate == b.error_rate
         np.testing.assert_array_equal(a.confusion, b.confusion)
 

@@ -6,10 +6,9 @@ import pytest
 from boltznet import dbn as dbn_mod
 from boltznet import rbm as rbm_mod
 from boltznet.core import (ActivationKind, ConfigError, DivergenceError, DomainError,
-                           ShapeError, make_rng, sigmoid)
+                           ShapeError, classify, make_rng, sigmoid)
 from boltznet.data import make_batches, one_of_k
-from boltznet.dbn import (DbnModel, classify_dbn, predict_dbn, pretrain_dbn,
-                          up_down_fine_tune)
+from boltznet.dbn import DbnModel, predict_dbn, pretrain_dbn, up_down_fine_tune
 from boltznet.dnn import _pretrain_layers
 from boltznet.oracle import (dbn_evidence, dbn_log_joint, dbn_recognition_q,
                              variational_bound)
@@ -213,8 +212,8 @@ class TestClassify:
         data = make_rng(14).random((6, 4))
         labels_a = np.zeros((6, 1))
         labels_b = np.ones((6, 1))
-        a = classify_dbn(model, data, labels_a)
-        b = classify_dbn(model, data, labels_b)
+        a = classify(predict_dbn(model, data), labels_a)
+        b = classify(predict_dbn(model, data), labels_b)
         # predictions identical; only the scoring differs
         assert a.confusion.sum(axis=0).tolist() == b.confusion.sum(axis=0).tolist()
 

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from boltznet.core import (ActivationKind, ConfigError, DivergenceError, DomainError,
-                           LossKind, ShapeError, activate, loss, make_rng)
+                           LossKind, ShapeError, activate, classify, loss, make_rng)
 from boltznet.data import make_batches, one_of_k
 from boltznet.dnn import (LayerStack, _backprop, backprop_fine_tune, backprop_gradients,
-                          classify_dnn, forward, hidden_features, predict,
-                          pretrain_stack)
+                          forward, hidden_features, predict, pretrain_stack)
 from boltznet.optim import DecayKind, WeightDecaySpec
 from boltznet.oracle import finite_difference_gradient
 from boltznet.rbm import RbmLayer, TrainConfig, hidden_given_visible
@@ -278,14 +277,14 @@ class TestClassify:
                                pretrain=False)
         backprop_fine_tune(stack, [(x, t)], LossKind.CROSS_ENTROPY,
                            TrainConfig(epochs=400, lr=0.5, seed=4))
-        report = classify_dnn(stack, x, labels)
+        report = classify(predict(stack, x), labels)
         assert report.error_rate == 0.0
 
     def test_report_counts(self):
         stack = randomized_stack([4, 3, 2], seed=17)
         x = make_rng(18).random((8, 4))
         labels = make_rng(19).integers(0, 2, (8, 1)).astype(float)
-        report = classify_dnn(stack, x, labels)
+        report = classify(predict(stack, x), labels)
         assert report.n_samples == 8
         assert report.confusion.sum() == 8
 

@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from boltznet.core import (ActivationKind, ConfigError, DivergenceError, DomainError,
-                           LossKind, ShapeError, make_rng, sigmoid)
+                           LossKind, ShapeError, classify, make_rng, sigmoid)
 from boltznet.data import make_batches, one_of_k
-from boltznet.dnn import LayerStack, backprop_gradients
+from boltznet.dnn import LayerStack, backprop_gradients, predict
 from boltznet.optim import DecayKind, WeightDecaySpec
 from boltznet.oracle import (exact_conditional, exact_likelihood_gradient,
                              exact_partition, finite_difference_gradient,
                              _rbm_energy_grid)
 from boltznet.rbm import (CdGradients, RbmLayer, TrainConfig, _cd_step, cd_step,
-                          classify_rbm, energy, free_energy, hidden_given_visible,
+                          energy, free_energy, hidden_given_visible,
                           mean_free_energy, train_binary, train_classifier_head,
                           train_linear, visible_given_hidden)
 
@@ -141,6 +141,10 @@ class TestFreeEnergy:
         row = int((x[0] * 2 ** np.arange(3)).sum())
         np.testing.assert_allclose(np.exp(-free_energy(rbm, x)),
                                    np.exp(-grid[row]).sum(), rtol=1e-10)
+
+    def test_mean_over_zero_rows_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="at least one row"):
+            mean_free_energy(random_rbm(3, 2, seed=6), np.zeros((0, 3)))
 
 
 class TestCdStep:
@@ -535,7 +539,7 @@ class TestClassify:
         head.b_h[:] = [[5.0, -5.0]]
         data = make_rng(23).random((6, 4))
         labels = np.zeros((6, 1))
-        report = classify_rbm(rbm, head, data, labels)
+        report = classify(predict(LayerStack([rbm, head]), data), labels)
         assert report.error_rate == 0.0
         assert report.n_samples == 6
 
@@ -545,9 +549,9 @@ class TestClassify:
                                activation=ActivationKind.SOFTMAX)
         data = make_rng(26).random((10, 4))
         labels = make_rng(27).integers(0, 5, (10, 1)).astype(float)
-        base = classify_rbm(rbm, head, data, labels)
+        base = classify(predict(LayerStack([rbm, head]), data), labels)
         head.b_h += 11.7  # constant shift leaves the argmax unchanged
-        shifted = classify_rbm(rbm, head, data, labels)
+        shifted = classify(predict(LayerStack([rbm, head]), data), labels)
         assert base.error_rate == shifted.error_rate
         np.testing.assert_array_equal(base.confusion, shifted.confusion)
 
