@@ -252,23 +252,9 @@ def load_mnist(data_dir, subset: int = 0):
 # runners
 # ---------------------------------------------------------------------------
 
-class _Recorder:
-    """Collects per-epoch records; the runner supplies the probes."""
-
-    def __init__(self, probe):
-        self.records = []
-        self.probe = probe
-        self.t0 = time.monotonic()
-
-    def hook(self, epoch, lr, rho):
-        rec = {"record": "epoch", "epoch": epoch, "lr": lr, "momentum": rho}
-        rec.update(self.probe())
-        rec["wall_ms"] = int((time.monotonic() - self.t0) * 1000)
-        self.records.append(rec)
-
-
 def run_experiment(cfg: ExperimentConfig):
-    """Train per config, write artifacts, return the summary record."""
+    """Build and pretrain the model per config, tune it with one record per
+    epoch, score it, draw it, write the artifacts; return the summary record."""
     cfg.validate()
     data_dir = cfg.data_dir or os.environ.get("MDL_DATA_DIR", "")
     if not data_dir:
@@ -286,13 +272,27 @@ def run_experiment(cfg: ExperimentConfig):
     (out_dir / "config.json").write_text(json.dumps(asdict(cfg), indent=2) + "\n")
 
     t0 = time.monotonic()
-    model, recorder, summary = _RUNNERS[cfg.model](cfg, cfg.train_config(), batches,
-                                                   train_x, test_x, test_y, out_dir)
+    model, tune, probe, score, picture = _RUNNERS[cfg.model](
+        cfg, cfg.train_config(), batches, train_x, test_x, test_y)
+    records, t_tune = [], time.monotonic()
+
+    def hook(epoch, lr, rho):  # epoch wall_ms counts from the end of pretraining
+        records.append({"record": "epoch", "epoch": epoch, "lr": lr, "momentum": rho,
+                        **probe(), "wall_ms": int((time.monotonic() - t_tune) * 1000)})
+
+    if tune:
+        tune(hook=hook)
+    summary = {"record": "summary", **score(), "n": test_x.shape[0]}
+    if picture:
+        name, draw = picture
+        rows = draw()
+        side = math.isqrt(rows.shape[1])
+        if side * side == rows.shape[1]:
+            export_pgm(rows, side, side, out_dir / name)
     _check_finite(model, cfg.model)
-    summary = {"record": "summary", **summary,
-               "wall_ms": int((time.monotonic() - t0) * 1000)}
+    summary["wall_ms"] = int((time.monotonic() - t0) * 1000)
     save_model(out_dir / "model.mdlr", model)
-    emit_metrics(recorder.records + [summary], out_dir / "metrics.txt")
+    emit_metrics(records + [summary], out_dir / "metrics.txt")
     if "error" in summary:
         print(f"final error rate: {summary['error']}")
     elif "recon_error" in summary:
@@ -300,23 +300,18 @@ def run_experiment(cfg: ExperimentConfig):
     return summary
 
 
-def _classifier(model, predict, tune, w, batches, test_x, test_y, out_dir,
-                probe_rows=None):
-    """Train through `tune(hook)`, if given, recording after each epoch the
-    first batch's cross entropy and the error on the first `probe_rows` test
-    rows; then score every test row and draw the first 100 filters of `w`.
+def _classifier(model, predict, tune, w, batches, test_x, test_y, probe_rows=None):
+    """A classifier's run: its probe is the first batch's cross entropy and
+    the error on the first `probe_rows` test rows, its score the error on
+    every test row, and its picture the first 100 filters of `w`.
     `predict(x)` gives the class scores."""
     probe_x, probe_y = batches[0]
-    recorder = _Recorder(lambda: {
-        "loss": loss_fn(predict(probe_x), probe_y, LossKind.CROSS_ENTROPY),
-        "error": classify(predict(test_x[:probe_rows]), test_y[:probe_rows]).error_rate})
-    if tune:
-        tune(hook=recorder.hook)
-    report = classify(predict(test_x), test_y)
-    side = int(round(math.sqrt(w.shape[0])))
-    if side * side == w.shape[0]:
-        export_pgm(w[:, :min(100, w.shape[1])].T, side, side, out_dir / "filters.pgm")
-    return model, recorder, {"error": report.error_rate, "n": report.n_samples}
+    return (model, tune,
+            lambda: {"loss": loss_fn(predict(probe_x), probe_y, LossKind.CROSS_ENTROPY),
+                     "error": classify(predict(test_x[:probe_rows]),
+                                       test_y[:probe_rows]).error_rate},
+            lambda: {"error": classify(predict(test_x), test_y).error_rate},
+            ("filters.pgm", lambda: w[:, :100].T))
 
 
 def _run_rbm(cfg, *args):
@@ -324,7 +319,7 @@ def _run_rbm(cfg, *args):
     return _run_dnn(replace(cfg, layers=cfg.layers + [10], fine_tune=False), *args)
 
 
-def _run_dnn(cfg, tc, batches, train_x, test_x, test_y, out_dir):
+def _run_dnn(cfg, tc, batches, train_x, test_x, test_y):
     stack = dnn_mod.pretrain_stack(cfg.layers, batches, tc, pretrain=True)
     feats = dnn_mod.hidden_features(stack, batches)
 
@@ -334,39 +329,34 @@ def _run_dnn(cfg, tc, batches, train_x, test_x, test_y, out_dir):
         if cfg.fine_tune:
             dnn_mod.backprop_fine_tune(stack, batches, LossKind.CROSS_ENTROPY, tc, hook=hook)
     return _classifier(stack, partial(dnn_mod.predict, stack), tune, stack.layers[0].w,
-                       batches, test_x, test_y, out_dir)
+                       batches, test_x, test_y)
 
 
-def _run_dbn(cfg, tc, batches, train_x, test_x, test_y, out_dir):
+def _run_dbn(cfg, tc, batches, train_x, test_x, test_y):
     model = dbn_mod.pretrain_dbn(cfg.layers, batches, tc, labels=True)
     tune = partial(dbn_mod.up_down_fine_tune, model, batches, tc) if cfg.fine_tune else None
     return _classifier(model, partial(dbn_mod.predict_dbn, model), tune,
                        model.recognition[0].w if model.recognition else model.top.w,
-                       batches, test_x, test_y, out_dir)
+                       batches, test_x, test_y)
 
 
-def _run_dae(cfg, tc, batches, train_x, test_x, test_y, out_dir):
+def _run_dae(cfg, tc, batches, train_x, test_x, test_y):
     model = ae.build_symmetric(cfg.layers, batches, tc, denoise_rate=cfg.denoise)
-    probe_x = batches[0][0]
-    recorder = _Recorder(lambda: {"loss": ae.reconstruction_error(model, probe_x)})
-    if cfg.fine_tune:
-        ae.fine_tune_mse(model, batches, tc, hook=recorder.hook)
-    recon_error = ae.reconstruction_error(model, test_x)
-    side = int(round(math.sqrt(test_x.shape[1])))
-    if side * side == test_x.shape[1]:
-        export_pgm(ae.reconstruct(model, test_x[:36]), side, side,
-                   out_dir / "recon.pgm")
-    return model, recorder, {"recon_error": recon_error, "n": test_x.shape[0]}
+    return (model,
+            partial(ae.fine_tune_mse, model, batches, tc) if cfg.fine_tune else None,
+            lambda: {"loss": ae.reconstruction_error(model, batches[0][0])},
+            lambda: {"recon_error": ae.reconstruction_error(model, test_x)},
+            ("recon.pgm", lambda: ae.reconstruct(model, test_x[:36])))
 
 
-def _run_dbm(cfg, tc, batches, train_x, test_x, test_y, out_dir):
+def _run_dbm(cfg, tc, batches, train_x, test_x, test_y):
     model = dbm_mod.pretrain_dbm(cfg.layers, batches, tc, labels=True)
     tune = partial(dbm_mod.mean_field_train, model, batches, tc) if cfg.fine_tune else None
     return _classifier(model, partial(dbm_mod.predict_dbm, model), tune, model.weights[0],
-                       batches, test_x, test_y, out_dir, probe_rows=500)
+                       batches, test_x, test_y, probe_rows=500)
 
 
-def _run_bimodal(cfg, tc, batches, train_x, test_x, test_y, out_dir):
+def _run_bimodal(cfg, tc, batches, train_x, test_x, test_y):
     half = train_x.shape[1] // 2
     denoise = cfg.denoise if cfg.denoise > 0 else 0.3
     model, joined_batches = mm.build_bimodal(train_x[:, :half], train_x[:, half:],
@@ -375,16 +365,17 @@ def _run_bimodal(cfg, tc, batches, train_x, test_x, test_y, out_dir):
     # the first 50 joined rows, which may span several batches
     rows = [x for x, _ in joined_batches]
     probe_x = np.vstack(rows[:math.ceil(50 / len(rows[0]))])[:50]
-    recorder = _Recorder(lambda: {"loss": ae.reconstruction_error(model.ae, probe_x)})
-    if cfg.fine_tune:
-        ae.fine_tune_mse(model.ae, joined_batches, tc, hook=recorder.hook)
-    pred_b = mm.predict_modal(model, test_x[:, :half])
-    rate = mm.modal_error_rate(pred_b, test_x[:, half:])
-    return model, recorder, {"modal_error_pct": rate, "n": test_x.shape[0]}
+    return (model,
+            partial(ae.fine_tune_mse, model.ae, joined_batches, tc) if cfg.fine_tune else None,
+            lambda: {"loss": ae.reconstruction_error(model.ae, probe_x)},
+            lambda: {"modal_error_pct": mm.modal_error_rate(
+                mm.predict_modal(model, test_x[:, :half]), test_x[:, half:])},
+            None)
 
 
-# model -> runner(cfg, train config, batches, train_x, test_x, test_y, out_dir),
-# which returns (model, recorder, summary fields)
+# model -> runner(cfg, train config, batches, train_x, test_x, test_y), which
+# builds and pretrains the model and returns what run_experiment runs:
+# (model, tune(hook) or None, probe(), score(), (file name, draw()) or None)
 _RUNNERS = {"rbm": _run_rbm, "dnn": _run_dnn, "dbn": _run_dbn, "dae": _run_dae,
             "dbm": _run_dbm, "bimodal": _run_bimodal}
 MODELS = tuple(_RUNNERS)

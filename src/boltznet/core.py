@@ -233,11 +233,12 @@ def loss(pred: Matrix, target: Matrix, kind: LossKind) -> float:
 
 
 def loss_derivative(pred: Matrix, target: Matrix, kind: LossKind) -> Matrix:
-    """d loss / d pred for the row-averaged losses above."""
+    """d loss / d pred for the row-averaged losses above; DomainError for
+    zero rows."""
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     _check_same_shape(pred, target)
-    m = pred.shape[0]
+    m = _row_count(pred)
     if kind == LossKind.MSE:
         return (pred - target) / m
     if kind == LossKind.CROSS_ENTROPY:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .autoencoder import AeModel, build_symmetric
 from .core import (ConfigError, DomainError, Matrix, ShapeError, as_rows, in_row_groups,
-                   make_rng)
+                   make_rng, _row_count)
 from .data import make_batches
 from .rbm import TrainConfig, _last_activation
 
@@ -98,10 +98,12 @@ def modal_error_rate(pred: Matrix, truth: Matrix) -> float:
     """Mean per-sample relative L2 error, as a percentage.
 
     Rows whose true norm is zero are excluded (a warning reports how many).
+    DomainError for zero rows, or when every truth row has zero norm.
     """
     pred, truth = as_rows(pred), as_rows(truth)
     if pred.shape != truth.shape:
         raise ShapeError(f"shape mismatch: {pred.shape} vs {truth.shape}")
+    _row_count(truth)
     norms = np.linalg.norm(truth, axis=1)
     keep = norms > 0
     excluded = int((~keep).sum())

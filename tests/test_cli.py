@@ -1,11 +1,13 @@
 import json
 import re
+import time
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from boltznet import cli
 from boltznet import dbn as dbn_mod
 from boltznet.cli import (ExperimentConfig, _check_finite, emit_metrics, export_pgm,
                           load_mnist, main, parse_metrics)
@@ -298,6 +300,24 @@ class TestRuns:
         assert (out / "recon.pgm").exists()
         summary = parse_metrics(out / "metrics.txt")[-1]
         assert "recon_error" in summary
+
+    def test_epoch_wall_ms_counts_from_the_end_of_pretraining(self, tiny_data_dir,
+                                                              tmp_path, monkeypatch):
+        # a runner that builds slowly: the summary's clock counts the build,
+        # the epochs' clock starts once the model is built and pretrained
+        build = cli._RUNNERS["dae"]
+
+        def slow_build(*args):
+            built = build(*args)
+            time.sleep(0.5)
+            return built
+        monkeypatch.setitem(cli._RUNNERS, "dae", slow_build)
+        out = tmp_path / "o"
+        assert run(["run-dae", "--layers", "784,16,8", "--epochs", "1",
+                    "--batches", "8", "--data-dir", tiny_data_dir,
+                    "--out-dir", out]) == 0
+        epoch, summary = parse_metrics(out / "metrics.txt")
+        assert epoch["wall_ms"] < 500 <= summary["wall_ms"]
 
     def test_config_echo_reruns_identically(self, tiny_data_dir, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

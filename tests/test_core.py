@@ -182,9 +182,10 @@ class TestLoss:
 
     @pytest.mark.parametrize("kind", list(LossKind), ids=lambda k: k.name)
     def test_zero_rows_are_a_domain_error(self, kind):
-        # a mean over no rows is 0/0, not a NaN with a warning
-        with pytest.raises(DomainError, match="at least one row"):
-            loss(np.zeros((0, 3)), np.zeros((0, 3)), kind)
+        # a mean over no rows is 0/0, not a NaN with a warning or an empty derivative
+        for fn in (loss, loss_derivative):
+            with pytest.raises(DomainError, match="at least one row"):
+                fn(np.zeros((0, 3)), np.zeros((0, 3)), kind)
 
 
 class TestSampleBernoulli:
