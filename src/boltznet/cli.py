@@ -3,10 +3,10 @@ metrics plus PGM visualizations.
 
 One subcommand per model: run-rbm, run-dnn, run-dbn, run-dae, run-dbm,
 run-bimodal. Every run writes the echoed config, a metrics file (one
-key=value record per epoch plus a summary), the trained model container,
-and a PGM visualization into the output directory. Runs are reproducible:
-the same config and seed give byte-identical metrics apart from the
-wall-clock fields.
+key=value record per tuned epoch plus a summary), the trained model
+container and, but for run-bimodal, a PGM visualization into the output
+directory. Runs are reproducible: the same config and seed give
+byte-identical metrics apart from the wall-clock fields.
 
 Exit codes: 0 success, 1 invalid configuration or usage, 2 missing dataset
 files, 3 training divergence (non-finite values).
