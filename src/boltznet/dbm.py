@@ -10,7 +10,7 @@ use the stored weights in both directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,7 +18,8 @@ from .core import (ConfigError, Matrix, ShapeError, as_rows, check_batches, grou
                    in_row_groups, make_rng, sample_bernoulli, sigmoid, softmax)
 from .optim import (NO_DECAY, NO_MOMENTUM, AnnealKind, AnnealSchedule, ParamGroup,
                     run_epochs)
-from .rbm import TrainConfig, _check_binary, _check_chain, _pretrain_layers
+from .rbm import (TrainConfig, _check_binary, _check_chain, _pre_activation,
+                  _pretrain_layers)
 
 MEAN_FIELD_TOL = 1e-4
 MEAN_FIELD_MAX_SWEEPS = 30
@@ -42,9 +43,9 @@ class DbmModel:
     """Stacked weights W1..WN with one bias row per layer.
 
     With labels the top weight's visible side is (h_{N-1} || y), so it has
-    label_dim extra rows; label units keep their own bias row. Persistent
-    fantasy chains (one state row per chain) live on the model so training
-    can resume.
+    label_dim extra rows; label units keep their own bias row. `chains`,
+    the persistent fantasy chains kept so training can resume, is the list
+    of states [v, h1..hN] (then y with label units), one row per chain.
     """
 
     weights: list
@@ -52,9 +53,7 @@ class DbmModel:
     hidden_biases: list
     label_dim: int = 0
     label_bias: np.ndarray = None
-    chain_v: np.ndarray = None
-    chain_h: list = field(default_factory=list)
-    chain_y: np.ndarray = None
+    chains: list = None
 
     @property
     def sizes(self):
@@ -73,21 +72,22 @@ class DbmModel:
 
     def check(self) -> "DbmModel":
         """Raise ShapeError unless the weights chain (the top one with the
-        label rows) and every bias and persistent chain fits its units.
-        Labels need a hidden layer below the top: the settle reuses v @ W1
-        as layer 1's whole bottom-up input."""
+        label rows), every bias fits its units and `chains`, when set, holds
+        one state per bias, each as wide and all as tall. Labels need a
+        hidden layer below the top: the settle reuses v @ W1 as layer 1's
+        whole bottom-up input."""
         _check_chain([w.shape for w in self.weights], self.label_dim)
         if self.label_dim and self.n_layers < 2:
             raise ShapeError("a DBM with labels needs at least two hidden layers")
         k = 1 if self.label_dim else 0
         widths = self.sizes + [self.label_dim] * k
         biases = [self.visible_bias, *self.hidden_biases] + [self.label_bias] * k
-        states = [self.chain_v, *self.chain_h] + [self.chain_y] * k
         if [np.shape(b) for b in biases] != [(1, n) for n in widths]:
             raise ShapeError("bias widths do not match the layers")
-        if self.chain_v is not None and ([np.shape(s) for s in states]
-                                         != [(len(self.chain_v), n) for n in widths]):
-            raise ShapeError("persistent-chain widths do not match the layers")
+        m = len(self.chains[0]) if self.chains else 0
+        if self.chains is not None and ([np.shape(s) for s in self.chains]
+                                        != [(m, n) for n in widths]):
+            raise ShapeError("persistent chains do not match the layers")
         return self
 
 
@@ -188,18 +188,12 @@ def pretrain_dbm(sizes, batches, cfg: TrainConfig, labels=False) -> DbmModel:
                      visible_bias=layers[0].b_v,
                      hidden_biases=[layer.b_h for layer in layers], label_dim=k,
                      label_bias=layers[-1].b_v[:, sizes[-2]:].copy() if k else None)
-    _init_chains(model, batches, rng)
+    v = sample_bernoulli(np.clip(np.vstack([x[:1] for x, _ in batches]), 0.0, 1.0), rng)
+    y = np.vstack([yb[:1] for _, yb in batches]) if k else None
+    hs = _bottom_up(model, v @ model.weights[0], y,
+                    lambda z: sample_bernoulli(sigmoid(z), rng))
+    model.chains = [v, *hs] + ([y] if k else [])
     return model
-
-
-def _init_chains(model: DbmModel, batches, rng) -> None:
-    """One fantasy chain per batch, seeded by a stochastic bottom-up pass."""
-    v0 = np.vstack([x[:1] for x, _ in batches])
-    model.chain_v = sample_bernoulli(np.clip(v0, 0.0, 1.0), rng)
-    if model.label_dim:
-        model.chain_y = np.vstack([y[:1] for _, y in batches])
-    model.chain_h = _bottom_up(model, model.chain_v @ model.weights[0], model.chain_y,
-                               lambda z: sample_bernoulli(sigmoid(z), rng))
 
 
 def mean_field_states(model: DbmModel, data: Matrix, y: Matrix = None,
@@ -267,17 +261,22 @@ def _advance(old: Matrix, new: Matrix, change: np.ndarray) -> Matrix:
     return new
 
 
-def _gibbs_sweep(model: DbmModel, rng) -> None:
-    """One sequential Gibbs sweep over every persistent chain."""
-    model.chain_v = sample_bernoulli(
-        sigmoid(model.chain_h[0] @ model.weights[0].T + model.visible_bias), rng)
-    vw = model.chain_v @ model.weights[0]
+def _gibbs_sweep(model: DbmModel, states: list, rng) -> list:
+    """One sequential Gibbs sweep from `states`, laid out as `DbmModel.chains`:
+    v given h1, each hidden layer given the newest states beside it, then the
+    labels. Returns new states in that layout and writes neither `states` nor
+    the model; each sigmoid writes into its fresh pre-activation."""
+    z = _pre_activation(states[1], model.weights[0].T, model.visible_bias)
+    v = sample_bernoulli(sigmoid(z, out=z), rng)
+    hs = states[1:model.n_layers + 1]
+    y = states[-1] if model.label_dim else None
+    vw = v @ model.weights[0]
     for l in range(model.n_layers):
-        z = _layer_input(model, l, vw, model.chain_h, model.chain_y)
-        model.chain_h[l] = sample_bernoulli(sigmoid(z), rng)
+        z = _layer_input(model, l, vw, hs, y)
+        hs[l] = sample_bernoulli(sigmoid(z, out=z), rng)
     if model.label_dim:
-        model.chain_y = _sample_one_of_k(softmax(_label_input(model, model.chain_h[-1])),
-                                         rng)
+        y = _sample_one_of_k(softmax(_label_input(model, hs[-1])), rng)
+    return [v, *hs] + ([y] if model.label_dim else [])
 
 
 def mean_field_train(model: DbmModel, batches, cfg: TrainConfig,
@@ -285,8 +284,8 @@ def mean_field_train(model: DbmModel, batches, cfg: TrainConfig,
     """Stochastic approximation with variational data statistics.
 
     Each of `cfg.epochs` iterations settles the mean field for every data
-    row (labels clamped), advances every persistent chain one Gibbs sweep,
-    and applies one update: W_l += alpha_t (data outer products / D - chain
+    row (labels clamped), replaces `model.chains` with one Gibbs sweep from
+    them, and applies one update: W_l += alpha_t (data outer products / D - chain
     outer products / M). Biases move with the corresponding mean
     differences. Rows settle independently and the data term sums over
     them, so consecutive batches settle together in groups of at least the
@@ -300,12 +299,12 @@ def mean_field_train(model: DbmModel, batches, cfg: TrainConfig,
     the group's gradient buffers, so an iteration adds no weight-sized
     array beyond one statistic at a time.
     """
-    if model.chain_v is None:
+    if model.chains is None:
         raise ConfigError("model must be pretrained before mean-field training")
     pairs = check_batches(batches, model.sizes[0], model.label_dim or None, one_of_k=True)
     rng = make_rng(cfg.seed)
     d_total = sum(len(x) for x, _ in pairs)
-    m_chains = model.chain_v.shape[0]
+    m_chains = len(model.chains[0])
     biases = model.hidden_biases + [model.visible_bias]
     if model.label_dim:
         biases.append(model.label_bias)
@@ -322,8 +321,9 @@ def mean_field_train(model: DbmModel, batches, cfg: TrainConfig,
             for g in params.grads:
                 g += next(stats)
             del mus, stats
-        _gibbs_sweep(model, rng)
-        chain = _statistics(model, model.chain_v, model.chain_h, model.chain_y)
+        model.chains = _gibbs_sweep(model, model.chains, rng)
+        v, *hs = model.chains[:model.n_layers + 1]
+        chain = _statistics(model, v, hs, model.chains[-1] if model.label_dim else None)
         for g in params.grads:  # chain minus data statistics, alpha folded in
             c = next(chain)
             g /= d_total / alpha

@@ -147,20 +147,17 @@ def _dbm_parts(model: DbmModel):
     sections = {SEC_LABEL_DIM: model.label_dim}
     if model.label_dim:
         sections[SEC_LABEL_BIAS] = [model.label_bias]
-    if model.chain_v is not None:
-        sections[SEC_CHAINS] = ([model.chain_v] + model.chain_h
-                                + ([model.chain_y] if model.label_dim else []))
+    if model.chains is not None:
+        sections[SEC_CHAINS] = model.chains
     return layers, sections
 
 
 def _build_dbm(layers, s) -> DbmModel:
     k = s.get(SEC_LABEL_DIM, 0)
-    chain_v, *chain_h = s.get(SEC_CHAINS) or [None]
     return DbmModel(weights=[l.w for l in layers], visible_bias=layers[0].b_v,
                     hidden_biases=[l.b_h for l in layers], label_dim=k,
                     label_bias=s[SEC_LABEL_BIAS][0] if k and s[SEC_LABEL_BIAS] else None,
-                    chain_v=chain_v, chain_h=chain_h[:-1] if k else chain_h,
-                    chain_y=chain_h[-1] if k and chain_h else None)
+                    chains=s.get(SEC_CHAINS))
 
 
 def _build_ae(layers, s) -> AeModel:

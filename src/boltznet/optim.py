@@ -27,8 +27,8 @@ class AnnealSchedule:
     k: float = 0.0  # decay coefficient; ignored by the step schedule
 
     def __post_init__(self):
-        if self.k < 0:
-            raise ConfigError("anneal coefficient k must be >= 0")
+        if not 0 <= self.k < math.inf:
+            raise ConfigError("anneal coefficient k must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,8 @@ class WeightDecaySpec:
     k: float = 0.0
 
     def __post_init__(self):
-        if self.k < 0:
-            raise ConfigError("weight decay coefficient k must be >= 0")
+        if not 0 <= self.k < math.inf:
+            raise ConfigError("weight decay coefficient k must be finite and >= 0")
 
 
 NO_DECAY = WeightDecaySpec()

@@ -106,8 +106,8 @@ class TrainConfig:
             raise ConfigError("gibbs_steps must be >= 1")
         if not 0.0 <= self.dropout_rate <= 1.0:
             raise ConfigError("dropout_rate must lie in [0, 1]")
-        if self.lr <= 0:
-            raise ConfigError("learning rate must be positive")
+        if not 0 < self.lr < np.inf:
+            raise ConfigError("learning rate must be positive and finite")
 
 
 def _pre_activation(a: Matrix, w: np.ndarray, b: np.ndarray, scale: float = 1.0) -> Matrix:

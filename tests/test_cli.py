@@ -102,9 +102,12 @@ class TestExitCodes:
         assert run(["run-rbm", "--epochs", "-3", "--data-dir", tiny_data_dir,
                     "--out-dir", tmp_path / "o"]) == 1
 
-    @pytest.mark.parametrize("flag", [("--momentum-early", "1.5"), ("--anneal-k", "-1"),
-                                      ("--decay-k", "-1")],
-                             ids=["momentum", "anneal-k", "decay-k"])
+    @pytest.mark.parametrize("flag", [
+        ("--momentum-early", "1.5"), ("--anneal-k", "-1"), ("--decay-k", "-1"),
+        ("--lr", "nan"), ("--lr", "inf"), ("--anneal", "exp", "--anneal-k", "nan"),
+        ("--decay", "l2", "--decay-k", "inf"),
+    ], ids=["momentum", "anneal-k", "decay-k", "lr-nan", "lr-inf", "anneal-k-nan",
+            "decay-k-inf"])
     def test_bad_schedule_caught_before_data_loads(self, tmp_path, flag):
         out = tmp_path / "o"
         assert run(["run-rbm", *flag, "--data-dir", tmp_path / "missing",
@@ -145,8 +148,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("override", [
         {"bogus": 1}, {"layers": "784,16"}, {"anneal": "bogus"}, {"decay": "bogus"},
         {"layers": [784]}, {"num_batches": 0}, {"subset": -1}, {"denoise": 1.5},
+        {"lr": float("nan")},
     ], ids=["unknown-key", "layers-as-string", "anneal", "decay", "one-layer",
-            "no-batches", "negative-subset", "denoise-above-one"])
+            "no-batches", "negative-subset", "denoise-above-one", "lr-nan"])
     def test_bad_config_json_is_invalid_configuration(self, tiny_data_dir, tmp_path,
                                                       capsys, override):
         raw = {"model": "rbm", "layers": [784, 16], "epochs": 0,
@@ -221,8 +225,8 @@ PLANTED = [
     (_dbn, "m.top.b_h", lambda m: m.top.b_h),
     (_dbm, "m.label_bias", lambda m: m.label_bias),
     (_dbm, "m.hidden_biases[1]", lambda m: m.hidden_biases[1]),
-    (_dbm, "m.chain_h[1]", lambda m: m.chain_h[1]),
-    (_dbm, "m.chain_y", lambda m: m.chain_y),
+    (_dbm, "m.chains[2]", lambda m: m.chains[2]),
+    (_dbm, "m.chains[3]", lambda m: m.chains[3]),
 ]
 
 

@@ -143,8 +143,7 @@ class TestPretrain:
     def test_chain_count_defaults_to_batch_count(self):
         batches = toy_batches(dim=4, num_batches=4)
         model = pretrain_dbm([4, 3, 2], batches, TrainConfig(epochs=1, seed=6))
-        assert model.chain_v.shape[0] == 4
-        assert all(h.shape[0] == 4 for h in model.chain_h)
+        assert all(s.shape[0] == 4 for s in model.chains)
 
     def test_needs_two_hidden_layers(self):
         with pytest.raises(ConfigError):
@@ -490,31 +489,70 @@ class TestTraining:
         v, h1 = states[:, :3], states[:, 3:5]
         exact_pair = (v * dist.probs[:, None]).T @ h1  # E[v h1^T]
         # estimate the same expectation by Gibbs chains
-        chains = DbmModel(weights=[w.copy() for w in model.weights],
-                          visible_bias=model.visible_bias.copy(),
-                          hidden_biases=[b.copy() for b in model.hidden_biases])
         rng = make_rng(16)
         m = 300
-        chains.chain_v = (rng.random((m, 3)) > 0.5).astype(float)
-        chains.chain_h = [(rng.random((m, 2)) > 0.5).astype(float) for _ in range(2)]
+        chains = [(rng.random((m, n)) > 0.5).astype(float) for n in (3, 2, 2)]
         from boltznet.dbm import _gibbs_sweep
 
         acc = np.zeros((3, 2))
         burn, draws = 200, 400
         for t in range(burn + draws):
-            _gibbs_sweep(chains, rng)
+            chains = _gibbs_sweep(model, chains, rng)
             if t >= burn:
-                acc += chains.chain_v.T @ chains.chain_h[0] / m
+                acc += chains[0].T @ chains[1] / m
         mc_pair = acc / draws
         cos = ((exact_pair * mc_pair).sum()
                / (np.linalg.norm(exact_pair) * np.linalg.norm(mc_pair)))
         assert cos > 0.9
 
 
+def tiny_pretrained(classes):
+    """A pretrained 5-4-3 DBM with six persistent chains, labelled when
+    `classes` is nonzero."""
+    batches = toy_batches(seed=41, n=24, dim=5, num_batches=6, classes=classes)
+    return pretrain_dbm([5, 4, 3], batches, TrainConfig(epochs=1, lr=0.1, seed=42),
+                        labels=bool(classes))
+
+
+@pytest.mark.parametrize("classes", [3, 0], ids=["labelled", "unlabelled"])
+class TestChains:
+    def test_gibbs_sweep_is_pure_and_seeded(self, classes):
+        model = tiny_pretrained(classes)
+        states = model.chains
+        held, before = list(states), copy.deepcopy(model_arrays(model))
+        first = dbm_mod._gibbs_sweep(model, states, make_rng(7))
+        second = dbm_mod._gibbs_sweep(model, states, make_rng(7))
+        assert model.chains is states
+        assert all(a is b for a, b in zip(states, held, strict=True))
+        for got, want in zip(model_arrays(model), before, strict=True):
+            np.testing.assert_array_equal(got, want)
+        assert [s.shape for s in first] == [s.shape for s in states]
+        assert all(np.isin(s, (0.0, 1.0)).all() for s in first)
+        if classes:
+            np.testing.assert_array_equal(first[-1].sum(axis=1), 1.0)
+        for a, b in zip(first, second, strict=True):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("edit", [
+        lambda c: [],
+        lambda c: c[:-1],
+        lambda c: c + c[-1:],
+        lambda c: [c[0][:, :-1], *c[1:]],
+        lambda c: [c[0], np.hstack([c[1], c[1][:, :1]]), *c[2:]],
+        lambda c: [*c[:-1], c[-1][:-1]],
+    ], ids=["empty", "one-state-short", "one-state-extra", "visible-too-narrow",
+            "hidden-too-wide", "uneven-rows"])
+    def test_check_rejects_a_bad_chain_list(self, classes, edit):
+        model = tiny_pretrained(classes).check()
+        model.chains = edit(model.chains)
+        with pytest.raises(ShapeError, match="persistent chains"):
+            model.check()
+
+
 def model_arrays(m):
     """Every array mean-field training may change: weights, biases, chains."""
-    return (m.weights + m.hidden_biases + [m.visible_bias, m.chain_v] + m.chain_h
-            + ([m.label_bias, m.chain_y] if m.label_dim else []))
+    return (m.weights + m.hidden_biases + [m.visible_bias] + m.chains
+            + ([m.label_bias] if m.label_dim else []))
 
 
 def accumulator_mean_field_train(model, batches, iterations, lr, seed):
@@ -535,7 +573,7 @@ def accumulator_mean_field_train(model, batches, iterations, lr, seed):
                      else [None] * len(batches))
     rng = make_rng(seed)
     d_total = sum(b.shape[0] for b in data_batches)
-    m_chains = model.chain_v.shape[0]
+    m_chains = model.chains[0].shape[0]
     for t in range(iterations):
         alpha = anneal(lr, t, AnnealSchedule(AnnealKind.STEP))
         acc_w = [np.zeros_like(w) for w in model.weights]
@@ -550,18 +588,20 @@ def accumulator_mean_field_train(model, batches, iterations, lr, seed):
             acc_bv += x.sum(axis=0, keepdims=True)
             if model.label_dim:
                 acc_by += yb.sum(axis=0, keepdims=True)
-        _gibbs_sweep(model, rng)
+        model.chains = _gibbs_sweep(model, model.chains, rng)
+        v, *hs = model.chains[:len(model.weights) + 1]
+        y = model.chains[-1] if model.label_dim else None
         data, chains = d_total / alpha, m_chains / alpha
 
         def total(s):
             return s.sum(axis=0, keepdims=True)
 
-        for l, lower in enumerate(below(model.chain_v, model.chain_h, model.chain_y)):
-            model.weights[l] += acc_w[l] / data - lower.T @ model.chain_h[l] / chains
-            model.hidden_biases[l] += acc_b[l] / data - total(model.chain_h[l]) / chains
-        model.visible_bias += acc_bv / data - total(model.chain_v) / chains
+        for l, lower in enumerate(below(v, hs, y)):
+            model.weights[l] += acc_w[l] / data - lower.T @ hs[l] / chains
+            model.hidden_biases[l] += acc_b[l] / data - total(hs[l]) / chains
+        model.visible_bias += acc_bv / data - total(v) / chains
         if model.label_dim:
-            model.label_bias += acc_by / data - total(model.chain_y) / chains
+            model.label_bias += acc_by / data - total(y) / chains
 
 
 class TestTrainingReference:
@@ -581,8 +621,8 @@ class TestTrainingReference:
         accumulator_mean_field_train(reference, batches, 2, 0.05, 25)
 
         def arrays(m):
-            return (m.weights + m.hidden_biases + [m.visible_bias, m.chain_v]
-                    + m.chain_h + ([m.label_bias, m.chain_y] if classes else []))
+            return (m.weights + m.hidden_biases + [m.visible_bias] + m.chains
+                    + ([m.label_bias] if classes else []))
 
         for got, want in zip(arrays(model), arrays(reference), strict=True):
             np.testing.assert_array_equal(got, want)

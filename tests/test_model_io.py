@@ -173,7 +173,7 @@ class TestCraftedContainers:
         ("dbm", SEC_LABEL_BIAS, lambda raw, m: b"".join(_pack_section(
             SEC_LABEL_BIAS, [np.zeros((1, m.label_dim + 1))]))),
         ("dbm", SEC_CHAINS, lambda raw, m: b"".join(_pack_section(
-            SEC_CHAINS, [m.chain_v[:, :-1], *m.chain_h, m.chain_y]))),
+            SEC_CHAINS, [m.chains[0][:, :-1], *m.chains[1:]]))),
     ], ids=["dbm-label-dim-bit-flipped", "dbn-label-dim-zeroed",
             "dbn-without-generative-section", "dbm-label-bias-too-wide",
             "dbm-visible-chain-too-narrow"])
@@ -357,20 +357,20 @@ class TestRoundTrips:
         for a, b in zip(model.generative_b, loaded.generative_b):
             np.testing.assert_array_equal(a, b)
 
-    def test_dbm_with_chains(self, tmp_path):
+    @pytest.mark.parametrize("labels", [True, False], ids=["labelled", "unlabelled"])
+    def test_dbm_with_chains(self, tmp_path, labels):
         batches = toy_batches()
         model = pretrain_dbm([4, 3, 2], batches, TrainConfig(epochs=1, seed=4),
-                             labels=True)
+                             labels=labels)
         save_model(tmp_path / "m", model)
         loaded = load_model(tmp_path / "m")
-        assert loaded.label_dim == 2
+        assert loaded.label_dim == (2 if labels else 0)
         for a, b in zip(model.weights, loaded.weights):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(model.visible_bias, loaded.visible_bias)
         np.testing.assert_array_equal(model.label_bias, loaded.label_bias)
-        np.testing.assert_array_equal(model.chain_v, loaded.chain_v)
-        np.testing.assert_array_equal(model.chain_y, loaded.chain_y)
-        for a, b in zip(model.chain_h, loaded.chain_h):
+        assert len(model.chains) == (4 if labels else 3)
+        for a, b in zip(model.chains, loaded.chains, strict=True):
             np.testing.assert_array_equal(a, b)
 
     def test_bimodal(self, tmp_path):

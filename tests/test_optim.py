@@ -49,6 +49,17 @@ class TestAnneal:
             AnnealSchedule(AnnealKind.DIVIDE, k=-1.0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("build", [
+    lambda x: TrainConfig(epochs=1, lr=x),
+    lambda x: AnnealSchedule(AnnealKind.EXPONENTIAL, k=x),
+    lambda x: WeightDecaySpec(DecayKind.L2, k=x),
+], ids=["lr", "anneal-k", "decay-k"])
+def test_non_finite_hyperparameter_rejected(build, value):
+    with pytest.raises(ConfigError):
+        build(value)
+
+
 class TestMomentum:
     def test_default_scheme_early(self):
         assert momentum_coeff(3, MomentumSchedule()) == 0.5
@@ -338,8 +349,7 @@ def _up_down_setup(batches):
 
 def _mean_field_setup(batches):
     m = pretrain_dbm([4, 3, 2], batches, TrainConfig(epochs=1, seed=65), labels=True)
-    arrays = (m.weights + m.hidden_biases + [m.visible_bias, m.label_bias, m.chain_v,
-                                             m.chain_y] + m.chain_h)
+    arrays = m.weights + m.hidden_biases + [m.visible_bias, m.label_bias] + m.chains
     return (lambda b, cfg: mean_field_train(m, b, cfg)), arrays
 
 
