@@ -16,7 +16,7 @@ import numpy as np
 from .core import (ActivationKind, ConfigError, Matrix, ShapeError, as_rows,
                    check_batches, group_rows, in_row_groups, make_rng, sample_bernoulli,
                    sigmoid)
-from .optim import ParamGroup, run_epochs
+from .optim import NO_DECAY, NO_MOMENTUM, ParamGroup, run_epochs
 from .rbm import (CdGradients, RbmLayer, TrainConfig, _cd_step, _check_chain,
                   _last_activation, _pre_activation, _pretrain_layers)
 
@@ -82,15 +82,17 @@ def pretrain_dbn(sizes, batches, cfg: TrainConfig, labels=False) -> DbnModel:
     return model
 
 
-def _residual_update(w, b, source, target, lr, scratch):
-    """Wake-sleep delta rule, in place: move the sigmoid prediction of
-    `target` from `source` toward it by lr * source^T (target - pred) / m,
-    formed in `scratch`, a flat buffer of w's size."""
-    residual = _pre_activation(source, w, b)
-    np.subtract(target, sigmoid(residual, out=residual), out=residual)
-    b += lr * residual.mean(axis=0, keepdims=True)
-    residual *= lr / source.shape[0]
-    w += np.matmul(source.T, residual, out=scratch.reshape(w.shape))
+def _delta_gradients(group: ParamGroup, sources, targets, lr: float) -> None:
+    """The wake-sleep delta rule as `group`'s gradients, scaled by `lr`: its
+    i-th weight and bias predict targets[i] from sources[i] through a sigmoid
+    and get source^T (pred - target) / m and mean(pred - target)."""
+    n = len(sources)
+    for i, (source, target) in enumerate(zip(sources, targets)):
+        residual = _pre_activation(source, group.params[i], group.params[n + i])
+        np.subtract(sigmoid(residual, out=residual), target, out=residual)
+        np.multiply(residual.mean(axis=0, keepdims=True), lr, out=group.grads[n + i])
+        residual *= lr / source.shape[0]
+        np.matmul(source.T, residual, out=group.grads[i])
 
 
 def up_down_fine_tune(model: DbnModel, batches, cfg: TrainConfig,
@@ -103,8 +105,8 @@ def up_down_fine_tune(model: DbnModel, batches, cfg: TrainConfig,
     weights on its states; a CD-1 step with labels clamped in the positive
     phase trains the top RBM; a sampled down-pass (generative weights)
     trains the recognition weights on its states. Every layer must have
-    SIGMOID units (ConfigError otherwise); every weight and bias array is
-    updated in place.
+    SIGMOID units (ConfigError otherwise). Every array moves in place in
+    `ParamGroup.step`; `cfg.decay` and `cfg.momentum` reach the top RBM only.
     """
     top = model.top
     if top is None:
@@ -115,8 +117,9 @@ def up_down_fine_tune(model: DbnModel, batches, cfg: TrainConfig,
     rng = make_rng(cfg.seed)
     params = ParamGroup([top.w], [top.b_v, top.b_h], cfg.decay, cfg.momentum)
     g = CdGradients(*params.grads)
-    # one scratch per directed layer, shared by its two weights (same size)
-    scratch = [np.empty(layer.w.size) for layer in model.recognition]
+    generative = ParamGroup(model.generative_w, model.generative_b, NO_DECAY, NO_MOMENTUM)
+    recognition = ParamGroup([l.w for l in model.recognition],
+                             [l.b_h for l in model.recognition], NO_DECAY, NO_MOMENTUM)
 
     def epoch(lr, rho):
         for x, y in pairs:
@@ -126,9 +129,8 @@ def up_down_fine_tune(model: DbnModel, batches, cfg: TrainConfig,
             for layer in model.recognition:
                 probs = _last_activation([layer], states[-1])
                 states.append(sample_bernoulli(probs, rng))
-            for i in range(len(model.recognition)):
-                _residual_update(model.generative_w[i], model.generative_b[i],
-                                 states[i + 1], states[i], lr, scratch[i])
+            _delta_gradients(generative, states[1:], states[:-1], lr)
+            generative.step(lr, 0.0)
             # top RBM CD-1, undropped, with labels clamped in the positive
             # phase; the data are the recognition probabilities (same
             # variance reduction as plain RBM training)
@@ -138,15 +140,13 @@ def up_down_fine_tune(model: DbnModel, batches, cfg: TrainConfig,
             # sleep: sample downward from the top reconstruction, then fit
             # the recognition weights to invert the generative pass
             dream = [sample_bernoulli(v_recon[:, :model.feature_dim], rng)]
-            for i in range(len(model.recognition) - 1, -1, -1):
-                p = _pre_activation(dream[-1], model.generative_w[i],
-                                    model.generative_b[i])
+            for w, b in zip(model.generative_w[::-1], model.generative_b[::-1]):
+                p = _pre_activation(dream[-1], w, b)
                 sigmoid(p, out=p)
                 dream.append(sample_bernoulli(p, rng))
             dream.reverse()  # dream[i] now sits at layer i
-            for i, layer in enumerate(model.recognition):
-                _residual_update(layer.w, layer.b_h, dream[i], dream[i + 1], lr,
-                                 scratch[i])
+            _delta_gradients(recognition, dream[:-1], dream[1:], lr)
+            recognition.step(lr, 0.0)
 
     run_epochs(cfg, model, epoch, hook)
     model.fine_tuned = model.fine_tuned or cfg.epochs > 0

@@ -18,7 +18,9 @@ Layout (all integers little-endian):
 
 Two tables drive both `save_model` and `load_model`: `_SECTIONS` (each
 section's payload format) and `_KINDS` (each model kind's layers and
-sections). `load_model` ends with the model's own `check()`.
+sections). `load_model` ends with the model's own `check()` and a check of
+its values: every array and float finite, a denoise rate in [0, 1], binary
+chain states and one-of-K label-chain rows.
 
 Both stream: `save_model` writes each array from its own buffer and
 `load_model` reads each array straight into the buffer the model keeps,
@@ -34,12 +36,13 @@ import struct
 import numpy as np
 
 from .autoencoder import AeModel
-from .core import ActivationKind, ShapeError
+from .core import ActivationKind, DivergenceError, ShapeError
 from .data import FormatError
 from .dbm import DbmModel
 from .dbn import DbnModel
 from .dnn import LayerStack
 from .multimodal import BimodalAe, ModalScale
+from .optim import _check_finite
 from .rbm import RbmLayer
 
 MAGIC = b"MDLR"
@@ -154,14 +157,24 @@ def _dbm_parts(model: DbmModel):
 
 def _build_dbm(layers, s) -> DbmModel:
     k = s.get(SEC_LABEL_DIM, 0)
-    return DbmModel(weights=[l.w for l in layers], visible_bias=layers[0].b_v,
-                    hidden_biases=[l.b_h for l in layers], label_dim=k,
-                    label_bias=s[SEC_LABEL_BIAS][0] if k and s[SEC_LABEL_BIAS] else None,
-                    chains=s.get(SEC_CHAINS))
+    model = DbmModel(weights=[l.w for l in layers], visible_bias=layers[0].b_v,
+                     hidden_biases=[l.b_h for l in layers], label_dim=k,
+                     label_bias=s[SEC_LABEL_BIAS][0] if k and s[SEC_LABEL_BIAS] else None,
+                     chains=s.get(SEC_CHAINS)).check()
+    # the chains hold sampled states: binary, and one-of-K in the label chain
+    for i, state in enumerate(model.chains or []):
+        if np.any((state != 0.0) & (state != 1.0)):
+            raise FormatError(f"non-binary state in DbmModel.chains[{i}]")
+        if k and i == model.n_layers + 1 and np.any(state.sum(axis=1) != 1.0):
+            raise FormatError(f"a row of DbmModel.chains[{i}] is not one-of-K")
+    return model
 
 
 def _build_ae(layers, s) -> AeModel:
-    return AeModel(stack=LayerStack(layers=layers), denoise_rate=s.get(SEC_DENOISE, 0.0))
+    rate = s.get(SEC_DENOISE, 0.0)
+    if not 0.0 <= rate <= 1.0:
+        raise FormatError(f"AeModel.denoise_rate {rate} outside [0, 1]")
+    return AeModel(stack=LayerStack(layers=layers), denoise_rate=rate)
 
 
 def _build_bimodal(layers, s) -> BimodalAe:
@@ -214,7 +227,8 @@ def save_model(path, model) -> None:
 def load_model(path):
     """The checked model in a container; FormatError, naming the file, when
     the container is malformed, holds a DBN or DBM with a non-SIGMOID layer,
-    or its model fails `check()`."""
+    holds a value training never leaves (see the module docstring), or its
+    model fails `check()`."""
     name = "model"
     with open(path, "rb") as f:
         r = _Reader(f)
@@ -237,6 +251,8 @@ def load_model(path):
             odd = {l.activation for l in layers} - {ActivationKind.SIGMOID}
             if name in ("dbn", "dbm") and odd:
                 raise FormatError(f"a {name} runs SIGMOID units only, not {odd.pop().name}")
-            return build(layers, sections).check()
-        except (FormatError, ShapeError) as exc:
+            model = build(layers, sections).check()
+            _check_finite(model, type(model).__name__)
+            return model
+        except (FormatError, ShapeError, DivergenceError) as exc:
             raise FormatError(f"{path}: {name} container: {exc}") from None

@@ -190,10 +190,12 @@ class ParamGroup:
 
 def _check_finite(model, name: str, what: str = "values") -> None:
     """Raise DivergenceError("non-finite `what` in <path>") naming the first
-    non-finite array reachable from `model`, called `name`, through
+    non-finite array or float reachable from `model`, called `name`, through
     dataclass fields and lists."""
-    if isinstance(model, np.ndarray):
-        if not np.isfinite(model).all():
+    if isinstance(model, (np.ndarray, float)):
+        flat = np.ravel(model)  # a block at a time, so no mask as large as the array
+        if not all(np.isfinite(flat[i:i + STEP_BLOCK]).all()
+                   for i in range(0, flat.size, STEP_BLOCK)):
             raise DivergenceError(f"non-finite {what} in {name}")
     elif isinstance(model, list):
         for i, item in enumerate(model):

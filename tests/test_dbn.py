@@ -171,21 +171,21 @@ class TestUpDown:
         # the walk after each epoch reaches the wake-sleep arrays and names the one
         batches = toy_data(dim=6, num_batches=2)
         model = pretrain_dbn([6, 5, 4, 3], batches, TrainConfig(epochs=1, seed=9), labels=True)
-        update, updated = dbn_mod._residual_update, []
+        gradients, updated = dbn_mod._delta_gradients, []
 
-        def planting(w, *args):
-            update(w, *args)
-            updated.append(w)
-            if len(updated) == 8:  # the last update of epoch 0: 2 batches x 4 arrays
-                w[0, 0] = np.inf
+        def planting(group, *args):
+            gradients(group, *args)
+            updated.append(group.params[1])
+            if len(updated) == 4:  # the last of epoch 0: 2 batches x (wake, sleep)
+                group.grads[1][0, 0] = -np.inf  # the group's step carries it in
 
-        monkeypatch.setattr(dbn_mod, "_residual_update", planting)
+        monkeypatch.setattr(dbn_mod, "_delta_gradients", planting)
         hooks = []
         with pytest.raises(DivergenceError,
                            match=r"after epoch 0 in DbnModel\.recognition\[1\]\.w$"):
             up_down_fine_tune(model, batches, TrainConfig(epochs=3, seed=10),
                               hook=lambda e, lr, rho: hooks.append(e))
-        assert updated[7] is model.recognition[1].w
+        assert updated[3] is model.recognition[1].w
         assert hooks == []
 
 

@@ -13,8 +13,8 @@ from boltznet.dbm import DbmModel, mean_field_states, pretrain_dbm
 from boltznet.dbn import predict_dbn, pretrain_dbn
 from boltznet.dnn import LayerStack, predict, pretrain_stack
 from boltznet.model_io import (_KINDS, SEC_CHAINS, SEC_DENOISE, SEC_GENERATIVE, SEC_KIND,
-                               SEC_LABEL_BIAS, SEC_LABEL_DIM, _pack_layer, _pack_section,
-                               load_model, save_model)
+                               SEC_LABEL_BIAS, SEC_LABEL_DIM, SEC_MODAL, _pack_layer,
+                               _pack_section, load_model, save_model)
 from boltznet.multimodal import BimodalAe, build_bimodal, predict_modal
 from boltznet.rbm import RbmLayer, TrainConfig
 
@@ -133,6 +133,13 @@ def edited(fields, tag, payload):
     return b"".join(payload if key == tag else raw for key, raw in fields.items())
 
 
+def planted(a, value):
+    """A copy of `a` holding `value` at [0, 0]."""
+    a = a.copy()
+    a[0, 0] = value
+    return a
+
+
 def flip_bit(raw: bytes, bit: int) -> bytes:
     out = bytearray(raw)
     out[bit // 8] ^= 1 << (bit % 8)
@@ -166,22 +173,47 @@ class TestCraftedContainers:
 
         assert traced_peak(load) < 2**20
 
-    @pytest.mark.parametrize("kind, tag, edit", [
-        ("dbm", SEC_LABEL_DIM, lambda raw, m: flip_bit(raw, 8 + 47)),
-        ("dbn", SEC_LABEL_DIM, lambda raw, m: struct.pack("<BQ", SEC_LABEL_DIM, 0)),
-        ("dbn", SEC_GENERATIVE, lambda raw, m: b""),
+    @pytest.mark.parametrize("kind, tag, edit, named", [
+        ("dbm", SEC_LABEL_DIM, lambda raw, m: flip_bit(raw, 8 + 47), "label rows"),
+        ("dbn", SEC_LABEL_DIM, lambda raw, m: struct.pack("<BQ", SEC_LABEL_DIM, 0),
+         "layer 0 output"),
+        ("dbn", SEC_GENERATIVE, lambda raw, m: b"", "generative arrays"),
         ("dbm", SEC_LABEL_BIAS, lambda raw, m: b"".join(_pack_section(
-            SEC_LABEL_BIAS, [np.zeros((1, m.label_dim + 1))]))),
+            SEC_LABEL_BIAS, [np.zeros((1, m.label_dim + 1))])), "bias widths"),
         ("dbm", SEC_CHAINS, lambda raw, m: b"".join(_pack_section(
-            SEC_CHAINS, [m.chains[0][:, :-1], *m.chains[1:]]))),
+            SEC_CHAINS, [m.chains[0][:, :-1], *m.chains[1:]])), "persistent chains"),
+        # each container below has the right shapes, so only a check of its
+        # values refuses it
+        ("dbn", SEC_GENERATIVE, lambda raw, m: b"".join(_pack_section(
+            SEC_GENERATIVE, [*m.generative_w, planted(m.generative_b[0], np.nan)])),
+         r"non-finite values in DbnModel\.generative_b\[0\]"),
+        ("stack", "layer 1", lambda raw, m: b"".join(_pack_layer(dataclasses.replace(
+            m.layers[1], w=planted(m.layers[1].w, -np.inf)))),
+         r"non-finite values in LayerStack\.layers\[1\]\.w"),
+        ("bimodal", SEC_MODAL, lambda raw, m: struct.pack(
+            "<BQQdddd", SEC_MODAL, m.dim_a, m.dim_b, m.scale_a.lo, m.scale_a.hi,
+            m.scale_b.lo, np.inf), r"non-finite values in BimodalAe\.scale_b\.hi"),
+        ("ae", SEC_DENOISE, lambda raw, m: struct.pack("<Bd", SEC_DENOISE, 7.0),
+         r"AeModel\.denoise_rate 7\.0 outside"),
+        ("bimodal", SEC_DENOISE, lambda raw, m: struct.pack("<Bd", SEC_DENOISE, np.nan),
+         r"AeModel\.denoise_rate nan outside"),
+        ("dbm", SEC_CHAINS, lambda raw, m: b"".join(_pack_section(
+            SEC_CHAINS, [*m.chains[:2], planted(m.chains[2], 0.5), m.chains[3]])),
+         r"non-binary state in DbmModel\.chains\[2\]"),
+        ("dbm", SEC_CHAINS, lambda raw, m: b"".join(_pack_section(
+            SEC_CHAINS, [*m.chains[:3], planted(m.chains[3], 1.0 - m.chains[3][0, 0])])),
+         r"DbmModel\.chains\[3\] is not one-of-K"),
     ], ids=["dbm-label-dim-bit-flipped", "dbn-label-dim-zeroed",
             "dbn-without-generative-section", "dbm-label-bias-too-wide",
-            "dbm-visible-chain-too-narrow"])
-    def test_edited_section_rejected(self, tmp_path, tiny_models, kind, tag, edit):
+            "dbm-visible-chain-too-narrow", "dbn-generative-bias-nan",
+            "stack-weight-minus-inf", "bimodal-modal-scale-inf", "ae-denoise-rate-7",
+            "bimodal-denoise-rate-nan", "dbm-chain-holds-a-half",
+            "dbm-label-chain-row-not-one-of-k"])
+    def test_edited_section_rejected(self, tmp_path, tiny_models, kind, tag, edit, named):
         model = tiny_models[kind]
         fields = container_fields(model)
         (tmp_path / "m.mdlr").write_bytes(edited(fields, tag, edit(fields[tag], model)))
-        with pytest.raises(FormatError, match="m.mdlr"):
+        with pytest.raises(FormatError, match=rf"m\.mdlr: {kind} container: .*{named}"):
             load_model(tmp_path / "m.mdlr")
 
     @pytest.mark.parametrize("kind", ["dbn", "dbm"])

@@ -285,30 +285,42 @@ class TestParamGroup:
         ("train_binary", DecayKind.NONE), ("backprop_fine_tune", DecayKind.NONE),
         ("train_binary", DecayKind.L1), ("train_binary", DecayKind.L2),
         ("backprop_fine_tune", DecayKind.L1), ("backprop_fine_tune", DecayKind.L2),
+        ("up_down_fine_tune", DecayKind.NONE),
     ], ids=["train_binary", "backprop_fine_tune", "train_binary-l1", "train_binary-l2",
-            "backprop_fine_tune-l1", "backprop_fine_tune-l2"])
+            "backprop_fine_tune-l1", "backprop_fine_tune-l2", "up_down_fine_tune"])
     def test_an_epoch_makes_no_weight_sized_temporaries(self, trainer, decay):
-        # an epoch's peak allocation is the group's velocity and gradient
-        # buffers (twice the trained arrays), batch-sized arrays and, with
-        # decay, the group's block-sized penalty buffer: below those
-        # buffers plus one weight matrix
+        # an epoch's peak allocation is the groups' velocity and gradient
+        # buffers (twice the trained arrays, once the DBN's directed ones,
+        # which step without momentum), batch-sized arrays and, with decay,
+        # the group's block-sized penalty buffer: below those buffers plus
+        # one weight matrix
         rng = make_rng(50)
         x = rng.random((40, 200))
         y = one_of_k(rng.integers(0, 10, (40, 1)).astype(float), 10)
         batches = make_batches(x, y, 8)
         spec = WeightDecaySpec(decay, 0.01 if decay != DecayKind.NONE else 0.0)
+        directed = []
         if trainer == "train_binary":
             rbm = RbmLayer.random(200, 150, rng)
             arrays = [rbm.w, rbm.b_v, rbm.b_h]
             run = lambda: train_binary(rbm, batches,
                                        TrainConfig(epochs=1, seed=51, decay=spec))
-        else:
+        elif trainer == "backprop_fine_tune":
             stack = pretrain_stack([200, 150, 10], batches, TrainConfig(epochs=0, seed=51),
                                    pretrain=False)
             arrays = [a for layer in stack.layers for a in (layer.w, layer.b_h)]
             run = lambda: backprop_fine_tune(stack, batches, LossKind.CROSS_ENTROPY,
                                              TrainConfig(epochs=1, seed=52, decay=spec))
-        bound = 2 * sum(a.nbytes for a in arrays) + max(a.nbytes for a in arrays)
+        else:
+            model = pretrain_dbn([200, 150, 100], batches, TrainConfig(epochs=0, seed=51),
+                                 labels=True)
+            arrays = [model.top.w, model.top.b_v, model.top.b_h]
+            directed = ([a for l in model.recognition for a in (l.w, l.b_h)]
+                        + model.generative_w + model.generative_b)
+            run = lambda: up_down_fine_tune(model, batches,
+                                            TrainConfig(epochs=1, seed=52, decay=spec))
+        bound = (2 * sum(a.nbytes for a in arrays) + sum(a.nbytes for a in directed)
+                 + max(a.nbytes for a in arrays + directed))
         tracemalloc.start()
         try:
             run()
@@ -325,36 +337,37 @@ def _stack_arrays(stack):
 def _rbm_trainer(trainer, activation=ActivationKind.SIGMOID, n_h=3):
     def setup(batches):
         rbm = RbmLayer.random(4, n_h, make_rng(62), activation=activation)
-        return (lambda b, cfg: trainer(rbm, b, cfg)), [rbm.w, rbm.b_v, rbm.b_h]
+        return (lambda b, cfg: trainer(rbm, b, cfg)), [rbm.w, rbm.b_v, rbm.b_h], []
     return setup
 
 
 def _backprop_setup(batches):
     stack = pretrain_stack([4, 3, 2], batches, TrainConfig(epochs=0), pretrain=False)
     return ((lambda b, cfg: backprop_fine_tune(stack, b, LossKind.CROSS_ENTROPY, cfg)),
-            _stack_arrays(stack))
+            _stack_arrays(stack), [])
 
 
 def _mse_setup(batches):
     model = build_symmetric([4, 3], batches, TrainConfig(epochs=1, seed=63), 0.2)
-    return (lambda b, cfg: fine_tune_mse(model, b, cfg)), _stack_arrays(model.stack)
+    return (lambda b, cfg: fine_tune_mse(model, b, cfg)), _stack_arrays(model.stack), []
 
 
 def _up_down_setup(batches):
     model = pretrain_dbn([4, 3, 2], batches, TrainConfig(epochs=1, seed=64), labels=True)
     arrays = ([a for l in model.recognition for a in (l.w, l.b_h)] + model.generative_w
               + model.generative_b + [model.top.w, model.top.b_v, model.top.b_h])
-    return (lambda b, cfg: up_down_fine_tune(model, b, cfg)), arrays
+    return (lambda b, cfg: up_down_fine_tune(model, b, cfg)), arrays, []
 
 
 def _mean_field_setup(batches):
     m = pretrain_dbm([4, 3, 2], batches, TrainConfig(epochs=1, seed=65), labels=True)
-    arrays = m.weights + m.hidden_biases + [m.visible_bias, m.label_bias] + m.chains
-    return (lambda b, cfg: mean_field_train(m, b, cfg)), arrays
+    params = m.weights + m.hidden_biases + [m.visible_bias, m.label_bias]
+    return (lambda b, cfg: mean_field_train(m, b, cfg)), params, m.chains
 
 
-# name -> (setup(batches) -> (run(batches, cfg), every array training may
-# change), whether the trainer reads y)
+# name -> (setup(batches) -> (run(batches, cfg), the model's parameters, its
+# states: together every array training may change), whether the trainer
+# reads y)
 TRAINERS = {
     "train_binary": (_rbm_trainer(train_binary), False),
     "train_linear": (_rbm_trainer(train_linear), False),
@@ -415,16 +428,31 @@ class TestRunEpochs:
         rng = make_rng(68)
         x = rng.random((6, 4))
         y = one_of_k(rng.integers(0, 2, (6, 1)).astype(float), 2)
-        run, arrays = TRAINERS[trainer][0]([(x, y)])
+        run, params, states = TRAINERS[trainer][0]([(x, y)])
         handed.clear()  # the setup's own pretraining
         run([(x, y)], TrainConfig(epochs=0))
         [model] = handed
         assert isinstance(model, (RbmLayer, LayerStack, DbnModel, DbmModel))
-        for a in arrays:
+        for a in params + states:
             kept, a[0, 0] = a[0, 0], np.nan
             with pytest.raises(DivergenceError):
                 _check_finite(model, "model")
             a[0, 0] = kept
+
+    @pytest.mark.parametrize("trainer", list(TRAINERS))
+    def test_every_trainer_moves_its_parameters_only_in_the_group_step(self, trainer,
+                                                                       monkeypatch):
+        # with the step a no-op, an epoch leaves every parameter bit for bit
+        # as it was, so no trainer updates one outside `ParamGroup.step` (a
+        # DBM's chains are states, which each sweep replaces)
+        rng = make_rng(69)
+        x = rng.random((6, 4))
+        y = one_of_k(rng.integers(0, 2, (6, 1)).astype(float), 2)
+        run, params, _ = TRAINERS[trainer][0]([(x, y)])
+        before = [a.tobytes() for a in params]
+        monkeypatch.setattr(ParamGroup, "step", lambda self, lr, rho: None)
+        run([(x, y)], TrainConfig(epochs=1, seed=70))
+        assert [a.tobytes() for a in params] == before
 
     def test_every_trainer_takes_one_batch_list(self):
         # labels ride in the (x, y) batches, so no trainer takes a second list
@@ -451,7 +479,8 @@ class TestRunEpochs:
         rng = make_rng(60)
         x = rng.random((6, 4))
         y = one_of_k(rng.integers(0, 2, (6, 1)).astype(float), 2)
-        run, arrays = setup([(x, y)])
+        run, params, states = setup([(x, y)])
+        arrays = params + states
 
         def planted(a, value):
             a = a.copy()
